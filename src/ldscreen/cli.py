@@ -8,6 +8,7 @@ stderr; stdout carries only the requested output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -26,7 +27,14 @@ from .evaluation import (
     rules_learner,
     tree_learner,
 )
-from .rules import extract_rules, rule_text, ruleset_text, ruleset_to_json, simplify_rules
+from .rules import (
+    best_rule,
+    extract_rules,
+    rule_text,
+    ruleset_text,
+    ruleset_to_json,
+    simplify_rules,
+)
 from .tree import (
     TreeConfig,
     build_tree,
@@ -233,6 +241,16 @@ def _read_answers(args):
 
 
 def _normalize_answer(token, spec):
+    if not spec.is_categorical:
+        try:
+            value = float(token)
+        except ValueError:
+            value = math.nan
+        if math.isfinite(value):
+            return value
+        raise UsageError(
+            f"invalid answer {token!r} for {spec.name}; expected a finite number"
+        )
     for v in spec.values:
         if token.upper() == v.upper():
             return v
@@ -264,16 +282,9 @@ def cmd_checklist(args):
     dist_text = ", ".join(f"{v}={dist[v]:.3f}" for v in model.class_values)
     print(f"Distribution: {dist_text}")
     ruleset = extract_rules(model)
-    matched = [r for r in ruleset.rules if r.matches(tuple(values))]
-    if matched:
-        best = max(
-            range(len(matched)),
-            key=lambda i: (matched[i].accuracy, matched[i].coverage, -i),
-        )
-        print(
-            "Matched rule: "
-            + rule_text(matched[best], model.schema, class_name)
-        )
+    rule = best_rule(ruleset, values)
+    if rule is not None:
+        print("Matched rule: " + rule_text(rule, model.schema, class_name))
     else:
         print(f"Matched rule: none (default {class_name}={ruleset.default_class})")
     return 0

@@ -14,13 +14,12 @@ encoder refuses missing values.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, dump_document, first_max, load_document
 
 CLUSTER_FORMAT = "ldscreen-cluster"
 CLUSTER_VERSION = 1
@@ -98,8 +97,7 @@ def distance2(a, b):
 def _assign(rows, centroids):
     # n x k squared distances; argmin takes the lowest index on ties
     d2 = ((rows[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    assign = d2.argmin(axis=1)
-    return assign, d2[np.arange(len(rows)), assign].sum()
+    return d2.argmin(axis=1)
 
 def _means(rows, assign, k, old_centroids):
     centroids = old_centroids.copy()
@@ -160,12 +158,12 @@ def kmeans_fit(dataset, k=2, seed=0, max_iter=100, initial_centroids=None):
                 f"initial centroids must have shape {(k, rows.shape[1])}"
             )
 
-    assign, _ = _assign(rows, centroids)
+    assign = _assign(rows, centroids)
     centroids, assign = _means(rows, assign, k, centroids)
     history = [float(((rows - centroids[assign]) ** 2).sum())]
     iterations = 1
     while iterations < max_iter:
-        new_assign, _ = _assign(rows, centroids)
+        new_assign = _assign(rows, centroids)
         if (new_assign == assign).all():
             break
         centroids, assign = _means(rows, new_assign, k, centroids)
@@ -198,14 +196,8 @@ def map_clusters_to_classes(model: ClusterModel, dataset: Dataset):
         label = inst.values[dataset.class_index]
         if label is not None:
             counts[a][class_values.index(label)] += 1
-    labels = []
-    for row in counts:
-        best = 0
-        for i, c in enumerate(row):
-            if c > row[best]:
-                best = i
-        labels.append(class_values[best])
-    return tuple(labels), counts
+    labels = tuple(class_values[first_max(row)] for row in counts)
+    return labels, counts
 
 
 def cluster_profile(model: ClusterModel, dataset: Dataset):
@@ -287,9 +279,7 @@ def cluster_profile_csv(model: ClusterModel, dataset: Dataset) -> str:
 
 
 def cluster_model_to_json(model: ClusterModel) -> str:
-    doc = {
-        "format": CLUSTER_FORMAT,
-        "version": CLUSTER_VERSION,
+    body = {
         "k": model.k,
         "seed": model.seed,
         "iterations": model.iterations,
@@ -299,15 +289,15 @@ def cluster_model_to_json(model: ClusterModel) -> str:
         "centroids": [list(c) for c in model.centroids],
         "assignments": list(model.assignments),
     }
-    return json.dumps(doc, indent=2)
+    return dump_document(CLUSTER_FORMAT, CLUSTER_VERSION, body)
 
 
 def cluster_model_from_json(text: str) -> ClusterModel:
-    doc = json.loads(text)
-    if doc.get("format") != CLUSTER_FORMAT:
-        raise ValueError(f"not a {CLUSTER_FORMAT} document")
-    if doc.get("version") != CLUSTER_VERSION:
-        raise ValueError(f"unsupported cluster model version {doc.get('version')}")
+    """Read a cluster_model_to_json document; ParseError when it is malformed."""
+    return load_document(text, CLUSTER_FORMAT, CLUSTER_VERSION, _cluster_model_from_doc)
+
+
+def _cluster_model_from_doc(doc):
     return ClusterModel(
         k=doc["k"],
         column_labels=tuple(doc["column_labels"]),

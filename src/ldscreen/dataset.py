@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 BINARY = "binary"
@@ -28,6 +30,41 @@ class ParseError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def first_max(values):
+    """Index of the largest entry; ties resolve to the earliest."""
+    return max(range(len(values)), key=values.__getitem__)
+
+
+def dump_document(fmt, version, body):
+    """JSON text of a versioned document: ``format``, ``version``, then ``body``."""
+    return json.dumps({"format": fmt, "version": version, **body}, indent=2)
+
+
+def load_document(text, fmt, version, build):
+    """Read a document written by dump_document and return ``build(doc)``.
+
+    Raises
+    ------
+    ParseError
+        On undecodable JSON (with its line), a document that is not an
+        object, a foreign format or version, or a body ``build`` cannot
+        read (a missing key or a value of the wrong type or shape).
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from None
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise ParseError(f"not a {fmt} document")
+    if doc.get("version") != version:
+        raise ParseError(f"unsupported {fmt} version {doc.get('version')!r}")
+    try:
+        return build(doc)
+    except (KeyError, TypeError, IndexError, ValueError, AttributeError) as exc:
+        reason = f"{type(exc).__name__}: {exc}"
+        raise ParseError(f"malformed {fmt} document: {reason}") from None
 
 
 @dataclass(frozen=True)
@@ -493,10 +530,8 @@ def impute_missing(dataset):
         if not known:
             raise ValueError(f"attribute {spec.name} is entirely missing")
         if spec.is_categorical:
-            counts = {v: 0 for v in spec.values}
-            for v in known:
-                counts[v] += 1
-            fills.append(max(spec.values, key=lambda v: counts[v]))  # first max wins
+            counts = Counter(known)
+            fills.append(spec.values[first_max([counts[v] for v in spec.values])])
         else:
             fills.append(sum(known) / len(known))
     if all(f is None for f in fills):

@@ -13,11 +13,17 @@ for rule sets, from the matched rule's accuracy.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
-from .dataset import Dataset, random_folds, stratified_folds
-from .rules import extract_rules, rules_classify, simplify_rules
+from .dataset import (
+    Dataset,
+    dump_document,
+    first_max,
+    load_document,
+    random_folds,
+    stratified_folds,
+)
+from .rules import best_rule, extract_rules, simplify_rules
 from .tree import TreeConfig, build_tree, classify
 
 REPORT_FORMAT = "ldscreen-report"
@@ -183,14 +189,12 @@ def rules_learner(config: TreeConfig | None = None, simplify=True):
         class_values = train.class_values
 
         def predict(instance):
-            values = instance.values if hasattr(instance, "values") else instance
-            label = rules_classify(ruleset, values)
-            acc = None
-            for rule in ruleset.rules:
-                if rule.matches(values) and rule.consequent == label:
-                    acc = rule.accuracy if acc is None else max(acc, rule.accuracy)
-            if acc is None:
-                acc = 0.5  # default-class fallback carries no evidence
+            rule = best_rule(ruleset, instance)
+            if rule is None:
+                # default-class fallback carries no evidence
+                label, acc = ruleset.default_class, 0.5
+            else:
+                label, acc = rule.consequent, rule.accuracy
             rest = (1.0 - acc) / (len(class_values) - 1)
             return label, {
                 v: (acc if v == label else rest) for v in class_values
@@ -210,7 +214,7 @@ def majority_learner():
             )
         total = sum(counts)
         dist = {v: c / total for v, c in zip(train.class_values, counts)}
-        best = max(train.class_values, key=lambda v: (dist[v], -train.class_values.index(v)))
+        best = train.class_values[first_max(list(dist.values()))]
 
         def predict(instance):
             return best, dict(dist)
@@ -295,61 +299,26 @@ def report_text(report: EvaluationReport) -> str:
 
 
 def report_to_json(report: EvaluationReport) -> str:
-    doc = {
-        "format": REPORT_FORMAT,
-        "version": REPORT_VERSION,
+    body = {
         "classes": list(report.matrix.class_values),
         "confusion": [list(row) for row in report.matrix.counts],
         "accuracy": report.accuracy,
         "error_rate": report.error_rate,
-        "per_class": {
-            label: {
-                "tp_rate": m.tp_rate,
-                "fp_rate": m.fp_rate,
-                "precision": m.precision,
-                "recall": m.recall,
-                "f_measure": m.f_measure,
-                "roc_area": m.roc_area,
-            }
-            for label, m in report.per_class
-        },
+        "per_class": {label: asdict(m) for label, m in report.per_class},
     }
-    return json.dumps(doc, indent=2)
+    return dump_document(REPORT_FORMAT, REPORT_VERSION, body)
 
 
 def report_from_json(text: str) -> EvaluationReport:
-    doc = json.loads(text)
-    if doc.get("format") != REPORT_FORMAT:
-        raise ValueError(f"not a {REPORT_FORMAT} document")
-    if doc.get("version") != REPORT_VERSION:
-        raise ValueError(f"unsupported report version {doc.get('version')}")
+    """Read a report_to_json document; ParseError when it is malformed."""
+    return load_document(text, REPORT_FORMAT, REPORT_VERSION, _report_from_doc)
+
+
+def _report_from_doc(doc):
     matrix = ConfusionMatrix(
         tuple(doc["classes"]), tuple(tuple(r) for r in doc["confusion"])
     )
     per_class = tuple(
-        (
-            label,
-            ClassMetrics(
-                tp_rate=m["tp_rate"],
-                fp_rate=m["fp_rate"],
-                precision=m["precision"],
-                recall=m["recall"],
-                f_measure=m["f_measure"],
-                roc_area=m["roc_area"],
-            ),
-        )
-        for label, m in doc["per_class"].items()
+        (label, ClassMetrics(**m)) for label, m in doc["per_class"].items()
     )
     return EvaluationReport(matrix, per_class, doc["accuracy"])
-
-
-def report_csv(report: EvaluationReport) -> str:
-    """CSV mirror of the per-class table, full float precision."""
-    out = ["class,tp_rate,fp_rate,precision,recall,f_measure,roc_area"]
-    for label, m in report.per_class:
-        roc = "" if m.roc_area is None else repr(m.roc_area)
-        out.append(
-            f"{label},{m.tp_rate!r},{m.fp_rate!r},{m.precision!r},"
-            f"{m.recall!r},{m.f_measure!r},{roc}"
-        )
-    return "\n".join(out) + "\n"

@@ -14,10 +14,9 @@ value simply fails the condition, so no fractional routing happens here
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .dataset import Dataset
+from .dataset import Dataset, dump_document, first_max
 from .tree import DecisionTreeModel, Leaf, ucb_error_rate
 
 RULES_FORMAT = "ldscreen-rules"
@@ -66,14 +65,6 @@ class RuleSet:
     default_class: str
 
 
-def _majority(class_counts, class_values):
-    best = 0
-    for i, c in enumerate(class_counts):
-        if c > class_counts[best]:
-            best = i
-    return class_values[best]
-
-
 def extract_rules(model: DecisionTreeModel) -> RuleSet:
     """One rule per leaf of ``model``; rule count equals leaf count.
 
@@ -102,7 +93,7 @@ def extract_rules(model: DecisionTreeModel) -> RuleSet:
             walk(child, conditions + [cond])
 
     walk(model.root, [])
-    default = _majority(model.root.class_counts, class_values)
+    default = class_values[first_max(model.root.class_counts)]
     return RuleSet(model.schema, model.class_index, tuple(rules), default)
 
 
@@ -137,7 +128,7 @@ def simplify_rules(ruleset: RuleSet, dataset: Dataset, confidence_factor=0.25) -
     global_counts = [0.0] * len(class_values)
     for inst in dataset.instances:
         global_counts[class_values.index(inst.values[ruleset.class_index])] += inst.weight
-    global_majority = _majority(global_counts, class_values)
+    global_majority = class_values[first_max(global_counts)]
     baseline = _pessimistic_accuracy((), global_majority, dataset, confidence_factor)
 
     kept = []
@@ -153,12 +144,12 @@ def simplify_rules(ruleset: RuleSet, dataset: Dataset, confidence_factor=0.25) -
                 est = _pessimistic_accuracy(
                     without, rule.consequent, dataset, confidence_factor
                 )
-                trials.append((est, i))
-            best_est, best_i = max(trials, key=lambda t: (t[0], -t[1]))
-            if best_est < current:
+                trials.append(est)
+            best_i = first_max(trials)
+            if trials[best_i] < current:
                 break
             del conditions[best_i]
-            current = best_est
+            current = trials[best_i]
         if current < baseline:
             continue
         matched, hit = _rule_stats(conditions, rule.consequent, dataset)
@@ -179,29 +170,26 @@ def simplify_rules(ruleset: RuleSet, dataset: Dataset, confidence_factor=0.25) -
         if not any(r.matches(inst.values) for r in unique):
             uncovered[class_values.index(inst.values[ruleset.class_index])] += inst.weight
     if sum(uncovered) > 0:
-        default = _majority(uncovered, class_values)
+        default = class_values[first_max(uncovered)]
     else:
         default = global_majority
     return RuleSet(ruleset.schema, ruleset.class_index, tuple(unique), default)
 
 
-def rules_classify(ruleset: RuleSet, instance) -> str:
-    """Label by the best matching rule, or the default class.
+def best_rule(ruleset: RuleSet, instance) -> Rule | None:
+    """The matching rule of highest accuracy, or None when none matches.
 
-    Best = highest accuracy, ties broken by higher coverage, then by
-    earlier position in the set.
+    Ties break by higher coverage, then by earlier position in the set.
     """
     values = instance.values if hasattr(instance, "values") else tuple(instance)
-    best = None
-    best_key = None
-    for pos, rule in enumerate(ruleset.rules):
-        if rule.matches(values):
-            key = (rule.accuracy, rule.coverage, -pos)
-            if best is None or key > best_key:
-                best, best_key = rule, key
-    if best is None:
-        return ruleset.default_class
-    return best.consequent
+    matched = [r for r in ruleset.rules if r.matches(values)]
+    return max(matched, key=lambda r: (r.accuracy, r.coverage), default=None)
+
+
+def rules_classify(ruleset: RuleSet, instance) -> str:
+    """Label by the best matching rule (see best_rule), or the default class."""
+    rule = best_rule(ruleset, instance)
+    return ruleset.default_class if rule is None else rule.consequent
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +224,7 @@ def ruleset_text(ruleset: RuleSet) -> str:
 
 
 def ruleset_to_json(ruleset: RuleSet) -> str:
-    doc = {
-        "format": RULES_FORMAT,
-        "version": RULES_VERSION,
+    body = {
         "class": ruleset.schema[ruleset.class_index].name,
         "default_class": ruleset.default_class,
         "rules": [
@@ -258,4 +244,4 @@ def ruleset_to_json(ruleset: RuleSet) -> str:
             for r in ruleset.rules
         ],
     }
-    return json.dumps(doc, indent=2)
+    return dump_document(RULES_FORMAT, RULES_VERSION, body)

@@ -13,13 +13,12 @@ A built model is immutable; concurrent classification is safe.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from scipy.stats import beta
 
-from .dataset import AttributeSpec, Dataset, Instance
+from .dataset import AttributeSpec, Instance, dump_document, first_max, load_document
 
 MODEL_FORMAT = "ldscreen-tree"
 MODEL_VERSION = 1
@@ -69,11 +68,7 @@ class Leaf:
 
     @property
     def predicted_index(self):
-        best = 0
-        for i, c in enumerate(self.class_counts):
-            if c > self.class_counts[best]:
-                best = i
-        return best
+        return first_max(self.class_counts)
 
 
 @dataclass(frozen=True)
@@ -464,8 +459,7 @@ def classify(model, instance):
     _accumulate(model.root, model.schema, values, 1.0, merged)
     total = sum(merged)
     dist = [c / total for c in merged]
-    best = max(range(len(dist)), key=lambda i: (dist[i], -i))
-    return class_values[best], dict(zip(class_values, dist))
+    return class_values[first_max(dist)], dict(zip(class_values, dist))
 
 
 def _accumulate(node, schema, values, weight, merged):
@@ -503,19 +497,13 @@ def training_accuracy(model, dataset):
 
 def model_to_json(model):
     """Serialize a model to a JSON document (versioned)."""
-    doc = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
+    body = {
         "schema": _schema_to_json(model.schema),
         "class_index": model.class_index,
-        "config": {
-            "min_leaf_weight": model.config.min_leaf_weight,
-            "confidence_factor": model.config.confidence_factor,
-            "pruning": model.config.pruning,
-        },
+        "config": asdict(model.config),
         "root": _node_to_json(model.root, model.schema),
     }
-    return json.dumps(doc, indent=2)
+    return dump_document(MODEL_FORMAT, MODEL_VERSION, body)
 
 
 def _schema_to_json(schema):
@@ -558,17 +546,13 @@ def _node_from_json(doc, schema, name_to_index):
 
 
 def model_from_json(text):
-    doc = json.loads(text)
-    if doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"not a {MODEL_FORMAT} document")
-    if doc.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {doc.get('version')}")
+    """Read a model_to_json document; ParseError when it is malformed."""
+    return load_document(text, MODEL_FORMAT, MODEL_VERSION, _model_from_doc)
+
+
+def _model_from_doc(doc):
     schema = _schema_from_json(doc["schema"])
     name_to_index = {a.name: i for i, a in enumerate(schema)}
-    config = TreeConfig(
-        min_leaf_weight=doc["config"]["min_leaf_weight"],
-        confidence_factor=doc["config"]["confidence_factor"],
-        pruning=doc["config"]["pruning"],
-    )
     root = _node_from_json(doc["root"], schema, name_to_index)
+    config = TreeConfig(**doc["config"])
     return DecisionTreeModel(schema, doc["class_index"], root, config)

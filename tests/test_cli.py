@@ -238,6 +238,59 @@ def test_checklist_requires_one_answer_source(model_path, capsys):
     assert "answers" in capsys.readouterr().err
 
 
+def _drop_config(text):
+    doc = json.loads(text)
+    del doc["config"]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "damage", [_drop_config, lambda text: text[: len(text) // 2]]
+)
+def test_checklist_malformed_model_exits_2(model_path, damage, capsys):
+    path = model_path + ".bad"
+    with open(model_path) as f:
+        text = f.read()
+    with open(path, "w") as f:
+        f.write(damage(text))
+    code = main(["checklist", "--model", path, "--answers", ALL_N])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("ldscreen: error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.fixture
+def numeric_model_path(tmp_path, capsys):
+    rows = ["x,y,cls"] + [
+        f"{i},{(7 * i) % 10},{'hi' if i >= 10 else 'lo'}" for i in range(20)
+    ]
+    data = tmp_path / "numeric.csv"
+    data.write_text("\n".join(rows) + "\n")
+    path = tmp_path / "numeric.json"
+    assert main(["train", "--input", str(data), "--out", str(path)]) == 0
+    capsys.readouterr()
+    return str(path)
+
+
+def test_checklist_numeric_answers(numeric_model_path, capsys):
+    code = main(["checklist", "--model", numeric_model_path, "--answers", "14.5,3"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "Prediction: cls=hi"
+    assert "Matched rule: IF x>" in out
+
+
+@pytest.mark.parametrize("bad", ["abc", "nan", "inf"])
+def test_checklist_numeric_answer_must_be_finite(numeric_model_path, bad, capsys):
+    code = main(["checklist", "--model", numeric_model_path, "--answers", f"1,{bad}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert bad in captured.err
+
+
 # --- csv input -----------------------------------------------------------------
 
 

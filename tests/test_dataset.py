@@ -11,6 +11,7 @@ from ldscreen.dataset import (
     Instance,
     ParseError,
     checklist_schema,
+    first_max,
     impute_missing,
     parse_arff,
     parse_csv,
@@ -351,3 +352,14 @@ def test_random_folds_partition():
     folds = random_folds(d, 3, seed=5)
     total = sum(len(te) for _, te in folds)
     assert total == 30
+
+
+# --- first_max -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [([3], 0), ([1, 3, 3, 2], 1), ([0.5, 0.5], 0), ((0.0, -1.0, 0.0), 0), ([2, 1, 5], 2)],
+)
+def test_first_max_ties_resolve_to_earliest(values, expected):
+    assert first_max(values) == expected

@@ -12,7 +12,6 @@ from ldscreen.evaluation import (
     cross_validate,
     majority_learner,
     per_class_metrics,
-    report_csv,
     report_from_json,
     report_text,
     report_to_json,
@@ -286,15 +285,6 @@ def test_report_json_requires_version():
     doc["version"] = 2
     with pytest.raises(ValueError):
         report_from_json(json.dumps(doc))
-
-
-def test_report_csv_shape():
-    report = per_class_metrics(MATRIX_125)
-    lines = report_csv(report).strip().splitlines()
-    assert lines[0] == "class,tp_rate,fp_rate,precision,recall,f_measure,roc_area"
-    assert len(lines) == 3
-    assert lines[1].startswith("N,")
-    assert lines[1].endswith(",")  # roc column empty without scores
 
 
 def test_report_json_preserves_none_roc():

@@ -8,6 +8,7 @@ from ldscreen.rules import (
     Condition,
     Rule,
     RuleSet,
+    best_rule,
     extract_rules,
     rule_text,
     rules_classify,
@@ -199,6 +200,14 @@ def test_tie_breaks_accuracy_then_coverage():
     # ("1","1"): rules 0 (acc .9, cov 10), 1 (acc .8), 2 (acc .9, cov 5) match;
     # accuracy tie between 0 and 2 resolves on coverage
     assert rules_classify(rs, ("1", "1", None)) == "Y"
+
+
+def test_best_rule_full_tie_keeps_earlier_position():
+    rs = demo_ruleset()
+    twin = Rule((Condition(1, "=", "1"),), "N", 10.0, 0.9)  # ties rule 0
+    rs = RuleSet(rs.schema, rs.class_index, rs.rules + (twin,), rs.default_class)
+    assert best_rule(rs, ("1", "1", None)) is rs.rules[0]
+    assert best_rule(rs, ("0", "0", None)) is None
 
 
 def test_missing_value_fails_condition():

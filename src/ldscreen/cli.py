@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -294,7 +295,15 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone: point stdout at devnull so the flush
+        # at exit cannot fail again, and end quietly (see the SIGPIPE note
+        # in the documentation of the signal module)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParseError, FileNotFoundError, IsADirectoryError, UsageError) as e:
         print(f"ldscreen: error: {e}", file=sys.stderr)
         return 2

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -35,6 +36,15 @@ class ParseError(ValueError):
 def first_max(values):
     """Index of the largest entry; ties resolve to the earliest."""
     return max(range(len(values)), key=values.__getitem__)
+
+
+def is_finite_number(value):
+    """True for an int or float (not a bool) that is neither NaN nor infinite."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 def dump_document(fmt, version, body):
@@ -181,12 +191,6 @@ class Dataset:
     def __len__(self):
         return len(self.instances)
 
-    def attribute_index(self, name):
-        for i, spec in enumerate(self.schema):
-            if spec.name == name:
-                return i
-        raise KeyError(f"no attribute named {name!r}")
-
     def column(self, index):
         return [inst.values[index] for inst in self.instances]
 
@@ -207,9 +211,10 @@ def _check_instance(schema, inst, row):
                 raise ValueError(
                     f"instance {row}: {v!r} not declared for attribute {spec.name}"
                 )
-        elif not isinstance(v, (int, float)) or isinstance(v, bool):
+        elif not is_finite_number(v):
             raise ValueError(
-                f"instance {row}: non-numeric value {v!r} in numeric attribute {spec.name}"
+                f"instance {row}: {v!r} in numeric attribute {spec.name}"
+                " is not a finite number"
             )
 
 
@@ -377,12 +382,15 @@ def _parse_row(tokens, specs, lineno):
             values.append(token)
         else:
             try:
-                values.append(float(token))
+                value = float(token)
             except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
                 raise ParseError(
-                    f"non-numeric value {token!r} in numeric attribute {spec.name}",
+                    f"{token!r} in numeric attribute {spec.name} is not a finite number",
                     lineno,
-                ) from None
+                )
+            values.append(value)
     return Instance(tuple(values))
 
 
@@ -426,42 +434,32 @@ def _format_cell(v):
 # ---------------------------------------------------------------------------
 
 
-def parse_csv(text, schema=None, has_header=True, class_name=None):
+def parse_csv(text, schema=None, class_name=None):
     """Parse CSV (RFC-4180 quoting) into a Dataset.
 
-    With ``schema`` given, columns must match it positionally (the header,
-    if present, is checked against the attribute names).  Without a schema,
-    column kinds are inferred: numeric if every non-missing token parses as
-    a number, else categorical with symbols in first-appearance order.
+    The first row is the header of attribute names.  With ``schema`` given,
+    the header must list its names in order.  Without a schema, column
+    kinds are inferred: numeric if every non-missing token parses as a
+    number, else categorical with symbols in first-appearance order.
     Empty cells and ``'?'`` are missing.
     """
     rows = list(csv.reader(io.StringIO(text)))
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
     if not rows:
         raise ParseError("empty CSV input")
-    header = None
-    if has_header:
-        header, rows = rows[0], rows[1:]
+    header, rows = rows[0], rows[1:]
     if schema is not None:
         schema = tuple(schema)
-        if header is not None and [h.strip() for h in header] != [a.name for a in schema]:
+        if [h.strip() for h in header] != [a.name for a in schema]:
             raise ParseError("CSV header does not match the given schema")
-        width = len(schema)
-    else:
-        width = len(header) if header is not None else len(rows[0])
-    for lineno, row in enumerate(rows, start=2 if has_header else 1):
+    width = len(header)
+    for lineno, row in enumerate(rows, start=2):
         if len(row) != width:
             raise ParseError(f"expected {width} columns, got {len(row)}", lineno)
     if schema is None:
-        names = (
-            [h.strip() for h in header]
-            if header is not None
-            else [f"a{i}" for i in range(width)]
-        )
-        schema = _infer_schema(names, rows)
+        schema = _infer_schema([h.strip() for h in header], rows)
     instances = [
-        _parse_row(row, schema, lineno)
-        for lineno, row in enumerate(rows, start=2 if has_header else 1)
+        _parse_row(row, schema, lineno) for lineno, row in enumerate(rows, start=2)
     ]
     class_index = _resolve_class(schema, class_name)
     return Dataset(tuple(schema), class_index, instances)
@@ -471,17 +469,16 @@ def _infer_schema(names, rows):
     specs = []
     for col, name in enumerate(names):
         tokens = [r[col].strip() for r in rows]
-        known = [t for t in tokens if t not in ("", "?")]
-        if known and all(_is_number(t) for t in known):
-            specs.append(AttributeSpec.numeric(name))
-        else:
-            symbols = []
-            for t in known:
-                if t not in symbols:
-                    symbols.append(t)
-            if not symbols:
-                raise ParseError(f"column {name!r} is entirely missing; cannot infer a type")
-            specs.append(AttributeSpec.categorical(name, symbols))
+        symbols = list(dict.fromkeys(t for t in tokens if t not in ("", "?")))
+        if not symbols:
+            raise ParseError(f"column {name!r} is entirely missing; cannot infer a type")
+        try:
+            if all(_is_number(t) for t in symbols):
+                specs.append(AttributeSpec.numeric(name))
+            else:
+                specs.append(AttributeSpec.categorical(name, symbols))
+        except ValueError as exc:
+            raise ParseError(str(exc), 1) from None
     return tuple(specs)
 
 
@@ -493,12 +490,11 @@ def _is_number(token):
         return False
 
 
-def serialize_csv(dataset, has_header=True):
-    """Render a Dataset as CSV; missing values become '?'."""
+def serialize_csv(dataset):
+    """Render a Dataset as CSV with a header row; missing values become '?'."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if has_header:
-        writer.writerow([a.name for a in dataset.schema])
+    writer.writerow([a.name for a in dataset.schema])
     for inst in dataset.instances:
         writer.writerow([_format_cell(v) for v in inst.values])
     return buf.getvalue()

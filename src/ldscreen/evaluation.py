@@ -181,11 +181,9 @@ def tree_learner(config: TreeConfig | None = None):
     return fit
 
 
-def rules_learner(config: TreeConfig | None = None, simplify=True):
+def rules_learner(config: TreeConfig | None = None):
     def fit(train: Dataset):
-        ruleset = extract_rules(build_tree(train, config))
-        if simplify:
-            ruleset = simplify_rules(ruleset, train)
+        ruleset = simplify_rules(extract_rules(build_tree(train, config)), train)
         class_values = train.class_values
 
         def predict(instance):

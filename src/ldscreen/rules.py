@@ -108,14 +108,19 @@ def _rule_stats(antecedent, consequent, dataset):
     return matched, hit
 
 
-def _pessimistic_accuracy(antecedent, consequent, dataset, cf):
-    matched, hit = _rule_stats(antecedent, consequent, dataset)
+#: Confidence factor of the pessimistic accuracy estimate in simplify_rules;
+#: fixed, whatever the tree was pruned with.
+SIMPLIFY_CONFIDENCE = 0.25
+
+
+def _pessimistic_accuracy(stats):
+    matched, hit = stats
     if matched <= 0:
         return 0.0
-    return 1.0 - ucb_error_rate(matched - hit, matched, cf)
+    return 1.0 - ucb_error_rate(matched - hit, matched, SIMPLIFY_CONFIDENCE)
 
 
-def simplify_rules(ruleset: RuleSet, dataset: Dataset, confidence_factor=0.25) -> RuleSet:
+def simplify_rules(ruleset: RuleSet, dataset: Dataset) -> RuleSet:
     """Prune redundant antecedent tests and weak rules against ``dataset``.
 
     Per rule, repeatedly drop the condition whose removal gives the best
@@ -129,30 +134,27 @@ def simplify_rules(ruleset: RuleSet, dataset: Dataset, confidence_factor=0.25) -
     for inst in dataset.instances:
         global_counts[class_values.index(inst.values[ruleset.class_index])] += inst.weight
     global_majority = class_values[first_max(global_counts)]
-    baseline = _pessimistic_accuracy((), global_majority, dataset, confidence_factor)
+    baseline = _pessimistic_accuracy(_rule_stats((), global_majority, dataset))
 
     kept = []
     for rule in ruleset.rules:
         conditions = list(rule.antecedent)
-        current = _pessimistic_accuracy(
-            conditions, rule.consequent, dataset, confidence_factor
-        )
+        stats = _rule_stats(conditions, rule.consequent, dataset)
+        current = _pessimistic_accuracy(stats)
         while conditions:
             trials = []
             for i in range(len(conditions)):
                 without = conditions[:i] + conditions[i + 1 :]
-                est = _pessimistic_accuracy(
-                    without, rule.consequent, dataset, confidence_factor
-                )
-                trials.append(est)
-            best_i = first_max(trials)
-            if trials[best_i] < current:
+                trials.append(_rule_stats(without, rule.consequent, dataset))
+            estimates = [_pessimistic_accuracy(t) for t in trials]
+            best_i = first_max(estimates)
+            if estimates[best_i] < current:
                 break
             del conditions[best_i]
-            current = trials[best_i]
+            stats, current = trials[best_i], estimates[best_i]
         if current < baseline:
             continue
-        matched, hit = _rule_stats(conditions, rule.consequent, dataset)
+        matched, hit = stats
         acc = hit / matched if matched > 0 else 0.0
         kept.append(Rule(tuple(conditions), rule.consequent, matched, acc))
 

@@ -18,7 +18,14 @@ from dataclasses import asdict, dataclass, replace
 
 from scipy.stats import beta
 
-from .dataset import AttributeSpec, Instance, dump_document, first_max, load_document
+from .dataset import (
+    AttributeSpec,
+    Instance,
+    dump_document,
+    first_max,
+    is_finite_number,
+    load_document,
+)
 
 MODEL_FORMAT = "ldscreen-tree"
 MODEL_VERSION = 1
@@ -330,38 +337,27 @@ def _grow(rows, schema, class_index, used_nominal, config):
 
 
 def _best_candidate(rows, schema, class_index, used_nominal):
-    best = None
+    # generation order (attribute index, then ascending threshold) is the
+    # tie-break, so the first maximum wins
+    candidates = []
     for i, spec in enumerate(schema):
         if i == class_index:
             continue
         if spec.is_categorical:
             if i in used_nominal:
                 continue
-            candidates = [
+            candidates.append(
                 _score_split(rows, schema, class_index, i, None, len(spec.values))
-            ]
+            )
         else:
-            candidates = [
+            candidates.extend(
                 _score_split(rows, schema, class_index, i, t, 2)
                 for t in _midpoint_thresholds(rows, i)
-            ]
-        for cand in candidates:
-            if not cand.valid or cand.info_gain <= _GAIN_EPS:
-                continue
-            if best is None or _candidate_beats(cand, best):
-                best = cand
-    return best
-
-
-def _candidate_beats(cand, best):
-    # ties resolve to the lower attribute index, then the lower threshold
-    if cand.gain_ratio != best.gain_ratio:
-        return cand.gain_ratio > best.gain_ratio
-    if cand.attribute_index != best.attribute_index:
-        return cand.attribute_index < best.attribute_index
-    if cand.threshold is not None and best.threshold is not None:
-        return cand.threshold < best.threshold
-    return False
+            )
+    useful = [c for c in candidates if c.valid and c.info_gain > _GAIN_EPS]
+    if not useful:
+        return None
+    return useful[first_max([c.gain_ratio for c in useful])]
 
 
 def _midpoint_thresholds(rows, attribute_index):
@@ -397,12 +393,6 @@ def _leaf_ucb_errors(counts, weight, cf):
     return weight * ucb_error_rate(errors, weight, cf)
 
 
-def _subtree_ucb_errors(node, cf):
-    if isinstance(node, Leaf):
-        return _leaf_ucb_errors(node.class_counts, node.weight, cf)
-    return sum(_subtree_ucb_errors(c, cf) for c in node.children)
-
-
 def prune_tree(model):
     """Pessimistic subtree replacement.
 
@@ -412,19 +402,20 @@ def prune_tree(model):
     pruned tree is a prefix of an original path.  Idempotent.
     """
     cf = model.config.confidence_factor
-    return replace(model, root=_prune(model.root, cf))
+    return replace(model, root=_prune(model.root, cf)[0])
 
 
 def _prune(node, cf):
+    """The pruned ``node`` and its summed UCB error estimate."""
     if isinstance(node, Leaf):
-        return node
-    children = tuple(_prune(c, cf) for c in node.children)
-    node = replace(node, children=children)
+        return node, _leaf_ucb_errors(node.class_counts, node.weight, cf)
+    pruned = [_prune(c, cf) for c in node.children]
     weight = sum(node.class_counts)
     leaf_est = _leaf_ucb_errors(node.class_counts, weight, cf)
-    if leaf_est <= _subtree_ucb_errors(node, cf):
-        return Leaf(node.class_counts, weight)
-    return node
+    subtree_est = sum(est for _, est in pruned)
+    if leaf_est <= subtree_est:
+        return Leaf(node.class_counts, weight), leaf_est
+    return replace(node, children=tuple(c for c, _ in pruned)), subtree_est
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +504,12 @@ def _schema_to_json(schema):
 
 
 def _schema_from_json(items):
-    return tuple(AttributeSpec(a["name"], a["kind"], tuple(a["values"])) for a in items)
+    schema = tuple(AttributeSpec(a["name"], a["kind"], tuple(a["values"])) for a in items)
+    for spec in schema:
+        values = spec.values
+        if not all(isinstance(v, str) for v in values) or len(set(values)) != len(values):
+            raise ValueError(f"values of {spec.name} are not distinct strings")
+    return schema
 
 
 def _node_to_json(node, schema):
@@ -533,16 +529,39 @@ def _node_to_json(node, schema):
     }
 
 
-def _node_from_json(doc, schema, name_to_index):
+def _is_weight(value):
+    return is_finite_number(value) and value >= 0
+
+
+def _weights(items, n, what):
+    """``items`` as a tuple of ``n`` finite non-negative numbers."""
+    weights = tuple(items)
+    if len(weights) != n or not all(map(_is_weight, weights)):
+        raise ValueError(f"{what} must be {n} non-negative numbers, got {items!r}")
+    return weights
+
+
+def _node_from_json(doc, schema, name_to_index, n_classes):
+    # refuses every value that would break classify or extract_rules
+    counts = _weights(doc["class_counts"], n_classes, "class_counts")
     if doc["type"] == "leaf":
-        return Leaf(tuple(doc["class_counts"]), doc["weight"])
-    return Decision(
-        name_to_index[doc["attribute"]],
-        doc["threshold"],
-        tuple(_node_from_json(c, schema, name_to_index) for c in doc["children"]),
-        tuple(doc["branch_weights"]),
-        tuple(doc["class_counts"]),
+        if not _is_weight(doc["weight"]) or sum(counts) <= 0:
+            raise ValueError("a leaf needs a weight and class_counts summing above 0")
+        return Leaf(counts, doc["weight"])
+    index = name_to_index[doc["attribute"]]
+    spec = schema[index]
+    if not spec.is_categorical and not is_finite_number(doc["threshold"]):
+        raise ValueError(f"numeric test on {spec.name} needs a numeric threshold")
+    n_branches = len(spec.values) if spec.is_categorical else 2
+    children = tuple(
+        _node_from_json(c, schema, name_to_index, n_classes) for c in doc["children"]
     )
+    if len(children) != n_branches:
+        raise ValueError(f"test on {spec.name} needs {n_branches} children")
+    branch_weights = _weights(doc["branch_weights"], n_branches, "branch_weights")
+    if sum(branch_weights) <= 0:
+        raise ValueError("branch_weights sum to zero")
+    return Decision(index, doc["threshold"], children, branch_weights, counts)
 
 
 def model_from_json(text):
@@ -552,7 +571,13 @@ def model_from_json(text):
 
 def _model_from_doc(doc):
     schema = _schema_from_json(doc["schema"])
+    class_index = doc["class_index"]
+    if type(class_index) is not int or not (
+        0 <= class_index < len(schema) and schema[class_index].is_categorical
+    ):
+        raise ValueError(f"class_index {class_index!r} is not a categorical attribute")
     name_to_index = {a.name: i for i, a in enumerate(schema)}
-    root = _node_from_json(doc["root"], schema, name_to_index)
+    n_classes = len(schema[class_index].values)
+    root = _node_from_json(doc["root"], schema, name_to_index, n_classes)
     config = TreeConfig(**doc["config"])
-    return DecisionTreeModel(schema, doc["class_index"], root, config)
+    return DecisionTreeModel(schema, class_index, root, config)

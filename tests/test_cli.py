@@ -1,6 +1,10 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -244,8 +248,31 @@ def _drop_config(text):
     return json.dumps(doc)
 
 
+def _string_leaf_counts(text):
+    # the leaf that all-N answers reach gets its class_counts as strings
+    doc = json.loads(text)
+    values = {a["name"]: a["values"] for a in doc["schema"]}
+    node = doc["root"]
+    while node["type"] == "decision":
+        node = node["children"][values[node["attribute"]].index("N")]
+    node["class_counts"] = [str(c) for c in node["class_counts"]]
+    return json.dumps(doc)
+
+
+def _drop_root_child(text):
+    doc = json.loads(text)
+    doc["root"]["children"].pop()
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
-    "damage", [_drop_config, lambda text: text[: len(text) // 2]]
+    "damage",
+    [
+        _drop_config,
+        lambda text: text[: len(text) // 2],
+        _string_leaf_counts,
+        _drop_root_child,
+    ],
 )
 def test_checklist_malformed_model_exits_2(model_path, damage, capsys):
     path = model_path + ".bad"
@@ -303,3 +330,34 @@ def test_csv_input_by_extension(tmp_path, capsys):
     )
     assert code == 0
     assert "Correctly Classified" in capsys.readouterr().out
+
+
+def test_csv_bad_header_name_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("a b,c\n1,x\n2,y\n")
+    code = main(["evaluate", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("ldscreen: error: line 1: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+# --- closed stdout -------------------------------------------------------------
+
+
+def test_closed_stdout_exits_quietly(arff_gappy):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(__file__).resolve().parent.parent / "src"
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "ldscreen.cli", "rules", "--input", arff_gappy],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+    finally:
+        os.close(write_end)
+    assert result.stderr == b""
+    assert result.returncode == 1

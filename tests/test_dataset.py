@@ -165,6 +165,22 @@ def test_parse_csv_bad_numeric_token():
         parse_csv("a,x,cls\nY,abc,P\n", schema=tiny_schema())
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+def test_readers_refuse_non_finite_numbers(token):
+    arff = f"@relation r\n@attribute x numeric\n@attribute c {{A,B}}\n@data\n1,A\n{token},B\n"
+    with pytest.raises(ParseError, match="line 6: .*not a finite number"):
+        parse_arff(arff)
+    with pytest.raises(ParseError, match="line 3: .*not a finite number"):
+        parse_csv(f"x,c\n1,A\n{token},B\n")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_dataset_refuses_non_finite_numbers(value):
+    schema = (AttributeSpec.numeric("x"), AttributeSpec.categorical("c", ("A", "B")))
+    with pytest.raises(ValueError, match="not a finite number"):
+        Dataset(schema, 1, (Instance((1.0, "A")), Instance((value, "B"))))
+
+
 def test_parse_csv_infers_schema():
     d = parse_csv("s,x,c\nhi,1,A\nlo,2.5,B\nhi,?,A\n", class_name="c")
     kinds = [a.kind for a in d.schema]

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,8 @@ from ldscreen.evaluation import (
     report_from_json,
     report_to_json,
 )
-from ldscreen.tree import build_tree, model_from_json, model_to_json
+from ldscreen.rules import best_rule, extract_rules
+from ldscreen.tree import build_tree, classify, model_from_json, model_to_json
 
 _DATA = synthetic_checklist(20, 10, seed=2, missing_rate=0.1)
 DOCUMENTS = (
@@ -60,11 +62,30 @@ def damaged_documents(draw):
     return json.dumps(doc), read
 
 
+def _probes(model):
+    """Complete rows of first and of last declared values, and a gappy row."""
+    rows = [
+        [spec.values[pick] if spec.is_categorical else 0.0 for spec in model.schema]
+        for pick in (0, -1)
+    ]
+    rows.append([None if i % 2 else v for i, v in enumerate(rows[0])])
+    for row in rows:
+        row[model.class_index] = None
+    return [tuple(row) for row in rows]
+
+
 @settings(max_examples=300, deadline=None)
 @given(damaged_documents())
 def test_damaged_documents_read_or_raise_parse_error(case):
     text, read = case
     try:
-        read(text)
+        doc = read(text)
     except ParseError:
-        pass
+        return
+    if read is model_from_json:
+        # a tree that reads is one classify and the rule path can use
+        ruleset = extract_rules(doc)
+        for probe in _probes(doc):
+            _, dist = classify(doc, probe)
+            assert sum(dist.values()) == pytest.approx(1.0)
+            best_rule(ruleset, probe)

@@ -241,6 +241,27 @@ def test_numeric_root_picks_midpoint():
     assert m.root.threshold == pytest.approx(2.5)
 
 
+def test_split_tie_prefers_lower_attribute_index():
+    # the duplicated column ties with itself and beats the weak column
+    pair = ["0", "0", "1", "1", "0"]
+    weak = ["1", "0", "1", "0", "1"]
+    labels = ["N", "N", "Y", "Y", "Y"]
+    for columns, expected in (((pair, pair, weak), 0), ((weak, pair, pair), 1)):
+        rows = [list(r) for r in zip(*columns, labels)]
+        m = build_tree(binary_dataset(rows, 3), TreeConfig(pruning=False))
+        assert m.root.attribute_index == expected
+
+
+def test_numeric_split_tie_prefers_lower_threshold():
+    # 1.5 and 3.5 cut off one A each, mirror images with equal gain ratio
+    schema = (AttributeSpec.numeric("x"), AttributeSpec.categorical("c", ("A", "B")))
+    rows = [(1.0, "A"), (2.0, "B"), (3.0, "B"), (4.0, "A")]
+    d = Dataset(schema, 1, tuple(Instance(r) for r in rows))
+    assert evaluate_split(d, 0, 1.5).gain_ratio == evaluate_split(d, 0, 3.5).gain_ratio
+    m = build_tree(d, TreeConfig(min_leaf_weight=1.0, pruning=False))
+    assert m.root.threshold == 1.5
+
+
 def hidden_tree(rng, attrs, depth):
     if depth == 0 or (depth < 3 and rng.random() < 0.25) or not attrs:
         return rng.choice("NY")
@@ -361,6 +382,33 @@ def test_prune_collapses_weak_split():
     pruned = prune_tree(m).root
     assert isinstance(pruned, Leaf)
     assert pruned.class_counts == (7.0, 3.0)
+
+
+def test_prune_collapsed_grandchild_keeps_grandparent():
+    # grandchild a2 over leaves (4,0),(4,0): 2*4*U(0,4) = 2.343146
+    #   collapsed leaf 8*U(0,8) = 1.272829 -> collapse
+    # child a1 over [that leaf, (0,2)]: 1.272829 + 2*U(0,2)=1.0 = 2.272829
+    #   collapsed leaf 10*U(2,10) = 3.554442 -> keep
+    # root a0 over [child, (1,0)]: 2.272829 + 1*U(0,1)=0.75 = 3.022829
+    #   collapsed leaf 11*U(2,11) = 3.586954 -> keep; against the unpruned
+    #   grandchild's 2.343146 + 1.0 + 0.75 = 4.093146 it would collapse
+    schema = tuple(
+        AttributeSpec.categorical(f"a{i}", ("0", "1")) for i in range(3)
+    ) + (AttributeSpec.categorical("cls", ("N", "Y")),)
+
+    def decision(attribute, children):
+        counts = tuple(sum(col) for col in zip(*(c.class_counts for c in children)))
+        weights = tuple(sum(c.class_counts) for c in children)
+        return Decision(attribute, None, tuple(children), weights, counts)
+
+    grandchild = decision(2, [Leaf((4.0, 0.0), 4.0), Leaf((4.0, 0.0), 4.0)])
+    child = decision(1, [grandchild, Leaf((0.0, 2.0), 2.0)])
+    root = decision(0, [child, Leaf((1.0, 0.0), 1.0)])
+    pruned = prune_tree(DecisionTreeModel(schema, 3, root, TreeConfig())).root
+    assert isinstance(pruned, Decision) and pruned.attribute_index == 0
+    kept_child = pruned.children[0]
+    assert isinstance(kept_child, Decision) and kept_child.attribute_index == 1
+    assert kept_child.children[0] == Leaf((8.0, 0.0), 8.0)
 
 
 def test_prune_pure_leaf_unchanged():

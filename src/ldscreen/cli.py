@@ -8,7 +8,6 @@ stderr; stdout carries only the requested output.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -19,7 +18,7 @@ from .cluster import (
     cluster_report_text,
     kmeans_fit,
 )
-from .dataset import ParseError, impute_missing, parse_arff, parse_csv
+from .dataset import ParseError, finite_float, impute_missing, parse_arff, parse_csv
 from .evaluation import (
     cross_validate,
     majority_learner,
@@ -69,14 +68,14 @@ def _add_tree_flags(sub):
     sub.add_argument(
         "--min-leaf-weight",
         type=float,
-        default=2.0,
-        help="minimum training weight per leaf (default 2)",
+        default=TreeConfig.min_leaf_weight,
+        help="minimum training weight per leaf (default %(default)g)",
     )
     sub.add_argument(
         "--confidence",
         type=float,
-        default=0.25,
-        help="pruning confidence factor (default 0.25)",
+        default=TreeConfig.confidence_factor,
+        help="pruning confidence factor (default %(default)g)",
     )
 
 
@@ -86,22 +85,18 @@ def build_parser():
         description="Decision-tree, rule, and clustering toolkit for "
         "checklist screening data.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, help_text):
-        return sub.add_parser(name, help=help_text, parents=[common])
-
-    p = add_parser("train", "induce a decision tree and save it")
+    p = sub.add_parser("train", help="induce a decision tree and save it")
     _add_input_flags(p)
     _add_tree_flags(p)
     p.add_argument("--out", help="model JSON path (default: stdout)")
     p.set_defaults(func=cmd_train)
 
-    p = add_parser("evaluate", "cross-validate and print the metric table")
+    p = sub.add_parser("evaluate", help="cross-validate and print the metric table")
     _add_input_flags(p)
     _add_tree_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="fold seed (default 0)")
     p.add_argument("--folds", type=int, default=2, help="fold count (default 2)")
     p.add_argument(
         "--no-stratify", action="store_true", help="plain folds instead of stratified"
@@ -115,7 +110,7 @@ def build_parser():
     p.add_argument("--out", help="also write the report as JSON to this path")
     p.set_defaults(func=cmd_evaluate)
 
-    p = add_parser("rules", "print the IF-THEN rules of a tree")
+    p = sub.add_parser("rules", help="print the IF-THEN rules of a tree")
     _add_input_flags(p)
     _add_tree_flags(p)
     p.add_argument(
@@ -126,15 +121,16 @@ def build_parser():
     p.add_argument("--out", help="also write the rule set as JSON to this path")
     p.set_defaults(func=cmd_rules)
 
-    p = add_parser("cluster", "k-means partition with profile report")
+    p = sub.add_parser("cluster", help="k-means partition with profile report")
     _add_input_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="centroid seed (default 0)")
     p.add_argument("--clusters", type=int, default=2, help="cluster count (default 2)")
     p.add_argument("--max-iter", type=int, default=100, help="iteration cap")
     p.add_argument("--out", help="write the cluster model as JSON to this path")
     p.add_argument("--profile-csv", help="write the profile table as CSV to this path")
     p.set_defaults(func=cmd_cluster)
 
-    p = add_parser("checklist", "score one 16-answer symptom checklist")
+    p = sub.add_parser("checklist", help="score one 16-answer symptom checklist")
     p.add_argument("--model", required=True, help="trained tree model JSON")
     p.add_argument(
         "--answers",
@@ -243,11 +239,8 @@ def _read_answers(args):
 
 def _normalize_answer(token, spec):
     if not spec.is_categorical:
-        try:
-            value = float(token)
-        except ValueError:
-            value = math.nan
-        if math.isfinite(value):
+        value = finite_float(token)
+        if value is not None:
             return value
         raise UsageError(
             f"invalid answer {token!r} for {spec.name}; expected a finite number"

@@ -47,6 +47,27 @@ def is_finite_number(value):
     )
 
 
+def finite_float(token):
+    """Text ``token`` as a finite float, or None when it is not one."""
+    try:
+        value = float(token)
+    except ValueError:
+        value = math.nan
+    return value if math.isfinite(value) else None
+
+
+def class_tally(rows, schema, class_index):
+    """Weight per declared class of ``(values, weight)`` rows, added in row order."""
+    position = {v: i for i, v in enumerate(schema[class_index].values)}
+    counts = [0.0] * len(position)
+    for row, (values, weight) in enumerate(rows):
+        label = values[class_index]
+        if label is None:
+            raise ValueError(f"instance {row} has a missing class value")
+        counts[position[label]] += weight
+    return counts
+
+
 def dump_document(fmt, version, body):
     """JSON text of a versioned document: ``format``, ``version``, then ``body``."""
     return json.dumps({"format": fmt, "version": version, **body}, indent=2)
@@ -89,7 +110,7 @@ class AttributeSpec:
         One of ``binary``, ``nominal``, ``numeric``.
     values : tuple of str
         Declared symbols, in declaration order.  Exactly two for binary,
-        at least two for nominal, empty for numeric.
+        at least one for nominal (two for a class), empty for numeric.
     """
 
     name: str
@@ -151,11 +172,10 @@ class Instance:
 class Dataset:
     """Schema + instances with a designated class attribute.
 
-    The class attribute must be categorical.  Construction validates every
-    instance against the schema: correct arity, declared symbols only,
-    numbers in numeric columns.  Missing values (``None``) are allowed
-    anywhere; training entry points reject datasets whose class column has
-    gaps.
+    The class attribute must be categorical with at least two values.
+    Construction validates every instance against the schema (see
+    _check_instance).  Missing values (``None``) are allowed anywhere;
+    training entry points reject datasets whose class column has gaps.
     """
 
     schema: tuple
@@ -171,10 +191,10 @@ class Dataset:
             raise ValueError("duplicate attribute names in schema")
         if not 0 <= self.class_index < len(self.schema):
             raise ValueError(f"class index {self.class_index} out of range")
-        if not self.schema[self.class_index].is_categorical:
-            raise ValueError("class attribute must be binary or nominal")
+        if len(self.class_values) < 2:  # numeric attributes declare no values
+            raise ValueError("class attribute must be nominal with two or more values")
         for row, inst in enumerate(self.instances):
-            _check_instance(self.schema, inst, row)
+            _check_instance(self.schema, inst.values, row)
 
     @property
     def class_attribute(self):
@@ -191,6 +211,11 @@ class Dataset:
     def __len__(self):
         return len(self.instances)
 
+    @property
+    def rows(self):
+        """``(values, weight)`` of every instance, in order."""
+        return [(inst.values, inst.weight) for inst in self.instances]
+
     def column(self, index):
         return [inst.values[index] for inst in self.instances]
 
@@ -198,24 +223,29 @@ class Dataset:
         return Dataset(self.schema, self.class_index, instances, self.name)
 
 
-def _check_instance(schema, inst, row):
-    if len(inst.values) != len(schema):
-        raise ValueError(
-            f"instance {row}: expected {len(schema)} values, got {len(inst.values)}"
-        )
-    for spec, v in zip(schema, inst.values):
+def _check_instance(schema, instance, row=None):
+    """The values of ``instance`` (an Instance or a plain sequence), checked.
+
+    Each value must be ``None`` (missing), a declared symbol in a categorical
+    column, or a finite non-bool number in a numeric one; else ValueError,
+    prefixed ``instance <row>:`` when ``row`` is given.
+    """
+    values = instance.values if isinstance(instance, Instance) else tuple(instance)
+    where = "" if row is None else f"instance {row}: "
+    if len(values) != len(schema):
+        raise ValueError(f"{where}expected {len(schema)} values, got {len(values)}")
+    for spec, v in zip(schema, values):
         if v is None:
             continue
         if spec.is_categorical:
             if v not in spec.values:
-                raise ValueError(
-                    f"instance {row}: {v!r} not declared for attribute {spec.name}"
-                )
-        elif not is_finite_number(v):
+                raise ValueError(f"{where}{v!r} not declared for attribute {spec.name}")
+        # plain floats, the common case, skip the slower general check
+        elif not (type(v) is float and math.isfinite(v)) and not is_finite_number(v):
             raise ValueError(
-                f"instance {row}: {v!r} in numeric attribute {spec.name}"
-                " is not a finite number"
+                f"{where}{v!r} in numeric attribute {spec.name} is not a finite number"
             )
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +364,7 @@ def parse_arff(text, class_name=None):
             instances.append(_parse_row(line.split(","), specs, lineno))
     if not in_data:
         raise ParseError("missing @data section", len(text.splitlines()) or 1)
-    class_index = _resolve_class(specs, class_name)
-    return Dataset(tuple(specs), class_index, instances, name=relation)
+    return _parsed_dataset(specs, class_name, instances, relation)
 
 
 def _parse_attribute_line(line, lineno):
@@ -381,11 +410,8 @@ def _parse_row(tokens, specs, lineno):
                 )
             values.append(token)
         else:
-            try:
-                value = float(token)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
+            value = finite_float(token)
+            if value is None:
                 raise ParseError(
                     f"{token!r} in numeric attribute {spec.name} is not a finite number",
                     lineno,
@@ -404,6 +430,15 @@ def _resolve_class(specs, class_name):
         if specs[i].is_categorical:
             return i
     raise ParseError("no categorical attribute available as class")
+
+
+def _parsed_dataset(specs, class_name, instances, name="dataset"):
+    """The Dataset of parsed rows; a schema it refuses is a ParseError."""
+    class_index = _resolve_class(specs, class_name)
+    try:
+        return Dataset(tuple(specs), class_index, instances, name)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def serialize_arff(dataset):
@@ -461,8 +496,7 @@ def parse_csv(text, schema=None, class_name=None):
     instances = [
         _parse_row(row, schema, lineno) for lineno, row in enumerate(rows, start=2)
     ]
-    class_index = _resolve_class(schema, class_name)
-    return Dataset(tuple(schema), class_index, instances)
+    return _parsed_dataset(schema, class_name, instances)
 
 
 def _infer_schema(names, rows):
@@ -557,10 +591,7 @@ def stratified_folds(dataset, k, seed=0):
     rng = random.Random(seed)
     by_class = {}
     for idx, inst in enumerate(dataset.instances):
-        label = inst.values[dataset.class_index]
-        if label is None:
-            raise ValueError(f"instance {idx} has a missing class value")
-        by_class.setdefault(label, []).append(idx)
+        by_class.setdefault(inst.values[dataset.class_index], []).append(idx)
     fold_indices = [[] for _ in range(k)]
     cursor = 0  # continues across classes so no fold is starved (k near n)
     for label in dataset.class_values:
@@ -587,6 +618,7 @@ def _check_fold_args(dataset, k):
         raise ValueError(f"need at least 2 folds, got {k}")
     if k > len(dataset):
         raise ValueError(f"cannot make {k} folds from {len(dataset)} instances")
+    class_tally(dataset.rows, dataset.schema, dataset.class_index)
 
 
 def _folds_from_indices(dataset, fold_indices):

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, replace
 
 from .dataset import (
     Dataset,
+    class_tally,
     dump_document,
     first_max,
     load_document,
@@ -205,11 +206,7 @@ def rules_learner(config: TreeConfig | None = None):
 
 def majority_learner():
     def fit(train: Dataset):
-        counts = [0.0] * len(train.class_values)
-        for inst in train.instances:
-            counts[train.class_values.index(inst.values[train.class_index])] += (
-                inst.weight
-            )
+        counts = class_tally(train.rows, train.schema, train.class_index)
         total = sum(counts)
         dist = {v: c / total for v, c in zip(train.class_values, counts)}
         best = train.class_values[first_max(list(dist.values()))]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dataset import Dataset, dump_document, first_max
+from .dataset import Dataset, _check_instance, class_tally, dump_document, first_max
 from .tree import DecisionTreeModel, Leaf, ucb_error_rate
 
 RULES_FORMAT = "ldscreen-rules"
@@ -130,9 +130,8 @@ def simplify_rules(ruleset: RuleSet, dataset: Dataset) -> RuleSet:
     instances no surviving rule covers (global majority when none).
     """
     class_values = ruleset.schema[ruleset.class_index].values
-    global_counts = [0.0] * len(class_values)
-    for inst in dataset.instances:
-        global_counts[class_values.index(inst.values[ruleset.class_index])] += inst.weight
+    rows = dataset.rows
+    global_counts = class_tally(rows, ruleset.schema, ruleset.class_index)
     global_majority = class_values[first_max(global_counts)]
     baseline = _pessimistic_accuracy(_rule_stats((), global_majority, dataset))
 
@@ -167,10 +166,8 @@ def simplify_rules(ruleset: RuleSet, dataset: Dataset) -> RuleSet:
             seen.add(key)
             unique.append(r)
 
-    uncovered = [0.0] * len(class_values)
-    for inst in dataset.instances:
-        if not any(r.matches(inst.values) for r in unique):
-            uncovered[class_values.index(inst.values[ruleset.class_index])] += inst.weight
+    uncovered_rows = [(v, w) for v, w in rows if not any(r.matches(v) for r in unique)]
+    uncovered = class_tally(uncovered_rows, ruleset.schema, ruleset.class_index)
     if sum(uncovered) > 0:
         default = class_values[first_max(uncovered)]
     else:
@@ -182,8 +179,9 @@ def best_rule(ruleset: RuleSet, instance) -> Rule | None:
     """The matching rule of highest accuracy, or None when none matches.
 
     Ties break by higher coverage, then by earlier position in the set.
+    Raises ValueError if the instance does not fit the schema (see Dataset).
     """
-    values = instance.values if hasattr(instance, "values") else tuple(instance)
+    values = _check_instance(ruleset.schema, instance)
     matched = [r for r in ruleset.rules if r.matches(values)]
     return max(matched, key=lambda r: (r.accuracy, r.coverage), default=None)
 

@@ -20,7 +20,9 @@ from scipy.stats import beta
 
 from .dataset import (
     AttributeSpec,
-    Instance,
+    Dataset,
+    _check_instance,
+    class_tally,
     dump_document,
     first_max,
     is_finite_number,
@@ -183,9 +185,8 @@ def evaluate_split(dataset, attribute_index, threshold=None):
         if threshold is None:
             raise ValueError(f"numeric attribute {spec.name} needs a threshold")
         n_branches = 2
-    rows = [(inst.values, inst.weight) for inst in dataset.instances]
     return _score_split(
-        rows,
+        dataset.rows,
         dataset.schema,
         dataset.class_index,
         attribute_index,
@@ -261,28 +262,16 @@ def build_tree(dataset, config=None):
         raise ValueError("cannot build a tree from an empty dataset")
     if not dataset.feature_indices:
         raise ValueError("dataset has no non-class attributes")
-    for idx, inst in enumerate(dataset.instances):
-        if inst.values[dataset.class_index] is None:
-            raise ValueError(f"training instance {idx} has a missing class value")
-    rows = [(inst.values, inst.weight) for inst in dataset.instances]
-    root = _grow(rows, dataset.schema, dataset.class_index, frozenset(), config)
+    root = _grow(dataset.rows, dataset.schema, dataset.class_index, frozenset(), config)
     model = DecisionTreeModel(dataset.schema, dataset.class_index, root, config)
     if config.pruning:
         model = prune_tree(model)
     return model
 
 
-def _class_tally(rows, schema, class_index):
-    class_values = schema[class_index].values
-    pos = {v: i for i, v in enumerate(class_values)}
-    counts = [0.0] * len(class_values)
-    for values, weight in rows:
-        counts[pos[values[class_index]]] += weight
-    return counts
-
-
 def _grow(rows, schema, class_index, used_nominal, config):
-    counts = _class_tally(rows, schema, class_index)
+    # at the root, rows are the dataset's, so a missing label names its index
+    counts = class_tally(rows, schema, class_index)
     weight = sum(counts)
     nonzero = sum(1 for c in counts if c > 0)
     if nonzero <= 1 or weight < 2 * config.min_leaf_weight:
@@ -424,7 +413,7 @@ def _prune(node, cf):
 
 
 def classify(model, instance):
-    """Route an instance down the tree.
+    """Route an instance down the tree; ValueError if it does not fit the schema.
 
     Returns
     -------
@@ -435,16 +424,7 @@ def classify(model, instance):
         branch weights.  Ties in the distribution resolve to the earlier
         declared class.
     """
-    values = instance.values if isinstance(instance, Instance) else tuple(instance)
-    if len(values) != len(model.schema):
-        raise ValueError(
-            f"instance has {len(values)} values, schema expects {len(model.schema)}"
-        )
-    for spec, v in zip(model.schema, values):
-        if v is None:
-            continue
-        if spec.is_categorical and v not in spec.values:
-            raise ValueError(f"value {v!r} not in schema for attribute {spec.name}")
+    values = _check_instance(model.schema, instance)
     class_values = model.class_values
     merged = [0.0] * len(class_values)
     _accumulate(model.root, model.schema, values, 1.0, merged)
@@ -572,10 +552,9 @@ def model_from_json(text):
 def _model_from_doc(doc):
     schema = _schema_from_json(doc["schema"])
     class_index = doc["class_index"]
-    if type(class_index) is not int or not (
-        0 <= class_index < len(schema) and schema[class_index].is_categorical
-    ):
-        raise ValueError(f"class_index {class_index!r} is not a categorical attribute")
+    if type(class_index) is not int:
+        raise ValueError(f"class_index {class_index!r} is not an integer")
+    Dataset(schema, class_index)  # distinct names and a nominal class of 2+ values
     name_to_index = {a.name: i for i, a in enumerate(schema)}
     n_classes = len(schema[class_index].values)
     root = _node_from_json(doc["root"], schema, name_to_index, n_classes)

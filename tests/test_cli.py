@@ -82,6 +82,39 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert "line" in captured.err
 
 
+DUPLICATE_ARFF = "@relation d\n@attribute a {x,y}\n@attribute a {x,y}\n@attribute c {p,q}\n@data\n"
+ONE_VALUE_CLASS = "@relation d\n@attribute a {x,y}\n@attribute c {p}\n@data\nx,p\ny,p\nx,p\ny,p\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, command",
+    [
+        ("dup.arff", DUPLICATE_ARFF + "x,y,p\ny,x,q\n", ["rules"]),
+        ("dup.csv", "a,a,c\n1,2,p\n3,4,q\n", ["evaluate"]),
+        ("one.arff", ONE_VALUE_CLASS, ["evaluate", "--learner", "rules"]),
+    ],
+    ids=["duplicate_arff", "duplicate_csv", "one_value_class"],
+)
+def test_invalid_schema_exits_2(tmp_path, capsys, name, text, command):
+    path = tmp_path / name
+    path.write_text(text)
+    code = main(command + ["--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("ldscreen: error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["train", "rules", "checklist"])
+def test_seed_only_where_it_acts(arff_125, command, capsys):
+    source = ["--model", "m.json"] if command == "checklist" else ["--input", arff_125]
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *source, "--seed", "1"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 # --- evaluate ------------------------------------------------------------------
 
 
@@ -265,6 +298,12 @@ def _drop_root_child(text):
     return json.dumps(doc)
 
 
+def _duplicate_name(text):
+    doc = json.loads(text)
+    doc["schema"][1]["name"] = doc["schema"][0]["name"]
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -272,6 +311,7 @@ def _drop_root_child(text):
         lambda text: text[: len(text) // 2],
         _string_leaf_counts,
         _drop_root_child,
+        _duplicate_name,
     ],
 )
 def test_checklist_malformed_model_exits_2(model_path, damage, capsys):

@@ -4,6 +4,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldscreen.dataset import (
     AttributeSpec,
@@ -21,6 +23,8 @@ from ldscreen.dataset import (
     stratified_folds,
     synthetic_checklist,
 )
+from ldscreen.rules import best_rule, extract_rules
+from ldscreen.tree import TreeConfig, build_tree, classify
 
 ARFF_SMALL = """\
 @relation toy
@@ -179,6 +183,68 @@ def test_dataset_refuses_non_finite_numbers(value):
     schema = (AttributeSpec.numeric("x"), AttributeSpec.categorical("c", ("A", "B")))
     with pytest.raises(ValueError, match="not a finite number"):
         Dataset(schema, 1, (Instance((1.0, "A")), Instance((value, "B"))))
+
+
+#: bad cells for a numeric column and for a categorical one ("Z" is never declared)
+BAD_NUMBERS = ("abc", "1.5", float("nan"), float("inf"), -float("inf"), True, False)
+BAD_SYMBOLS = ("Z", 1.0, True)
+
+
+@st.composite
+def schema_model_and_row(draw):
+    """A random mixed schema, a tree grown on it, and one row with at most one defect."""
+    kinds = draw(st.lists(st.sampled_from(["numeric", 1, 2, 3]), min_size=1, max_size=4))
+    schema = tuple(
+        AttributeSpec.numeric(f"x{i}")
+        if kind == "numeric"
+        else AttributeSpec.categorical(f"s{i}", "ABC"[:kind])
+        for i, kind in enumerate(kinds)
+    ) + (AttributeSpec.categorical("cls", ("P", "Q")),)
+    rng = random.Random(draw(st.integers(0, 2**16)))
+
+    def cell(spec):
+        if spec.kind == "numeric":
+            return rng.choice([None, float(rng.randint(-3, 3)), rng.randint(-3, 3)])
+        return rng.choice((None,) + spec.values)
+
+    train = [
+        Instance(tuple(cell(s) for s in schema[:-1]) + (rng.choice("PQ"),)) for _ in range(12)
+    ]
+    config = TreeConfig(min_leaf_weight=1.0, pruning=False)
+    model = build_tree(Dataset(schema, len(schema) - 1, train), config)
+    row = [cell(s) for s in schema]
+    numeric = [i for i, s in enumerate(schema) if s.kind == "numeric"]
+    defects = ["none", "symbol", "short", "long"] + (["number"] if numeric else [])
+    defect = draw(st.sampled_from(defects))
+    if defect == "number":
+        row[draw(st.sampled_from(numeric))] = draw(st.sampled_from(BAD_NUMBERS))
+    elif defect == "symbol":
+        categorical = [i for i in range(len(schema)) if i not in numeric]
+        row[draw(st.sampled_from(categorical))] = draw(st.sampled_from(BAD_SYMBOLS))
+    elif defect == "short":
+        row.pop()
+    elif defect == "long":
+        row.append(None)
+    return model, tuple(row), defect == "none", draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(schema_model_and_row())
+def test_dataset_classify_and_best_rule_share_one_row_check(case):
+    model, row, valid, as_instance = case
+    probe = Instance(row) if as_instance else row
+    ruleset = extract_rules(model)
+    checks = (
+        lambda: Dataset(model.schema, model.class_index, (Instance(row),)),
+        lambda: classify(model, probe),
+        lambda: best_rule(ruleset, probe),
+    )
+    for check in checks:
+        if valid:
+            check()
+        else:
+            with pytest.raises(ValueError):  # a TypeError fails the test
+                check()
 
 
 def test_parse_csv_infers_schema():

@@ -19,7 +19,8 @@ from ldscreen.evaluation import (
     rules_learner,
     tree_learner,
 )
-from ldscreen.tree import TreeConfig
+from ldscreen.rules import extract_rules, simplify_rules
+from ldscreen.tree import TreeConfig, build_tree
 
 MATRIX_125 = ConfusionMatrix(("N", "Y"), ((79, 15), (13, 18)))
 
@@ -249,6 +250,30 @@ def test_unstratified_still_partitions():
         d, k=3, seed=2, learner=majority_learner(), stratify=False
     )
     assert report.matrix.total == 60
+
+
+def _unlabelled_at(data, index):
+    rows = list(data.instances)
+    rows[index] = Instance(rows[index].values[:-1] + (None,))
+    return data.with_instances(rows)
+
+
+_LABELLED = synthetic_checklist(10, 6, seed=4)
+
+
+@pytest.mark.parametrize(
+    "consume",
+    [
+        build_tree,
+        lambda d: simplify_rules(extract_rules(build_tree(_LABELLED)), d),
+        majority_learner(),
+        lambda d: cross_validate(d, 2, 0, majority_learner(), stratify=False),
+    ],
+    ids=["build_tree", "simplify_rules", "majority_fit", "unstratified_cv"],
+)
+def test_missing_label_error_names_the_file_index(consume):
+    with pytest.raises(ValueError, match=r"^instance 11 has a missing class value$"):
+        consume(_unlabelled_at(_LABELLED, 11))
 
 
 # --- rendering ------------------------------------------------------------------

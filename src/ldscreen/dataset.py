@@ -39,12 +39,16 @@ def first_max(values):
 
 
 def is_finite_number(value):
-    """True for an int or float (not a bool) that is neither NaN nor infinite."""
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
+    """True for an int or float (not a bool) that is neither NaN nor infinite.
+
+    An int beyond float range counts as infinite.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def finite_float(token):
@@ -109,8 +113,9 @@ class AttributeSpec:
     kind : str
         One of ``binary``, ``nominal``, ``numeric``.
     values : tuple of str
-        Declared symbols, in declaration order.  Exactly two for binary,
-        at least one for nominal (two for a class), empty for numeric.
+        Distinct declared symbols, in declaration order.  Exactly two for
+        binary, at least one for nominal (two for a class), empty for
+        numeric.
     """
 
     name: str
@@ -132,6 +137,8 @@ class AttributeSpec:
                 raise ValueError(f"nominal attribute {self.name} declares no values")
         else:
             raise ValueError(f"unknown attribute kind: {self.kind}")
+        if len(set(self.values)) != len(self.values):
+            raise ValueError(f"attribute {self.name} declares a value twice")
 
     @property
     def is_categorical(self):

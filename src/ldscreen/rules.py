@@ -15,6 +15,9 @@ value simply fails the condition, so no fractional routing happens here
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import add
 
 from .dataset import Dataset, _check_instance, class_tally, dump_document, first_max
 from .tree import DecisionTreeModel, Leaf, ucb_error_rate
@@ -97,15 +100,46 @@ def extract_rules(model: DecisionTreeModel) -> RuleSet:
     return RuleSet(model.schema, model.class_index, tuple(rules), default)
 
 
-def _rule_stats(antecedent, consequent, dataset):
-    matched = 0.0
-    hit = 0.0
-    for inst in dataset.instances:
-        if all(c.holds(inst.values) for c in antecedent):
-            matched += inst.weight
-            if inst.values[dataset.class_index] == consequent:
-                hit += inst.weight
-    return matched, hit
+#: bin() digits as the bytes 0 and 1, the selectors of itertools.compress
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+class _RowBits:
+    """Row bitsets of conditions over one dataset; bit i is instance i.
+
+    Each distinct Condition is tested on every row once, at its first use;
+    a conjunction is then the AND of its conditions' bitsets.
+    """
+
+    def __init__(self, dataset):
+        self.class_index = dataset.class_index
+        self.values = [inst.values for inst in dataset.instances]
+        self.weights = [inst.weight for inst in dataset.instances]
+        self.bitsets = {}
+
+    def matching(self, conditions):
+        """Bitset of the rows where every one of ``conditions`` holds."""
+        bits = (1 << len(self.values)) - 1
+        for cond in conditions:
+            if cond not in self.bitsets:
+                flags = ("1" if cond.holds(v) else "0" for v in reversed(self.values))
+                self.bitsets[cond] = int("0" + "".join(flags), 2)
+            bits &= self.bitsets[cond]
+        return bits
+
+    def labelled(self, label):
+        """Bitset of the rows of class ``label``."""
+        return self.matching([Condition(self.class_index, EQ, label)])
+
+    def weight(self, bits):
+        """Summed weight of the rows in ``bits``, added in row order."""
+        selectors = bin(bits)[:1:-1].encode().translate(_BIT_BYTES)
+        return reduce(add, compress(self.weights, selectors), 0.0)
+
+    def stats(self, antecedent, consequent):
+        """``(matched, hit)``: weight of the rows matched, and of those labelled right."""
+        matched = self.matching(antecedent)
+        return self.weight(matched), self.weight(matched & self.labelled(consequent))
 
 
 #: Confidence factor of the pessimistic accuracy estimate in simplify_rules;
@@ -130,21 +164,21 @@ def simplify_rules(ruleset: RuleSet, dataset: Dataset) -> RuleSet:
     instances no surviving rule covers (global majority when none).
     """
     class_values = ruleset.schema[ruleset.class_index].values
-    rows = dataset.rows
-    global_counts = class_tally(rows, ruleset.schema, ruleset.class_index)
+    global_counts = class_tally(dataset.rows, ruleset.schema, ruleset.class_index)
     global_majority = class_values[first_max(global_counts)]
-    baseline = _pessimistic_accuracy(_rule_stats((), global_majority, dataset))
+    row_bits = _RowBits(dataset)
+    baseline = _pessimistic_accuracy(row_bits.stats((), global_majority))
 
     kept = []
     for rule in ruleset.rules:
         conditions = list(rule.antecedent)
-        stats = _rule_stats(conditions, rule.consequent, dataset)
+        stats = row_bits.stats(conditions, rule.consequent)
         current = _pessimistic_accuracy(stats)
         while conditions:
             trials = []
             for i in range(len(conditions)):
                 without = conditions[:i] + conditions[i + 1 :]
-                trials.append(_rule_stats(without, rule.consequent, dataset))
+                trials.append(row_bits.stats(without, rule.consequent))
             estimates = [_pessimistic_accuracy(t) for t in trials]
             best_i = first_max(estimates)
             if estimates[best_i] < current:
@@ -166,8 +200,13 @@ def simplify_rules(ruleset: RuleSet, dataset: Dataset) -> RuleSet:
             seen.add(key)
             unique.append(r)
 
-    uncovered_rows = [(v, w) for v, w in rows if not any(r.matches(v) for r in unique)]
-    uncovered = class_tally(uncovered_rows, ruleset.schema, ruleset.class_index)
+    covered = 0
+    for r in unique:
+        covered |= row_bits.matching(r.antecedent)
+    uncovered_bits = row_bits.matching(()) & ~covered
+    uncovered = [
+        row_bits.weight(uncovered_bits & row_bits.labelled(v)) for v in class_values
+    ]
     if sum(uncovered) > 0:
         default = class_values[first_max(uncovered)]
     else:

@@ -8,6 +8,13 @@ with fractionally scaled weight, both while growing and while classifying.
 Pruning replaces subtrees by leaves whenever an upper-confidence-bound
 error estimate favors the collapse.
 
+A numeric attribute is sorted once per node and every midpoint threshold
+is scored from running class tallies: O(n log n) per attribute per node.
+Those tallies are summed in sorted order rather than row order, so with
+fractional weights two candidates whose gain ratios tie to within
+rounding may resolve differently from a per-row rescan; unit weights sum
+exactly.
+
 A built model is immutable; concurrent classification is safe.
 """
 
@@ -15,8 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
+from itertools import groupby
+from operator import itemgetter
 
-from scipy.stats import beta
+from scipy.special import betaincinv
 
 from .dataset import (
     AttributeSpec,
@@ -177,22 +186,14 @@ def evaluate_split(dataset, attribute_index, threshold=None):
     if attribute_index == dataset.class_index:
         raise ValueError("cannot split on the class attribute")
     spec = dataset.schema[attribute_index]
+    args = (dataset.rows, dataset.schema, dataset.class_index, attribute_index)
     if spec.is_categorical:
         if threshold is not None:
             raise ValueError(f"threshold given for categorical attribute {spec.name}")
-        n_branches = len(spec.values)
-    else:
-        if threshold is None:
-            raise ValueError(f"numeric attribute {spec.name} needs a threshold")
-        n_branches = 2
-    return _score_split(
-        dataset.rows,
-        dataset.schema,
-        dataset.class_index,
-        attribute_index,
-        threshold,
-        n_branches,
-    )
+        return _nominal_split(*args)
+    if threshold is None:
+        raise ValueError(f"numeric attribute {spec.name} needs a threshold")
+    return _numeric_splits(*args, [threshold])[0]
 
 
 def _branch_of(spec, threshold, value):
@@ -201,14 +202,16 @@ def _branch_of(spec, threshold, value):
     return 0 if value <= threshold else 1
 
 
-def _score_split(rows, schema, class_index, attribute_index, threshold, n_branches):
-    spec = schema[attribute_index]
-    class_values = schema[class_index].values
-    n_classes = len(class_values)
-    class_pos = {v: i for i, v in enumerate(class_values)}
+def _known_tally(rows, schema, class_index, attribute_index):
+    """Tally the rows once, in row order, for scoring splits on one attribute.
 
-    parent = [0.0] * n_classes
-    branch_class = [[0.0] * n_classes for _ in range(n_branches)]
+    Returns the class tally of the rows whose tested value is known, their
+    ``(value, class position, weight)`` triples, their weight, and the
+    weight of all rows.
+    """
+    class_pos = {v: i for i, v in enumerate(schema[class_index].values)}
+    parent = [0.0] * len(class_pos)
+    known = []
     known_w = 0.0
     total_w = 0.0
     for values, weight in rows:
@@ -217,29 +220,99 @@ def _score_split(rows, schema, class_index, attribute_index, threshold, n_branch
         if v is None:
             continue
         c = class_pos[values[class_index]]
-        b = _branch_of(spec, threshold, v)
         known_w += weight
         parent[c] += weight
-        branch_class[b][c] += weight
+        known.append((v, c, weight))
+    return parent, known, known_w, total_w
 
-    invalid = SplitCandidate(attribute_index, threshold, 0.0, 0.0, 0.0, False)
+
+def _nominal_split(rows, schema, class_index, attribute_index):
+    """The multi-way candidate of a nominal attribute."""
+    parent, known, known_w, total_w = _known_tally(
+        rows, schema, class_index, attribute_index
+    )
+    branch_pos = {v: i for i, v in enumerate(schema[attribute_index].values)}
+    branch_class = [[0.0] * len(parent) for _ in branch_pos]
+    for v, c, weight in known:
+        branch_class[branch_pos[v]][c] += weight
+    candidates = _score_splits(
+        attribute_index, [None], [branch_class], parent, known_w, total_w
+    )
+    return candidates[0]
+
+
+def _numeric_splits(rows, schema, class_index, attribute_index, thresholds=None):
+    """The binary candidates of a numeric attribute, one per threshold.
+
+    ``thresholds`` must ascend; None means every midpoint between adjacent
+    distinct known values.  The known triples are sorted once, and the
+    branch tallies of all thresholds come from one ascending pass (values
+    ``<= threshold``) and one descending pass (values ``> threshold``).
+    """
+    parent, known, known_w, total_w = _known_tally(
+        rows, schema, class_index, attribute_index
+    )
+    known.sort(key=itemgetter(0))  # stable: equal values keep row order
+    if thresholds is None:
+        distinct = [v for v, _ in groupby(v for v, _, _ in known)]
+        thresholds = [(a + b) / 2 for a, b in zip(distinct, distinct[1:])]
+
+    # the right tally is summed on its own, never taken as parent - left:
+    # with fractional weights the difference can round below zero
+    left = []
+    tally = [0.0] * len(parent)
+    i = 0
+    for t in thresholds:
+        while i < len(known) and known[i][0] <= t:
+            tally[known[i][1]] += known[i][2]
+            i += 1
+        left.append(tally[:])
+    right = []
+    tally = [0.0] * len(parent)
+    i = len(known)
+    for t in reversed(thresholds):
+        while i > 0 and known[i - 1][0] > t:
+            i -= 1
+            tally[known[i][1]] += known[i][2]
+        right.append(tally[:])
+    right.reverse()
+    return _score_splits(
+        attribute_index, thresholds, zip(left, right), parent, known_w, total_w
+    )
+
+
+def _score_splits(attribute_index, thresholds, branch_tallies, parent, known_w, total_w):
+    """One SplitCandidate per threshold from its per-branch class tallies.
+
+    ``parent`` is the class tally of the known-valued weight ``known_w``;
+    ``total_w`` also counts the rows whose tested value is missing.
+    """
     if known_w <= 0:
-        return invalid
-    branch_w = [sum(bc) for bc in branch_class]
-    if sum(1 for w in branch_w if w > 0) < 2:
-        return invalid  # single branch: intrinsic value 0
-
+        return [
+            SplitCandidate(attribute_index, t, 0.0, 0.0, 0.0, False) for t in thresholds
+        ]
     h_parent = entropy(parent)
-    h_children = 0.0
-    iv = 0.0
-    for bc, w in zip(branch_class, branch_w):
-        if w <= 0:
+    candidates = []
+    for threshold, branch_class in zip(thresholds, branch_tallies):
+        branch_w = [sum(bc) for bc in branch_class]
+        if sum(1 for w in branch_w if w > 0) < 2:  # single branch: intrinsic value 0
+            candidates.append(
+                SplitCandidate(attribute_index, threshold, 0.0, 0.0, 0.0, False)
+            )
             continue
-        share = w / known_w
-        h_children += share * entropy(bc)
-        iv -= share * math.log2(share)
-    gain = (known_w / total_w) * (h_parent - h_children)
-    return SplitCandidate(attribute_index, threshold, gain, iv, gain / iv, True)
+        h_children = 0.0
+        iv = 0.0
+        for bc, w in zip(branch_class, branch_w):
+            if w <= 0:
+                continue
+            share = w / known_w
+            h_children += share * entropy(bc)
+            iv -= share * math.log2(share)
+        gain = (known_w / total_w) * (h_parent - h_children)
+        candidates.append(
+            SplitCandidate(attribute_index, threshold, gain, iv, gain / iv, True)
+        )
+    return candidates
 
 
 # ---------------------------------------------------------------------------
@@ -333,25 +406,14 @@ def _best_candidate(rows, schema, class_index, used_nominal):
         if i == class_index:
             continue
         if spec.is_categorical:
-            if i in used_nominal:
-                continue
-            candidates.append(
-                _score_split(rows, schema, class_index, i, None, len(spec.values))
-            )
+            if i not in used_nominal:
+                candidates.append(_nominal_split(rows, schema, class_index, i))
         else:
-            candidates.extend(
-                _score_split(rows, schema, class_index, i, t, 2)
-                for t in _midpoint_thresholds(rows, i)
-            )
+            candidates.extend(_numeric_splits(rows, schema, class_index, i))
     useful = [c for c in candidates if c.valid and c.info_gain > _GAIN_EPS]
     if not useful:
         return None
     return useful[first_max([c.gain_ratio for c in useful])]
-
-
-def _midpoint_thresholds(rows, attribute_index):
-    values = sorted({v[attribute_index] for v, _ in rows if v[attribute_index] is not None})
-    return [(a + b) / 2 for a, b in zip(values, values[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +434,7 @@ def ucb_error_rate(errors, total, confidence_factor):
         return 0.0
     if errors >= total:
         return 1.0
-    return float(beta.ppf(1.0 - confidence_factor, errors + 1.0, total - errors))
+    return float(betaincinv(errors + 1.0, total - errors, 1.0 - confidence_factor))
 
 
 def _leaf_ucb_errors(counts, weight, cf):
@@ -484,11 +546,11 @@ def _schema_to_json(schema):
 
 
 def _schema_from_json(items):
+    # AttributeSpec refuses repeated values
     schema = tuple(AttributeSpec(a["name"], a["kind"], tuple(a["values"])) for a in items)
     for spec in schema:
-        values = spec.values
-        if not all(isinstance(v, str) for v in values) or len(set(values)) != len(values):
-            raise ValueError(f"values of {spec.name} are not distinct strings")
+        if not all(isinstance(v, str) for v in spec.values):
+            raise ValueError(f"values of {spec.name} are not strings")
     return schema
 
 

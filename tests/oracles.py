@@ -7,8 +7,10 @@ library is a real check rather than the same code running twice.
 
 import itertools
 import math
+import random
 
 import numpy as np
+from hypothesis import strategies as st
 
 from ldscreen.dataset import AttributeSpec, Dataset, Instance
 
@@ -49,6 +51,37 @@ def random_mixed_dataset(rng, n_rows, n_numeric, n_nominal, missing_rate=0.0):
         vals.append(rng.choice(("P", "Q")))
         rows.append(Instance(tuple(vals)))
     return Dataset(schema, len(schema) - 1, tuple(rows))
+
+
+@st.composite
+def weighted_mixed_datasets(draw):
+    """Random mixed schemas with blanks, repeated numbers and fractional weights."""
+    kinds = draw(st.lists(st.sampled_from(["numeric", 1, 2, 3]), min_size=1, max_size=4))
+    classes = "PQR"[: draw(st.integers(2, 3))]
+    schema = tuple(
+        AttributeSpec.numeric(f"x{i}")
+        if kind == "numeric"
+        else AttributeSpec.categorical(f"s{i}", "ABC"[:kind])
+        for i, kind in enumerate(kinds)
+    ) + (AttributeSpec.categorical("cls", classes),)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    missing_rate = rng.choice((0.0, 0.1, 0.3))
+
+    def cell(spec):
+        if rng.random() < missing_rate:
+            return None
+        if spec.kind == "numeric":
+            return rng.choice((rng.randint(-6, 6) / 4, round(rng.uniform(-3, 3), 3)))
+        return rng.choice(spec.values)
+
+    rows = [
+        Instance(
+            tuple(cell(s) for s in schema[:-1]) + (rng.choice(classes),),
+            rng.uniform(0.05, 3.0),
+        )
+        for _ in range(rng.randint(2, 40))
+    ]
+    return Dataset(schema, len(schema) - 1, rows)
 
 
 def reference_split_score(dataset, attribute_index, threshold=None):

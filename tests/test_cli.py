@@ -84,6 +84,7 @@ def test_malformed_input_exits_2(tmp_path, capsys):
 
 DUPLICATE_ARFF = "@relation d\n@attribute a {x,y}\n@attribute a {x,y}\n@attribute c {p,q}\n@data\n"
 ONE_VALUE_CLASS = "@relation d\n@attribute a {x,y}\n@attribute c {p}\n@data\nx,p\ny,p\nx,p\ny,p\n"
+DUPLICATE_VALUE_ARFF = "@relation d\n@attribute a {x,x,y}\n@attribute c {p,q}\n@data\nx,p\ny,q\n"
 
 
 @pytest.mark.parametrize(
@@ -92,8 +93,9 @@ ONE_VALUE_CLASS = "@relation d\n@attribute a {x,y}\n@attribute c {p}\n@data\nx,p
         ("dup.arff", DUPLICATE_ARFF + "x,y,p\ny,x,q\n", ["rules"]),
         ("dup.csv", "a,a,c\n1,2,p\n3,4,q\n", ["evaluate"]),
         ("one.arff", ONE_VALUE_CLASS, ["evaluate", "--learner", "rules"]),
+        ("dupvalue.arff", DUPLICATE_VALUE_ARFF, ["train"]),
     ],
-    ids=["duplicate_arff", "duplicate_csv", "one_value_class"],
+    ids=["duplicate_arff", "duplicate_csv", "one_value_class", "duplicate_value"],
 )
 def test_invalid_schema_exits_2(tmp_path, capsys, name, text, command):
     path = tmp_path / name

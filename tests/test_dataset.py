@@ -178,15 +178,22 @@ def test_readers_refuse_non_finite_numbers(token):
         parse_csv(f"x,c\n1,A\n{token},B\n")
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), float("inf"), -float("inf"), 10**400],
+    ids=["nan", "inf", "-inf", "huge_int"],
+)
 def test_dataset_refuses_non_finite_numbers(value):
     schema = (AttributeSpec.numeric("x"), AttributeSpec.categorical("c", ("A", "B")))
     with pytest.raises(ValueError, match="not a finite number"):
         Dataset(schema, 1, (Instance((1.0, "A")), Instance((value, "B"))))
 
 
-#: bad cells for a numeric column and for a categorical one ("Z" is never declared)
-BAD_NUMBERS = ("abc", "1.5", float("nan"), float("inf"), -float("inf"), True, False)
+#: bad cells for a numeric column (10**400 is beyond float range) and for a
+#: categorical one ("Z" is never declared)
+BAD_NUMBERS = (
+    "abc", "1.5", float("nan"), float("inf"), -float("inf"), 10**400, True, False
+)
 BAD_SYMBOLS = ("Z", 1.0, True)
 
 

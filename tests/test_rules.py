@@ -3,7 +3,10 @@
 import itertools
 import random
 
-from ldscreen.dataset import AttributeSpec, Dataset, Instance
+from hypothesis import given, settings
+from oracles import weighted_mixed_datasets
+
+from ldscreen.dataset import AttributeSpec, Dataset, Instance, first_max
 from ldscreen.rules import (
     Condition,
     Rule,
@@ -166,6 +169,32 @@ def test_training_accuracy_not_lowered_on_noise_free_data():
             return hits / len(d)
 
         assert acc(simplified) >= acc(rs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_mixed_datasets())
+def test_simplified_statistics_are_row_order_sums(d):
+    rs = extract_rules(build_tree(d, TreeConfig(min_leaf_weight=1.0, pruning=False)))
+    simplified = simplify_rules(rs, d)
+    labels = [inst.values[d.class_index] for inst in d.instances]
+    for rule in simplified.rules:
+        matched = hit = 0.0
+        for inst, label in zip(d.instances, labels):
+            if rule.matches(inst.values):
+                matched += inst.weight
+                if label == rule.consequent:
+                    hit += inst.weight
+        assert rule.coverage == matched
+        assert rule.accuracy == (hit / matched if matched > 0 else 0.0)
+
+    overall = [0.0] * len(d.class_values)
+    uncovered = [0.0] * len(d.class_values)
+    for inst, label in zip(d.instances, labels):
+        overall[d.class_values.index(label)] += inst.weight
+        if not any(r.matches(inst.values) for r in simplified.rules):
+            uncovered[d.class_values.index(label)] += inst.weight
+    tally = uncovered if sum(uncovered) > 0 else overall
+    assert simplified.default_class == d.class_values[first_max(tally)]
 
 
 # --- classification ----------------------------------------------------------

@@ -2,11 +2,25 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from oracles import reference_split_score, weighted_mixed_datasets
 
-from ldscreen.dataset import AttributeSpec, Dataset, Instance, synthetic_checklist
+import ldscreen
+from ldscreen.dataset import (
+    AttributeSpec,
+    Dataset,
+    Instance,
+    class_tally,
+    first_max,
+    synthetic_checklist,
+)
 from ldscreen.tree import (
     Decision,
     DecisionTreeModel,
@@ -262,6 +276,42 @@ def test_numeric_split_tie_prefers_lower_threshold():
     assert m.root.threshold == 1.5
 
 
+def test_midpoint_rounding_onto_upper_value_splits_literally():
+    # a and b are adjacent floats whose midpoint rounds up to b itself, so
+    # the test "x <= midpoint" sends the b rows left with the a rows
+    a = math.nextafter(1.0, 2.0)
+    b = math.nextafter(a, 2.0)
+    mid = (a + b) / 2
+    assert mid == b
+    schema = (AttributeSpec.numeric("x"), AttributeSpec.categorical("c", ("A", "B")))
+    rows = [(a, "A"), (b, "B"), (5.0, "B"), (a, "A"), (b, "B"), (5.0, "B")]
+    d = Dataset(schema, 1, tuple(Instance(r) for r in rows))
+    cand = evaluate_split(d, 0, mid)
+    assert (cand.info_gain, cand.intrinsic_value, cand.gain_ratio) == pytest.approx(
+        reference_split_score(d, 0, mid), abs=1e-12
+    )
+    m = build_tree(d, TreeConfig(min_leaf_weight=1.0, pruning=False))
+    assert m.root.threshold == mid
+    assert m.root.branch_weights == (4.0, 2.0)
+
+
+def test_fractional_branch_tally_never_negative():
+    # class A weighs 0.3 + 0.2 + 0.1 = 0.6 in row order but 0.6000000000000001
+    # in ascending x order, so "parent - left" would leave A at -1.1e-16 on
+    # the right branch
+    schema = (AttributeSpec.numeric("x"), AttributeSpec.categorical("c", ("A", "B")))
+    rows = [((3.0, "A"), 0.3), ((2.0, "A"), 0.2), ((1.0, "A"), 0.1), ((4.0, "B"), 1.0)]
+    d = Dataset(schema, 1, tuple(Instance(v, w) for v, w in rows))
+    assert (0.3 + 0.2 + 0.1) - (0.1 + 0.2 + 0.3) < 0
+    cand = evaluate_split(d, 0, 3.5)
+    assert cand.valid
+    assert (cand.info_gain, cand.intrinsic_value, cand.gain_ratio) == pytest.approx(
+        reference_split_score(d, 0, 3.5), abs=1e-12
+    )
+    m = build_tree(d, TreeConfig(min_leaf_weight=0.1, pruning=False))
+    assert m.root.threshold == 3.5
+
+
 def hidden_tree(rng, attrs, depth):
     if depth == 0 or (depth < 3 and rng.random() < 0.25) or not attrs:
         return rng.choice("NY")
@@ -317,6 +367,33 @@ def test_split_choice_invariant_to_instance_order():
         assert m1.root.attribute_index == m2.root.attribute_index
 
 
+@settings(max_examples=200, deadline=None)
+@given(weighted_mixed_datasets())
+def test_root_is_first_max_over_evaluate_split(d):
+    # growth scores candidates as evaluate_split does, bit for bit, in
+    # generation order: attribute index, then ascending midpoint
+    config = TreeConfig(pruning=False)
+    root = build_tree(d, config).root
+    candidates = []
+    for i in d.feature_indices:
+        if d.schema[i].is_categorical:
+            candidates.append(evaluate_split(d, i))
+        else:
+            known = sorted({v for v in d.column(i) if v is not None})
+            midpoints = [(a + b) / 2 for a, b in zip(known, known[1:])]
+            candidates += [evaluate_split(d, i, t) for t in midpoints]
+    useful = [c for c in candidates if c.valid and c.info_gain > 1e-12]
+    counts = class_tally(d.rows, d.schema, d.class_index)
+    pure = sum(1 for c in counts if c > 0) <= 1
+    if pure or sum(counts) < 2 * config.min_leaf_weight or not useful:
+        assert isinstance(root, Leaf)
+    else:
+        best = useful[first_max([c.gain_ratio for c in useful])]
+        assert isinstance(root, Decision)
+        assert root.attribute_index == best.attribute_index
+        assert root.threshold == best.threshold
+
+
 # --- pruning -----------------------------------------------------------------
 
 
@@ -355,6 +432,32 @@ def test_ucb_zero_error_closed_form():
 def test_ucb_saturates_at_one():
     assert ucb_error_rate(4, 4, 0.25) == 1.0
     assert ucb_error_rate(0, 0, 0.25) == 0.0
+
+
+def test_ucb_equals_beta_quantile_exactly():
+    from scipy.stats import beta
+
+    for total in (0.5, 1.0, 2.75, 6.0, 13.3, 40.0, 250.5):
+        for errors in (0.0, 0.25, 1.0, total / 3, total - 0.5):
+            if not 0 <= errors < total:
+                continue
+            for cf in (0.05, 0.1, 0.25, 0.5, 0.9):
+                expected = float(beta.ppf(1.0 - cf, errors + 1.0, total - errors))
+                assert ucb_error_rate(errors, total, cf) == expected
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = "import sys, ldscreen.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(ldscreen.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+        timeout=120,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def fixture_model(children_counts):

@@ -276,11 +276,9 @@ def cmd_checklist(args):
     dist_text = ", ".join(f"{v}={dist[v]:.3f}" for v in model.class_values)
     print(f"Distribution: {dist_text}")
     ruleset = extract_rules(model)
+    # complete answers always match the rule of the leaf they reach
     rule = best_rule(ruleset, values)
-    if rule is not None:
-        print("Matched rule: " + rule_text(rule, model.schema, class_name))
-    else:
-        print(f"Matched rule: none (default {class_name}={ruleset.default_class})")
+    print("Matched rule: " + rule_text(rule, model.schema, class_name))
     return 0
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, dump_document, first_max, load_document
+from .columns import Columns
+from .dataset import BINARY, NUMERIC, Dataset, dump_document, first_max, load_document
 
 CLUSTER_FORMAT = "ldscreen-cluster"
 CLUSTER_VERSION = 1
@@ -55,32 +56,32 @@ def encode_dataset(dataset: Dataset):
 
     A missing value anywhere is an error; run impute_missing first.
     """
+    view = Columns(dataset)
+    missing = {i: view.missing(i) for i in dataset.feature_indices}
+    gaps = [(int(m.argmax()), i) for i, m in missing.items() if m.any()]
+    if gaps:
+        r, i = min(gaps)  # the first gap in row order
+        raise ValueError(
+            f"instance {r} has a missing value in attribute "
+            f"{dataset.schema[i].name}; impute before clustering"
+        )
     columns = []
     labels = []
-    encoders = []
-    for i, spec in enumerate(dataset.schema):
-        if i == dataset.class_index:
-            continue
-        if spec.kind == "numeric":
+    for i in dataset.feature_indices:
+        spec, codes = dataset.schema[i], view.columns[i]
+        if spec.kind == NUMERIC:
             labels.append(spec.name)
-            encoders.append((i, None))
-        elif spec.kind == "binary":
+            columns.append(codes)
+        elif spec.kind == BINARY:
             labels.append(spec.name)
-            encoders.append((i, spec.values[1]))
+            columns.append(codes == 1)
         else:
-            for v in spec.values:
+            for k, v in enumerate(spec.values):
                 labels.append(f"{spec.name}={v}")
-                encoders.append((i, v))
-    rows = np.empty((len(dataset), len(encoders)), dtype=float)
-    for r, inst in enumerate(dataset.instances):
-        for c, (i, positive) in enumerate(encoders):
-            v = inst.values[i]
-            if v is None:
-                raise ValueError(
-                    f"instance {r} has a missing value in attribute "
-                    f"{dataset.schema[i].name}; impute before clustering"
-                )
-            rows[r, c] = float(v) if positive is None else float(v == positive)
+                columns.append(codes == k)
+    rows = np.empty((len(dataset), len(columns)))
+    for c, column in enumerate(columns):
+        rows[:, c] = column
     return rows, tuple(labels)
 
 
@@ -101,19 +102,19 @@ def _assign(rows, centroids):
 
 def _means(rows, assign, k, old_centroids):
     centroids = old_centroids.copy()
+    assign = assign.copy()
     for j in range(k):
-        members = rows[assign == j]
-        if len(members):
-            centroids[j] = members.mean(axis=0)
-    empties = [j for j in range(k) if not (assign == j).any()]
-    if empties:
-        assign = assign.copy()
-        for j in empties:
+        if not (assign == j).any():
             # repair: reseed with the instance farthest from its own centroid
             d2 = ((rows - centroids[assign]) ** 2).sum(axis=1)
             far = int(d2.argmax())
             centroids[j] = rows[far]
             assign[far] = j
+    # after any repair, so that a donor's centroid is the mean of what it kept
+    for j in range(k):
+        members = rows[assign == j]
+        if len(members):
+            centroids[j] = members.mean(axis=0)
     return centroids, assign
 
 

@@ -17,6 +17,8 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 BINARY = "binary"
 NOMINAL = "nominal"
@@ -38,15 +40,26 @@ def first_max(values):
     return max(range(len(values)), key=values.__getitem__)
 
 
+def total(values):
+    """Sum of ``values`` added left to right from 0.0.
+
+    The builtin ``sum`` compensates float rounding from Python 3.12 on, so
+    it would give other weights, and other model files, on other versions.
+    """
+    return reduce(add, values, 0.0)
+
+
 def is_finite_number(value):
     """True for an int or float (not a bool) that is neither NaN nor infinite.
 
-    An int beyond float range counts as infinite.
+    An int beyond float range counts as infinite, and an int a float cannot
+    hold exactly (such as 2**53 + 1) is refused too: induction computes in
+    floats.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     try:
-        return math.isfinite(value)
+        return math.isfinite(value) and float(value) == value
     except OverflowError:
         return False
 
@@ -570,7 +583,7 @@ def impute_missing(dataset):
             counts = Counter(known)
             fills.append(spec.values[first_max([counts[v] for v in spec.values])])
         else:
-            fills.append(sum(known) / len(known))
+            fills.append(total(known) / len(known))
     if all(f is None for f in fills):
         return dataset
     instances = []

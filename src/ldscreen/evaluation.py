@@ -23,6 +23,7 @@ from .dataset import (
     load_document,
     random_folds,
     stratified_folds,
+    total,
 )
 from .rules import best_rule, extract_rules, simplify_rules
 from .tree import TreeConfig, build_tree, classify
@@ -207,8 +208,8 @@ def rules_learner(config: TreeConfig | None = None):
 def majority_learner():
     def fit(train: Dataset):
         counts = class_tally(train.rows, train.schema, train.class_index)
-        total = sum(counts)
-        dist = {v: c / total for v, c in zip(train.class_values, counts)}
+        weight = total(counts)
+        dist = {v: c / weight for v, c in zip(train.class_values, counts)}
         best = train.class_values[first_max(list(dist.values()))]
 
         def predict(instance):

@@ -15,11 +15,8 @@ value simply fails the condition, so no fractional routing happens here
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import compress
-from operator import add
 
-from .dataset import Dataset, _check_instance, class_tally, dump_document, first_max
+from .dataset import Dataset, _check_instance, class_tally, dump_document, first_max, total
 from .tree import DecisionTreeModel, Leaf, ucb_error_rate
 
 RULES_FORMAT = "ldscreen-rules"
@@ -80,9 +77,8 @@ def extract_rules(model: DecisionTreeModel) -> RuleSet:
 
     def walk(node, conditions):
         if isinstance(node, Leaf):
-            total = sum(node.class_counts)
             consequent = class_values[node.predicted_index]
-            acc = node.class_counts[node.predicted_index] / total
+            acc = node.class_counts[node.predicted_index] / total(node.class_counts)
             rules.append(Rule(tuple(conditions), consequent, node.weight, acc))
             return
         spec = model.schema[node.attribute_index]
@@ -98,48 +94,6 @@ def extract_rules(model: DecisionTreeModel) -> RuleSet:
     walk(model.root, [])
     default = class_values[first_max(model.root.class_counts)]
     return RuleSet(model.schema, model.class_index, tuple(rules), default)
-
-
-#: bin() digits as the bytes 0 and 1, the selectors of itertools.compress
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-class _RowBits:
-    """Row bitsets of conditions over one dataset; bit i is instance i.
-
-    Each distinct Condition is tested on every row once, at its first use;
-    a conjunction is then the AND of its conditions' bitsets.
-    """
-
-    def __init__(self, dataset):
-        self.class_index = dataset.class_index
-        self.values = [inst.values for inst in dataset.instances]
-        self.weights = [inst.weight for inst in dataset.instances]
-        self.bitsets = {}
-
-    def matching(self, conditions):
-        """Bitset of the rows where every one of ``conditions`` holds."""
-        bits = (1 << len(self.values)) - 1
-        for cond in conditions:
-            if cond not in self.bitsets:
-                flags = ("1" if cond.holds(v) else "0" for v in reversed(self.values))
-                self.bitsets[cond] = int("0" + "".join(flags), 2)
-            bits &= self.bitsets[cond]
-        return bits
-
-    def labelled(self, label):
-        """Bitset of the rows of class ``label``."""
-        return self.matching([Condition(self.class_index, EQ, label)])
-
-    def weight(self, bits):
-        """Summed weight of the rows in ``bits``, added in row order."""
-        selectors = bin(bits)[:1:-1].encode().translate(_BIT_BYTES)
-        return reduce(add, compress(self.weights, selectors), 0.0)
-
-    def stats(self, antecedent, consequent):
-        """``(matched, hit)``: weight of the rows matched, and of those labelled right."""
-        matched = self.matching(antecedent)
-        return self.weight(matched), self.weight(matched & self.labelled(consequent))
 
 
 #: Confidence factor of the pessimistic accuracy estimate in simplify_rules;
@@ -163,22 +117,43 @@ def simplify_rules(ruleset: RuleSet, dataset: Dataset) -> RuleSet:
     baseline are discarded.  The default class becomes the majority among
     instances no surviving rule covers (global majority when none).
     """
+    from .columns import Columns
+
     class_values = ruleset.schema[ruleset.class_index].values
     global_counts = class_tally(dataset.rows, ruleset.schema, ruleset.class_index)
     global_majority = class_values[first_max(global_counts)]
-    row_bits = _RowBits(dataset)
-    baseline = _pessimistic_accuracy(row_bits.stats((), global_majority))
+    view = Columns(dataset)
+    masks = {}  # Condition -> mask of the rows where it holds, built at first use
+
+    def matching(conditions):
+        """Mask of the rows where every one of ``conditions`` holds."""
+        mask = view.all_rows
+        for c in conditions:
+            if c not in masks:
+                masks[c] = view.holds(c.attribute_index, c.relation, c.value)
+            mask = mask & masks[c]
+        return mask
+
+    def labelled(label):
+        return matching([Condition(ruleset.class_index, EQ, label)])
+
+    def rule_stats(antecedent, consequent):
+        """``(matched, hit)``: weight of the rows matched, and of those labelled right."""
+        matched = matching(antecedent)
+        return view.weight(matched), view.weight(matched & labelled(consequent))
+
+    baseline = _pessimistic_accuracy(rule_stats((), global_majority))
 
     kept = []
     for rule in ruleset.rules:
         conditions = list(rule.antecedent)
-        stats = row_bits.stats(conditions, rule.consequent)
+        stats = rule_stats(conditions, rule.consequent)
         current = _pessimistic_accuracy(stats)
         while conditions:
             trials = []
             for i in range(len(conditions)):
                 without = conditions[:i] + conditions[i + 1 :]
-                trials.append(row_bits.stats(without, rule.consequent))
+                trials.append(rule_stats(without, rule.consequent))
             estimates = [_pessimistic_accuracy(t) for t in trials]
             best_i = first_max(estimates)
             if estimates[best_i] < current:
@@ -200,13 +175,10 @@ def simplify_rules(ruleset: RuleSet, dataset: Dataset) -> RuleSet:
             seen.add(key)
             unique.append(r)
 
-    covered = 0
+    uncovered_rows = view.all_rows
     for r in unique:
-        covered |= row_bits.matching(r.antecedent)
-    uncovered_bits = row_bits.matching(()) & ~covered
-    uncovered = [
-        row_bits.weight(uncovered_bits & row_bits.labelled(v)) for v in class_values
-    ]
+        uncovered_rows = uncovered_rows & ~matching(r.antecedent)
+    uncovered = [view.weight(uncovered_rows & labelled(v)) for v in class_values]
     if sum(uncovered) > 0:
         default = class_values[first_max(uncovered)]
     else:

@@ -8,12 +8,18 @@ with fractionally scaled weight, both while growing and while classifying.
 Pruning replaces subtrees by leaves whenever an upper-confidence-bound
 error estimate favors the collapse.
 
-A numeric attribute is sorted once per node and every midpoint threshold
-is scored from running class tallies: O(n log n) per attribute per node.
-Those tallies are summed in sorted order rather than row order, so with
+Growth reads the encoded view of ``columns``, built once per call: a node
+is an array of row positions with their weights.  A nominal attribute's
+branch tallies are one ``bincount`` per node; a numeric attribute is
+sorted once per node and every midpoint threshold is scored from
+cumulative class tallies, O(n log n) per attribute per node.  Those
+tallies are summed in sorted order rather than row order, so with
 fractional weights two candidates whose gain ratios tie to within
 rounding may resolve differently from a per-row rescan; unit weights sum
-exactly.
+exactly.  The scores themselves stay in Python (``math.log2``, which
+``np.log2`` does not match bit for bit), and every weight written to a
+model is a left-to-right sum, so model files are the same on every
+supported Python.
 
 A built model is immutable; concurrent classification is safe.
 """
@@ -22,8 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from itertools import groupby
-from operator import itemgetter
 
 from scipy.special import betaincinv
 
@@ -31,11 +35,11 @@ from .dataset import (
     AttributeSpec,
     Dataset,
     _check_instance,
-    class_tally,
     dump_document,
     first_max,
     is_finite_number,
     load_document,
+    total,
 )
 
 MODEL_FORMAT = "ldscreen-tree"
@@ -183,102 +187,18 @@ def evaluate_split(dataset, attribute_index, threshold=None):
     A constant attribute yields a single branch, hence intrinsic value 0:
     the candidate comes back flagged invalid rather than raising.
     """
+    from .columns import Columns
+
     if attribute_index == dataset.class_index:
         raise ValueError("cannot split on the class attribute")
     spec = dataset.schema[attribute_index]
-    args = (dataset.rows, dataset.schema, dataset.class_index, attribute_index)
     if spec.is_categorical:
         if threshold is not None:
             raise ValueError(f"threshold given for categorical attribute {spec.name}")
-        return _nominal_split(*args)
-    if threshold is None:
+    elif threshold is None:
         raise ValueError(f"numeric attribute {spec.name} needs a threshold")
-    return _numeric_splits(*args, [threshold])[0]
-
-
-def _branch_of(spec, threshold, value):
-    if spec.is_categorical:
-        return spec.values.index(value)
-    return 0 if value <= threshold else 1
-
-
-def _known_tally(rows, schema, class_index, attribute_index):
-    """Tally the rows once, in row order, for scoring splits on one attribute.
-
-    Returns the class tally of the rows whose tested value is known, their
-    ``(value, class position, weight)`` triples, their weight, and the
-    weight of all rows.
-    """
-    class_pos = {v: i for i, v in enumerate(schema[class_index].values)}
-    parent = [0.0] * len(class_pos)
-    known = []
-    known_w = 0.0
-    total_w = 0.0
-    for values, weight in rows:
-        total_w += weight
-        v = values[attribute_index]
-        if v is None:
-            continue
-        c = class_pos[values[class_index]]
-        known_w += weight
-        parent[c] += weight
-        known.append((v, c, weight))
-    return parent, known, known_w, total_w
-
-
-def _nominal_split(rows, schema, class_index, attribute_index):
-    """The multi-way candidate of a nominal attribute."""
-    parent, known, known_w, total_w = _known_tally(
-        rows, schema, class_index, attribute_index
-    )
-    branch_pos = {v: i for i, v in enumerate(schema[attribute_index].values)}
-    branch_class = [[0.0] * len(parent) for _ in branch_pos]
-    for v, c, weight in known:
-        branch_class[branch_pos[v]][c] += weight
-    candidates = _score_splits(
-        attribute_index, [None], [branch_class], parent, known_w, total_w
-    )
-    return candidates[0]
-
-
-def _numeric_splits(rows, schema, class_index, attribute_index, thresholds=None):
-    """The binary candidates of a numeric attribute, one per threshold.
-
-    ``thresholds`` must ascend; None means every midpoint between adjacent
-    distinct known values.  The known triples are sorted once, and the
-    branch tallies of all thresholds come from one ascending pass (values
-    ``<= threshold``) and one descending pass (values ``> threshold``).
-    """
-    parent, known, known_w, total_w = _known_tally(
-        rows, schema, class_index, attribute_index
-    )
-    known.sort(key=itemgetter(0))  # stable: equal values keep row order
-    if thresholds is None:
-        distinct = [v for v, _ in groupby(v for v, _, _ in known)]
-        thresholds = [(a + b) / 2 for a, b in zip(distinct, distinct[1:])]
-
-    # the right tally is summed on its own, never taken as parent - left:
-    # with fractional weights the difference can round below zero
-    left = []
-    tally = [0.0] * len(parent)
-    i = 0
-    for t in thresholds:
-        while i < len(known) and known[i][0] <= t:
-            tally[known[i][1]] += known[i][2]
-            i += 1
-        left.append(tally[:])
-    right = []
-    tally = [0.0] * len(parent)
-    i = len(known)
-    for t in reversed(thresholds):
-        while i > 0 and known[i - 1][0] > t:
-            i -= 1
-            tally[known[i][1]] += known[i][2]
-        right.append(tally[:])
-    right.reverse()
-    return _score_splits(
-        attribute_index, thresholds, zip(left, right), parent, known_w, total_w
-    )
+    tallies = Columns(dataset).root().split_tallies(attribute_index, [threshold])
+    return _score_splits(attribute_index, *tallies)[0]
 
 
 def _score_splits(attribute_index, thresholds, branch_tallies, parent, known_w, total_w):
@@ -294,7 +214,7 @@ def _score_splits(attribute_index, thresholds, branch_tallies, parent, known_w, 
     h_parent = entropy(parent)
     candidates = []
     for threshold, branch_class in zip(thresholds, branch_tallies):
-        branch_w = [sum(bc) for bc in branch_class]
+        branch_w = [total(bc) for bc in branch_class]
         if sum(1 for w in branch_w if w > 0) < 2:  # single branch: intrinsic value 0
             candidates.append(
                 SplitCandidate(attribute_index, threshold, 0.0, 0.0, 0.0, False)
@@ -330,65 +250,44 @@ def build_tree(dataset, config=None):
     recur with new midpoint thresholds.  With ``config.pruning`` the grown
     tree is pessimistically pruned before being returned.
     """
+    from .columns import Columns
+
     config = config or TreeConfig()
     if len(dataset) == 0:
         raise ValueError("cannot build a tree from an empty dataset")
     if not dataset.feature_indices:
         raise ValueError("dataset has no non-class attributes")
-    root = _grow(dataset.rows, dataset.schema, dataset.class_index, frozenset(), config)
+    root = Columns(dataset).root()
+    root = _grow(root, dataset.schema, dataset.class_index, frozenset(), config)
     model = DecisionTreeModel(dataset.schema, dataset.class_index, root, config)
     if config.pruning:
         model = prune_tree(model)
     return model
 
 
-def _grow(rows, schema, class_index, used_nominal, config):
-    # at the root, rows are the dataset's, so a missing label names its index
-    counts = class_tally(rows, schema, class_index)
-    weight = sum(counts)
+def _grow(node, schema, class_index, used_nominal, config):
+    counts = node.class_counts()
+    weight = total(counts)
     nonzero = sum(1 for c in counts if c > 0)
     if nonzero <= 1 or weight < 2 * config.min_leaf_weight:
         return Leaf(tuple(counts), weight)
 
-    best = _best_candidate(rows, schema, class_index, used_nominal)
+    best = _best_candidate(node, schema, class_index, used_nominal)
     if best is None:
         return Leaf(tuple(counts), weight)
 
-    spec = schema[best.attribute_index]
-    n_branches = len(spec.values) if spec.is_categorical else 2
-
-    known = [[] for _ in range(n_branches)]
-    missing = []
-    for values, w in rows:
-        v = values[best.attribute_index]
-        if v is None:
-            missing.append((values, w))
-        else:
-            known[_branch_of(spec, best.threshold, v)].append((values, w))
-
-    known_w = [sum(w for _, w in branch) for branch in known]
-    known_total = sum(known_w)
-    branch_rows = [list(branch) for branch in known]
-    for values, w in missing:
-        for b in range(n_branches):
-            if known_w[b] > 0:
-                branch_rows[b].append((values, w * known_w[b] / known_total))
-
-    child_used = (
-        used_nominal | {best.attribute_index} if spec.is_categorical else used_nominal
-    )
+    child_used = used_nominal
+    if schema[best.attribute_index].is_categorical:
+        child_used = used_nominal | {best.attribute_index}
     children = []
     branch_weights = []
-    for b in range(n_branches):
-        arriving = sum(w for _, w in branch_rows[b])
-        branch_weights.append(arriving)
-        if arriving <= 0:
+    for child in node.children(best.attribute_index, best.threshold):
+        branch_weights.append(child.weight)
+        if child.weight <= 0:
             # empty branch: majority-class leaf borrowing the parent counts
             children.append(Leaf(tuple(counts), 0.0))
         else:
-            children.append(
-                _grow(branch_rows[b], schema, class_index, child_used, config)
-            )
+            children.append(_grow(child, schema, class_index, child_used, config))
     return Decision(
         best.attribute_index,
         best.threshold,
@@ -398,18 +297,13 @@ def _grow(rows, schema, class_index, used_nominal, config):
     )
 
 
-def _best_candidate(rows, schema, class_index, used_nominal):
+def _best_candidate(node, schema, class_index, used_nominal):
     # generation order (attribute index, then ascending threshold) is the
     # tie-break, so the first maximum wins
     candidates = []
-    for i, spec in enumerate(schema):
-        if i == class_index:
-            continue
-        if spec.is_categorical:
-            if i not in used_nominal:
-                candidates.append(_nominal_split(rows, schema, class_index, i))
-        else:
-            candidates.extend(_numeric_splits(rows, schema, class_index, i))
+    for i in range(len(schema)):
+        if i != class_index and i not in used_nominal:
+            candidates.extend(_score_splits(i, *node.split_tallies(i)))
     useful = [c for c in candidates if c.valid and c.info_gain > _GAIN_EPS]
     if not useful:
         return None
@@ -438,8 +332,6 @@ def ucb_error_rate(errors, total, confidence_factor):
 
 
 def _leaf_ucb_errors(counts, weight, cf):
-    if weight <= 0:
-        return 0.0
     errors = weight - max(counts)
     return weight * ucb_error_rate(errors, weight, cf)
 
@@ -461,9 +353,9 @@ def _prune(node, cf):
     if isinstance(node, Leaf):
         return node, _leaf_ucb_errors(node.class_counts, node.weight, cf)
     pruned = [_prune(c, cf) for c in node.children]
-    weight = sum(node.class_counts)
+    weight = total(node.class_counts)
     leaf_est = _leaf_ucb_errors(node.class_counts, weight, cf)
-    subtree_est = sum(est for _, est in pruned)
+    subtree_est = total(est for _, est in pruned)
     if leaf_est <= subtree_est:
         return Leaf(node.class_counts, weight), leaf_est
     return replace(node, children=tuple(c for c, _ in pruned)), subtree_est
@@ -490,26 +382,29 @@ def classify(model, instance):
     class_values = model.class_values
     merged = [0.0] * len(class_values)
     _accumulate(model.root, model.schema, values, 1.0, merged)
-    total = sum(merged)
-    dist = [c / total for c in merged]
+    merged_total = total(merged)
+    dist = [c / merged_total for c in merged]
     return class_values[first_max(dist)], dict(zip(class_values, dist))
 
 
 def _accumulate(node, schema, values, weight, merged):
     if isinstance(node, Leaf):
-        total = sum(node.class_counts)
+        leaf_total = total(node.class_counts)
         for i, c in enumerate(node.class_counts):
-            merged[i] += weight * c / total
+            merged[i] += weight * c / leaf_total
         return
     v = values[node.attribute_index]
     if v is None:
-        total_bw = sum(node.branch_weights)
+        total_bw = total(node.branch_weights)
         for child, bw in zip(node.children, node.branch_weights):
             if bw > 0:
                 _accumulate(child, schema, values, weight * bw / total_bw, merged)
         return
     spec = schema[node.attribute_index]
-    b = _branch_of(spec, node.threshold, v)
+    if spec.is_categorical:
+        b = spec.values.index(v)
+    else:
+        b = 0 if v <= node.threshold else 1
     _accumulate(node.children[b], schema, values, weight, merged)
 
 

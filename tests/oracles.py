@@ -8,11 +8,15 @@ library is a real check rather than the same code running twice.
 import itertools
 import math
 import random
+from functools import reduce
+from itertools import groupby
+from operator import add, itemgetter
 
 import numpy as np
 from hypothesis import strategies as st
 
-from ldscreen.dataset import AttributeSpec, Dataset, Instance
+from ldscreen.dataset import AttributeSpec, Dataset, Instance, class_tally, first_max, total
+from ldscreen.tree import _GAIN_EPS, Decision, Leaf, SplitCandidate, entropy
 
 
 def binary_dataset(rows, n_attrs, class_values=("N", "Y")):
@@ -188,7 +192,8 @@ def column_mean_mode(dataset):
             fills[i] = None
             continue
         if spec.kind == "numeric":
-            fills[i] = sum(known) / len(known)
+            # added left to right: the builtin sum compensates from Python 3.12
+            fills[i] = reduce(add, known, 0.0) / len(known)
         else:
             counts = {v: known.count(v) for v in spec.values}
             top = max(counts.values())
@@ -198,3 +203,208 @@ def column_mean_mode(dataset):
 
 def all_binary_inputs(n_attrs):
     return itertools.product("01", repeat=n_attrs)
+
+
+# ---------------------------------------------------------------------------
+# Row-loop tree growth: the grower as it was before the encoded view, kept
+# verbatim (its sums go through dataset.total) as the reference that
+# build_tree must match node for node.
+# ---------------------------------------------------------------------------
+
+
+def row_loop_tree(dataset, config):
+    """The unpruned root that the row-loop grower builds from ``dataset``."""
+    return _grow(dataset.rows, dataset.schema, dataset.class_index, frozenset(), config)
+
+
+def _branch_of(spec, threshold, value):
+    if spec.is_categorical:
+        return spec.values.index(value)
+    return 0 if value <= threshold else 1
+
+
+def _known_tally(rows, schema, class_index, attribute_index):
+    """Tally the rows once, in row order, for scoring splits on one attribute.
+
+    Returns the class tally of the rows whose tested value is known, their
+    ``(value, class position, weight)`` triples, their weight, and the
+    weight of all rows.
+    """
+    class_pos = {v: i for i, v in enumerate(schema[class_index].values)}
+    parent = [0.0] * len(class_pos)
+    known = []
+    known_w = 0.0
+    total_w = 0.0
+    for values, weight in rows:
+        total_w += weight
+        v = values[attribute_index]
+        if v is None:
+            continue
+        c = class_pos[values[class_index]]
+        known_w += weight
+        parent[c] += weight
+        known.append((v, c, weight))
+    return parent, known, known_w, total_w
+
+
+def _nominal_split(rows, schema, class_index, attribute_index):
+    """The multi-way candidate of a nominal attribute."""
+    parent, known, known_w, total_w = _known_tally(
+        rows, schema, class_index, attribute_index
+    )
+    branch_pos = {v: i for i, v in enumerate(schema[attribute_index].values)}
+    branch_class = [[0.0] * len(parent) for _ in branch_pos]
+    for v, c, weight in known:
+        branch_class[branch_pos[v]][c] += weight
+    candidates = _score_splits(
+        attribute_index, [None], [branch_class], parent, known_w, total_w
+    )
+    return candidates[0]
+
+
+def _numeric_splits(rows, schema, class_index, attribute_index, thresholds=None):
+    """The binary candidates of a numeric attribute, one per threshold.
+
+    ``thresholds`` must ascend; None means every midpoint between adjacent
+    distinct known values.  The known triples are sorted once, and the
+    branch tallies of all thresholds come from one ascending pass (values
+    ``<= threshold``) and one descending pass (values ``> threshold``).
+    """
+    parent, known, known_w, total_w = _known_tally(
+        rows, schema, class_index, attribute_index
+    )
+    known.sort(key=itemgetter(0))  # stable: equal values keep row order
+    if thresholds is None:
+        distinct = [v for v, _ in groupby(v for v, _, _ in known)]
+        thresholds = [(a + b) / 2 for a, b in zip(distinct, distinct[1:])]
+
+    # the right tally is summed on its own, never taken as parent - left:
+    # with fractional weights the difference can round below zero
+    left = []
+    tally = [0.0] * len(parent)
+    i = 0
+    for t in thresholds:
+        while i < len(known) and known[i][0] <= t:
+            tally[known[i][1]] += known[i][2]
+            i += 1
+        left.append(tally[:])
+    right = []
+    tally = [0.0] * len(parent)
+    i = len(known)
+    for t in reversed(thresholds):
+        while i > 0 and known[i - 1][0] > t:
+            i -= 1
+            tally[known[i][1]] += known[i][2]
+        right.append(tally[:])
+    right.reverse()
+    return _score_splits(
+        attribute_index, thresholds, zip(left, right), parent, known_w, total_w
+    )
+
+
+def _score_splits(attribute_index, thresholds, branch_tallies, parent, known_w, total_w):
+    """One SplitCandidate per threshold from its per-branch class tallies.
+
+    ``parent`` is the class tally of the known-valued weight ``known_w``;
+    ``total_w`` also counts the rows whose tested value is missing.
+    """
+    if known_w <= 0:
+        return [
+            SplitCandidate(attribute_index, t, 0.0, 0.0, 0.0, False) for t in thresholds
+        ]
+    h_parent = entropy(parent)
+    candidates = []
+    for threshold, branch_class in zip(thresholds, branch_tallies):
+        branch_w = [total(bc) for bc in branch_class]
+        if sum(1 for w in branch_w if w > 0) < 2:  # single branch: intrinsic value 0
+            candidates.append(
+                SplitCandidate(attribute_index, threshold, 0.0, 0.0, 0.0, False)
+            )
+            continue
+        h_children = 0.0
+        iv = 0.0
+        for bc, w in zip(branch_class, branch_w):
+            if w <= 0:
+                continue
+            share = w / known_w
+            h_children += share * entropy(bc)
+            iv -= share * math.log2(share)
+        gain = (known_w / total_w) * (h_parent - h_children)
+        candidates.append(
+            SplitCandidate(attribute_index, threshold, gain, iv, gain / iv, True)
+        )
+    return candidates
+
+
+def _grow(rows, schema, class_index, used_nominal, config):
+    # at the root, rows are the dataset's, so a missing label names its index
+    counts = class_tally(rows, schema, class_index)
+    weight = total(counts)
+    nonzero = sum(1 for c in counts if c > 0)
+    if nonzero <= 1 or weight < 2 * config.min_leaf_weight:
+        return Leaf(tuple(counts), weight)
+
+    best = _best_candidate(rows, schema, class_index, used_nominal)
+    if best is None:
+        return Leaf(tuple(counts), weight)
+
+    spec = schema[best.attribute_index]
+    n_branches = len(spec.values) if spec.is_categorical else 2
+
+    known = [[] for _ in range(n_branches)]
+    missing = []
+    for values, w in rows:
+        v = values[best.attribute_index]
+        if v is None:
+            missing.append((values, w))
+        else:
+            known[_branch_of(spec, best.threshold, v)].append((values, w))
+
+    known_w = [total(w for _, w in branch) for branch in known]
+    known_total = total(known_w)
+    branch_rows = [list(branch) for branch in known]
+    for values, w in missing:
+        for b in range(n_branches):
+            if known_w[b] > 0:
+                branch_rows[b].append((values, w * known_w[b] / known_total))
+
+    child_used = (
+        used_nominal | {best.attribute_index} if spec.is_categorical else used_nominal
+    )
+    children = []
+    branch_weights = []
+    for b in range(n_branches):
+        arriving = total(w for _, w in branch_rows[b])
+        branch_weights.append(arriving)
+        if arriving <= 0:
+            # empty branch: majority-class leaf borrowing the parent counts
+            children.append(Leaf(tuple(counts), 0.0))
+        else:
+            children.append(
+                _grow(branch_rows[b], schema, class_index, child_used, config)
+            )
+    return Decision(
+        best.attribute_index,
+        best.threshold,
+        tuple(children),
+        tuple(branch_weights),
+        tuple(counts),
+    )
+
+
+def _best_candidate(rows, schema, class_index, used_nominal):
+    # generation order (attribute index, then ascending threshold) is the
+    # tie-break, so the first maximum wins
+    candidates = []
+    for i, spec in enumerate(schema):
+        if i == class_index:
+            continue
+        if spec.is_categorical:
+            if i not in used_nominal:
+                candidates.append(_nominal_split(rows, schema, class_index, i))
+        else:
+            candidates.extend(_numeric_splits(rows, schema, class_index, i))
+    useful = [c for c in candidates if c.valid and c.info_gain > _GAIN_EPS]
+    if not useful:
+        return None
+    return useful[first_max([c.gain_ratio for c in useful])]

@@ -196,6 +196,20 @@ def test_every_cluster_nonempty():
             assert sorted(set(m.assignments)) == list(range(k))
 
 
+def test_empty_cluster_repair_keeps_centroids_means():
+    # no instance is nearest to the third start, so the repair moves one in
+    # from another cluster, whose centroid must then follow its members
+    d = synthetic_checklist(20, 10, seed=3)
+    m = kmeans_fit(d, k=3, initial_centroids=[[0] * 16, [1] * 16, [9] * 16])
+    rows, _ = encode_dataset(d)
+    assign = np.array(m.assignments)
+    assert sorted(set(m.assignments)) == [0, 1, 2]
+    for j, centroid in enumerate(m.centroids):
+        assert rows[assign == j].mean(axis=0).tolist() == list(centroid)
+    for a, b in zip(m.wcss_history, m.wcss_history[1:]):
+        assert b <= a
+
+
 def test_k_beyond_distinct_instances_rejected():
     d = binvec_dataset(["01", "01", "10"])
     with pytest.raises(ValueError):

@@ -180,8 +180,8 @@ def test_readers_refuse_non_finite_numbers(token):
 
 @pytest.mark.parametrize(
     "value",
-    [float("nan"), float("inf"), -float("inf"), 10**400],
-    ids=["nan", "inf", "-inf", "huge_int"],
+    [float("nan"), float("inf"), -float("inf"), 10**400, 2**53 + 1],
+    ids=["nan", "inf", "-inf", "huge_int", "inexact_int"],
 )
 def test_dataset_refuses_non_finite_numbers(value):
     schema = (AttributeSpec.numeric("x"), AttributeSpec.categorical("c", ("A", "B")))
@@ -189,10 +189,11 @@ def test_dataset_refuses_non_finite_numbers(value):
         Dataset(schema, 1, (Instance((1.0, "A")), Instance((value, "B"))))
 
 
-#: bad cells for a numeric column (10**400 is beyond float range) and for a
-#: categorical one ("Z" is never declared)
+#: bad cells for a numeric column (10**400 is beyond float range, and no
+#: float holds 2**53 + 1) and for a categorical one ("Z" is never declared)
 BAD_NUMBERS = (
-    "abc", "1.5", float("nan"), float("inf"), -float("inf"), 10**400, True, False
+    "abc", "1.5", float("nan"), float("inf"), -float("inf"), 10**400, 2**53 + 1,
+    True, False,
 )
 BAD_SYMBOLS = ("Z", 1.0, True)
 

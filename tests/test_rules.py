@@ -6,6 +6,7 @@ import random
 from hypothesis import given, settings
 from oracles import weighted_mixed_datasets
 
+from ldscreen.columns import Columns
 from ldscreen.dataset import AttributeSpec, Dataset, Instance, first_max
 from ldscreen.rules import (
     Condition,
@@ -195,6 +196,21 @@ def test_simplified_statistics_are_row_order_sums(d):
             uncovered[d.class_values.index(label)] += inst.weight
     tally = uncovered if sum(uncovered) > 0 else overall
     assert simplified.default_class == d.class_values[first_max(tally)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_mixed_datasets())
+def test_view_mask_equals_condition_holds(d):
+    rs = extract_rules(build_tree(d, TreeConfig(min_leaf_weight=0.5, pruning=False)))
+    conditions = {c for r in rs.rules for c in r.antecedent}
+    # a symbol the attribute does not declare matches no row
+    conditions |= {
+        Condition(i, "=", "Z") for i, spec in enumerate(d.schema) if spec.is_categorical
+    }
+    view = Columns(d)
+    for c in conditions:
+        mask = view.holds(c.attribute_index, c.relation, c.value)
+        assert mask.tolist() == [c.holds(inst.values) for inst in d.instances]
 
 
 # --- classification ----------------------------------------------------------

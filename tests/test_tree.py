@@ -1,5 +1,6 @@
 """Split scoring, induction, pruning, classification, persistence."""
 
+import ast
 import itertools
 import math
 import os
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
-from oracles import reference_split_score, weighted_mixed_datasets
+from hypothesis import strategies as st
+from oracles import reference_split_score, row_loop_tree, weighted_mixed_datasets
 
 import ldscreen
 from ldscreen.dataset import (
@@ -20,6 +22,7 @@ from ldscreen.dataset import (
     class_tally,
     first_max,
     synthetic_checklist,
+    total,
 )
 from ldscreen.tree import (
     Decision,
@@ -394,6 +397,58 @@ def test_root_is_first_max_over_evaluate_split(d):
         assert root.threshold == best.threshold
 
 
+def _with_signed_zeros(d):
+    """``d`` with every numeric value in (-0.5, 0.5) made -0.0 or 0.0 by row."""
+    numeric = [i for i, spec in enumerate(d.schema) if not spec.is_categorical]
+    instances = []
+    for row, inst in enumerate(d.instances):
+        values = list(inst.values)
+        for i in numeric:
+            if values[i] is not None and abs(values[i]) < 0.5:
+                values[i] = -0.0 if row % 2 else 0.0
+        instances.append(Instance(tuple(values), inst.weight))
+    return d.with_instances(instances)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weighted_mixed_datasets(),
+    st.sampled_from([0.5, 1.0, 2.0]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_growth_equals_row_loop_oracle(d, min_leaf_weight, unit_weights, signed_zeros):
+    # the whole unpruned tree, every number included, not only the root
+    if unit_weights:
+        d = d.with_instances([inst.reweighted(1.0) for inst in d.instances])
+    if signed_zeros:
+        d = _with_signed_zeros(d)
+    config = TreeConfig(min_leaf_weight=min_leaf_weight, pruning=False)
+    model = build_tree(d, config)
+    oracle = DecisionTreeModel(d.schema, d.class_index, row_loop_tree(d, config), config)
+    assert model_to_json(model) == model_to_json(oracle)
+
+
+def test_branch_weight_is_left_to_right_sum():
+    # ten rows of weight 0.1 reach the first branch; a compensated sum would
+    # give 1.0 there, which differs from the left-to-right sum
+    schema = (AttributeSpec.categorical("a", "AB"), AttributeSpec.categorical("c", "PQ"))
+    rows = [Instance(("A", "P"), 0.1)] * 10 + [Instance(("B", "Q"), 0.1)] * 10
+    root = build_tree(Dataset(schema, 1, rows), TreeConfig(min_leaf_weight=0.5)).root
+    assert root.branch_weights[0] == total([0.1] * 10) == 0.9999999999999999
+    assert root.children[0].weight == total([0.1] * 10)
+
+
+def test_classify_divides_by_left_to_right_sums():
+    schema = (AttributeSpec.categorical("a", "AB"), AttributeSpec.categorical("c", "PQR"))
+    counts = (0.1, 0.2, 0.3)
+    model = DecisionTreeModel(schema, 1, Leaf(counts, 0.6), TreeConfig())
+    merged = [1.0 * c / ((0.1 + 0.2) + 0.3) for c in counts]
+    merged_total = (merged[0] + merged[1]) + merged[2]
+    _, dist = classify(model, ("A", None))
+    assert list(dist.values()) == [m / merged_total for m in merged]
+
+
 # --- pruning -----------------------------------------------------------------
 
 
@@ -458,6 +513,33 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         timeout=120,
     )
     assert done.stdout.strip() == "False"
+
+
+def _import_time_imports(node):
+    """The modules ``node`` imports when its module is imported: not in functions."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in child.names)
+        elif isinstance(child, ast.ImportFrom):
+            dots = "." * child.level
+            if child.module:
+                yield dots + child.module.split(".")[0]
+            else:
+                yield from (dots + alias.name for alias in child.names)
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _import_time_imports(child)
+
+
+def test_only_cluster_and_columns_import_numpy_at_module_level():
+    # classify and best_rule must not load numpy: tree.py and rules.py reach
+    # the encoded view through imports inside the functions that use it
+    package = Path(ldscreen.__file__).resolve().parent
+    importers = {
+        path.name
+        for path in package.glob("*.py")
+        if {"numpy", ".columns"} & set(_import_time_imports(ast.parse(path.read_text())))
+    }
+    assert importers <= {"cluster.py", "columns.py"}
 
 
 def fixture_model(children_counts):

@@ -100,21 +100,28 @@ def _assign(rows, centroids):
     d2 = ((rows[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     return d2.argmin(axis=1)
 
-def _means(rows, assign, k, old_centroids):
-    centroids = old_centroids.copy()
-    assign = assign.copy()
-    for j in range(k):
-        if not (assign == j).any():
-            # repair: reseed with the instance farthest from its own centroid
-            d2 = ((rows - centroids[assign]) ** 2).sum(axis=1)
-            far = int(d2.argmax())
-            centroids[j] = rows[far]
-            assign[far] = j
-    # after any repair, so that a donor's centroid is the mean of what it kept
+
+def _update(centroids, rows, assign, k):
     for j in range(k):
         members = rows[assign == j]
         if len(members):
             centroids[j] = members.mean(axis=0)
+
+
+def _means(rows, assign, k, old_centroids):
+    centroids = old_centroids.copy()
+    _update(centroids, rows, assign, k)
+    empties = [j for j in range(k) if not (assign == j).any()]
+    if empties:
+        assign = assign.copy()
+        for j in empties:
+            # repair: reseed with the instance farthest from its fresh mean
+            d2 = ((rows - centroids[assign]) ** 2).sum(axis=1)
+            far = int(d2.argmax())
+            centroids[j] = rows[far]
+            assign[far] = j
+        # so that a donor's centroid is the mean of what it kept
+        _update(centroids, rows, assign, k)
     return centroids, assign
 
 

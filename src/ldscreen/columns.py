@@ -24,11 +24,7 @@ import math
 
 import numpy as np
 
-from .dataset import total as sequence_total
-
-EQ = "="
-LE = "<="
-GT = ">"
+from .dataset import EQ, GT, LE, total as sequence_total
 
 
 def total(weights):

@@ -24,6 +24,11 @@ BINARY = "binary"
 NOMINAL = "nominal"
 NUMERIC = "numeric"
 
+# the relations of a test on one attribute: categorical =, numeric <= and >
+EQ = "="
+LE = "<="
+GT = ">"
+
 
 class ParseError(ValueError):
     """Malformed ARFF/CSV input. Carries the 1-based source line number."""

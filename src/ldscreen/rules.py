@@ -16,15 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .dataset import EQ, GT, LE
 from .dataset import Dataset, _check_instance, class_tally, dump_document, first_max, total
 from .tree import DecisionTreeModel, Leaf, ucb_error_rate
 
 RULES_FORMAT = "ldscreen-rules"
 RULES_VERSION = 1
-
-EQ = "="
-LE = "<="
-GT = ">"
 
 
 @dataclass(frozen=True)

@@ -210,6 +210,17 @@ def test_empty_cluster_repair_keeps_centroids_means():
         assert b <= a
 
 
+def test_empty_cluster_repair_measures_from_fresh_means():
+    # the first assignment is [0, 0, 1]; measured from the fresh means
+    # (0.5, 100) the repair takes row 0 and leaves no cluster empty, where
+    # the stale centroid 190 would have sent row 100 and emptied cluster 1
+    schema = (AttributeSpec.numeric("x"), AttributeSpec.categorical("cls", ("N", "Y")))
+    d = Dataset(schema, 1, tuple(Instance((x, "N")) for x in (0, 1, 100)))
+    m = kmeans_fit(d, k=3, initial_centroids=[[0.5], [190], [-1000]])
+    assert m.cluster_sizes() == [1, 1, 1]
+    assert m.assignments == (2, 0, 1)
+
+
 def test_k_beyond_distinct_instances_rejected():
     d = binvec_dataset(["01", "01", "10"])
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import json
 import math
 import os
 import random
@@ -437,6 +438,17 @@ def test_branch_weight_is_left_to_right_sum():
     root = build_tree(Dataset(schema, 1, rows), TreeConfig(min_leaf_weight=0.5)).root
     assert root.branch_weights[0] == total([0.1] * 10) == 0.9999999999999999
     assert root.children[0].weight == total([0.1] * 10)
+
+
+def test_integer_weights_give_float_branch_weights():
+    # as the class counts already were, the branch weights are float sums
+    # even when every instance weight is an int: the model file writes 4.0
+    schema = (AttributeSpec.categorical("a", "AB"), AttributeSpec.categorical("c", "PQ"))
+    rows = [Instance(("A", "P"), 2)] * 2 + [Instance(("B", "Q"), 3)]
+    model = build_tree(Dataset(schema, 1, rows), TreeConfig(pruning=False, min_leaf_weight=1))
+    root = json.loads(model_to_json(model))["root"]
+    assert root["branch_weights"] == root["class_counts"] == [4.0, 3.0]
+    assert all(type(w) is float for w in root["branch_weights"])
 
 
 def test_classify_divides_by_left_to_right_sums():

@@ -156,16 +156,25 @@ def _load_dataset(args):
 
 
 def _tree_config(args):
-    return TreeConfig(
-        min_leaf_weight=args.min_leaf_weight,
-        confidence_factor=args.confidence,
-        pruning=not args.no_prune,
-    )
+    try:
+        return TreeConfig(
+            min_leaf_weight=args.min_leaf_weight,
+            confidence_factor=args.confidence,
+            pruning=not args.no_prune,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _require_at_least(minimum, flag, value):
+    if value < minimum:
+        raise UsageError(f"{flag} must be at least {minimum}, got {value}")
 
 
 def cmd_train(args):
+    config = _tree_config(args)
     dataset = _load_dataset(args)
-    model = build_tree(dataset, _tree_config(args))
+    model = build_tree(dataset, config)
     summary = (
         f"Nodes: {model.node_count()}\n"
         f"Leaves: {model.leaf_count()}\n"
@@ -183,10 +192,12 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
+    _require_at_least(2, "--folds", args.folds)
+    config = _tree_config(args)
     dataset = _load_dataset(args)
     factories = {
-        "tree": lambda: tree_learner(_tree_config(args)),
-        "rules": lambda: rules_learner(_tree_config(args)),
+        "tree": lambda: tree_learner(config),
+        "rules": lambda: rules_learner(config),
         "majority": lambda: majority_learner(),
     }
     report = cross_validate(
@@ -203,8 +214,9 @@ def cmd_evaluate(args):
 
 
 def cmd_rules(args):
+    config = _tree_config(args)
     dataset = _load_dataset(args)
-    ruleset = extract_rules(build_tree(dataset, _tree_config(args)))
+    ruleset = extract_rules(build_tree(dataset, config))
     if args.simplify:
         ruleset = simplify_rules(ruleset, dataset)
     print(ruleset_text(ruleset))
@@ -214,6 +226,8 @@ def cmd_rules(args):
 
 
 def cmd_cluster(args):
+    _require_at_least(1, "--clusters", args.clusters)
+    _require_at_least(1, "--max-iter", args.max_iter)
     dataset = impute_missing(_load_dataset(args))
     model = kmeans_fit(
         dataset, k=args.clusters, seed=args.seed, max_iter=args.max_iter

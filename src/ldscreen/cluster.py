@@ -133,11 +133,12 @@ def kmeans_fit(dataset, k=2, seed=0, max_iter=100, initial_centroids=None):
     dataset : Dataset
         Fully imputed; the class attribute (if any) is ignored.
     k : int
-        Cluster count; must not exceed the number of distinct instances.
+        Cluster count; at least 1 and at most the number of distinct
+        instances.
     seed : int
         Drives the choice of initial centroids among distinct instances.
     max_iter : int
-        Hard cap on assignment rounds.
+        Hard cap on assignment rounds; at least 1.
     initial_centroids : sequence of vectors, optional
         Bypass random initialization (used for warm restarts; a fit
         restarted from its own centroids converges in one iteration).
@@ -148,6 +149,9 @@ def kmeans_fit(dataset, k=2, seed=0, max_iter=100, initial_centroids=None):
         Assignments, centroids, final WCSS, and the per-iteration WCSS
         history (non-increasing).  Deterministic for fixed inputs.
     """
+    for name, value in (("k", k), ("max_iter", max_iter)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     if len(dataset) == 0:
         raise ValueError("cannot cluster an empty dataset")
     rows, labels = encode_dataset(dataset)

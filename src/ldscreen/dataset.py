@@ -10,6 +10,7 @@ they are safe to share across threads.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
@@ -17,7 +18,8 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
+from itertools import chain
 from operator import add
 
 BINARY = "binary"
@@ -158,7 +160,7 @@ class AttributeSpec:
         if len(set(self.values)) != len(self.values):
             raise ValueError(f"attribute {self.name} declares a value twice")
 
-    @property
+    @cached_property
     def is_categorical(self):
         return self.kind in (BINARY, NOMINAL)
 
@@ -246,6 +248,12 @@ class Dataset:
 
     def with_instances(self, instances):
         return Dataset(self.schema, self.class_index, instances, self.name)
+
+    def _with_checked(self, instances):
+        """This dataset over ``instances`` that were checked against its schema."""
+        dataset = copy.copy(self)
+        object.__setattr__(dataset, "instances", tuple(instances))
+        return dataset
 
 
 def _check_instance(schema, instance, row=None):
@@ -419,30 +427,27 @@ def _parse_attribute_line(line, lineno):
 
 
 def _parse_row(tokens, specs, lineno):
-    if len(tokens) != len(specs):
-        raise ParseError(
-            f"expected {len(specs)} values, got {len(tokens)}", lineno
-        )
+    """The Instance of one data row's ``tokens``, checked by _check_instance.
+
+    A numeric token that is not a finite number stays text, and so does a
+    token beyond the schema's width, for the check to refuse.
+    """
     values = []
     for spec, token in zip(specs, tokens):
         token = token.strip()
         if token == "?" or token == "":
             values.append(None)
         elif spec.is_categorical:
-            if token not in spec.values:
-                raise ParseError(
-                    f"symbol {token!r} not declared for attribute {spec.name}", lineno
-                )
             values.append(token)
         else:
             value = finite_float(token)
-            if value is None:
-                raise ParseError(
-                    f"{token!r} in numeric attribute {spec.name} is not a finite number",
-                    lineno,
-                )
-            values.append(value)
-    return Instance(tuple(values))
+            values.append(token if value is None else value)
+    values += tokens[len(specs):]
+    try:
+        values = _check_instance(specs, values)
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno) from None
+    return Instance(values)
 
 
 def _resolve_class(specs, class_name):
@@ -461,9 +466,10 @@ def _parsed_dataset(specs, class_name, instances, name="dataset"):
     """The Dataset of parsed rows; a schema it refuses is a ParseError."""
     class_index = _resolve_class(specs, class_name)
     try:
-        return Dataset(tuple(specs), class_index, instances, name)
+        dataset = Dataset(tuple(specs), class_index, (), name)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+    return dataset._with_checked(instances)
 
 
 def serialize_arff(dataset):
@@ -512,10 +518,6 @@ def parse_csv(text, schema=None, class_name=None):
         schema = tuple(schema)
         if [h.strip() for h in header] != [a.name for a in schema]:
             raise ParseError("CSV header does not match the given schema")
-    width = len(header)
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != width:
-            raise ParseError(f"expected {width} columns, got {len(row)}", lineno)
     if schema is None:
         schema = _infer_schema([h.strip() for h in header], rows)
     instances = [
@@ -527,7 +529,7 @@ def parse_csv(text, schema=None, class_name=None):
 def _infer_schema(names, rows):
     specs = []
     for col, name in enumerate(names):
-        tokens = [r[col].strip() for r in rows]
+        tokens = [r[col].strip() for r in rows if col < len(r)]  # short rows fail to parse
         symbols = list(dict.fromkeys(t for t in tokens if t not in ("", "?")))
         if not symbols:
             raise ParseError(f"column {name!r} is entirely missing; cannot infer a type")
@@ -591,13 +593,17 @@ def impute_missing(dataset):
             fills.append(total(known) / len(known))
     if all(f is None for f in fills):
         return dataset
+    try:
+        _check_instance(dataset.schema, fills)  # a mean can overflow to inf
+    except ValueError as exc:
+        raise ValueError(f"imputation failed: {exc}") from None
     instances = []
     for inst in dataset.instances:
         values = tuple(
             fills[i] if v is None else v for i, v in enumerate(inst.values)
         )
         instances.append(Instance(values, inst.weight))
-    return dataset.with_instances(instances)
+    return dataset._with_checked(instances)
 
 
 # ---------------------------------------------------------------------------
@@ -613,29 +619,16 @@ def stratified_folds(dataset, k, seed=0):
     a fixed seed.
     """
     _check_fold_args(dataset, k)
-    rng = random.Random(seed)
-    by_class = {}
+    by_class = {label: [] for label in dataset.class_values}
     for idx, inst in enumerate(dataset.instances):
-        by_class.setdefault(inst.values[dataset.class_index], []).append(idx)
-    fold_indices = [[] for _ in range(k)]
-    cursor = 0  # continues across classes so no fold is starved (k near n)
-    for label in dataset.class_values:
-        indices = by_class.get(label, [])
-        rng.shuffle(indices)
-        for idx in indices:
-            fold_indices[cursor % k].append(idx)
-            cursor += 1
-    return _folds_from_indices(dataset, fold_indices)
+        by_class[inst.values[dataset.class_index]].append(idx)
+    return _deal_folds(dataset, k, seed, by_class.values())
 
 
 def random_folds(dataset, k, seed=0):
     """Unstratified variant: plain shuffled round-robin deal."""
     _check_fold_args(dataset, k)
-    rng = random.Random(seed)
-    indices = list(range(len(dataset)))
-    rng.shuffle(indices)
-    fold_indices = [indices[f::k] for f in range(k)]
-    return _folds_from_indices(dataset, fold_indices)
+    return _deal_folds(dataset, k, seed, [list(range(len(dataset)))])
 
 
 def _check_fold_args(dataset, k):
@@ -646,11 +639,20 @@ def _check_fold_args(dataset, k):
     class_tally(dataset.rows, dataset.schema, dataset.class_index)
 
 
-def _folds_from_indices(dataset, fold_indices):
+def _deal_folds(dataset, k, seed, groups):
+    """Shuffle each group of row indices in turn, then deal them round-robin.
+
+    The deal runs on across groups, so no fold is starved when k is near n.
+    """
+    rng = random.Random(seed)
+    for indices in groups:
+        rng.shuffle(indices)
+    fold_of = [0] * len(dataset)
+    for cursor, idx in enumerate(chain.from_iterable(groups)):
+        fold_of[idx] = cursor % k
     folds = []
-    for f, test_idx in enumerate(fold_indices):
-        test_set = set(test_idx)
-        test = [dataset.instances[i] for i in sorted(test_set)]
-        train = [inst for i, inst in enumerate(dataset.instances) if i not in test_set]
-        folds.append((dataset.with_instances(train), dataset.with_instances(test)))
+    for f in range(k):
+        test = [inst for inst, g in zip(dataset.instances, fold_of) if g == f]
+        train = [inst for inst, g in zip(dataset.instances, fold_of) if g != f]
+        folds.append((dataset._with_checked(train), dataset._with_checked(test)))
     return folds

@@ -57,6 +57,18 @@ class TreeConfig:
     confidence_factor: float = 0.25
     pruning: bool = True
 
+    def __post_init__(self):
+        # NaN or out-of-range values would grow or prune a different tree silently
+        if not (is_finite_number(self.min_leaf_weight) and self.min_leaf_weight >= 0):
+            raise ValueError(
+                f"min_leaf_weight must be a finite number >= 0, got {self.min_leaf_weight!r}"
+            )
+        if not (is_finite_number(self.confidence_factor) and 0 < self.confidence_factor < 1):
+            raise ValueError(
+                f"confidence_factor must be a number strictly between 0 and 1, "
+                f"got {self.confidence_factor!r}"
+            )
+
 
 @dataclass(frozen=True)
 class SplitCandidate:

@@ -228,6 +228,37 @@ def test_cluster_too_many_clusters_exits_1(arff_125, capsys):
     assert "error" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["train", "--confidence", "1.5"], "confidence_factor"),
+        (["train", "--confidence", "-0.5"], "confidence_factor"),
+        (["train", "--confidence", "nan"], "confidence_factor"),
+        (["train", "--confidence", "0"], "confidence_factor"),
+        (["rules", "--confidence", "1"], "confidence_factor"),
+        (["train", "--min-leaf-weight", "nan"], "min_leaf_weight"),
+        (["evaluate", "--min-leaf-weight", "-1"], "min_leaf_weight"),
+        (["evaluate", "--folds", "1"], "--folds"),
+        (["evaluate", "--folds", "0"], "--folds"),
+        (["cluster", "--clusters", "0"], "--clusters"),
+        (["cluster", "--clusters", "-1"], "--clusters"),
+        (["cluster", "--max-iter", "0"], "--max-iter"),
+        (["cluster", "--max-iter", "-3"], "--max-iter"),
+    ],
+)
+@pytest.mark.parametrize("readable", [True, False], ids=["input", "no_input"])
+def test_option_out_of_range_exits_2(arff_125, tmp_path, argv, named, readable, capsys):
+    # the option is refused before the input is read
+    path = arff_125 if readable else str(tmp_path / "absent.arff")
+    code = main(argv + ["--input", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("ldscreen: error: ")
+    assert len(captured.err.splitlines()) == 1
+    assert named in captured.err
+
+
 # --- checklist -----------------------------------------------------------------
 
 
@@ -300,6 +331,12 @@ def _drop_root_child(text):
     return json.dumps(doc)
 
 
+def _bad_config(text):
+    doc = json.loads(text)
+    doc["config"]["confidence_factor"] = 1.5
+    return json.dumps(doc)
+
+
 def _duplicate_name(text):
     doc = json.loads(text)
     doc["schema"][1]["name"] = doc["schema"][0]["name"]
@@ -314,6 +351,7 @@ def _duplicate_name(text):
         _string_leaf_counts,
         _drop_root_child,
         _duplicate_name,
+        _bad_config,
     ],
 )
 def test_checklist_malformed_model_exits_2(model_path, damage, capsys):

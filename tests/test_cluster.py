@@ -227,6 +227,13 @@ def test_k_beyond_distinct_instances_rejected():
         kmeans_fit(d, k=3, seed=0)
 
 
+@pytest.mark.parametrize("arg, value", [("k", 0), ("k", -1), ("max_iter", 0), ("max_iter", -3)])
+def test_counts_below_one_rejected(arg, value):
+    d = binvec_dataset(["01", "10", "11"])
+    with pytest.raises(ValueError, match=f"{arg} must be at least 1"):
+        kmeans_fit(d, **{"k": 2, "seed": 0, arg: value})
+
+
 def test_empty_dataset_rejected():
     schema = (
         AttributeSpec.categorical("b0", ("0", "1")),

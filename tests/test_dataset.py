@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ldscreen.dataset as dataset_module
 from ldscreen.dataset import (
     AttributeSpec,
     Dataset,
@@ -255,6 +256,74 @@ def test_dataset_classify_and_best_rule_share_one_row_check(case):
                 check()
 
 
+@st.composite
+def schema_and_token_rows(draw):
+    """A random mixed schema and 1-4 token rows, at most one of them with one defect.
+
+    Each row is given twice: as the values a Dataset receives and as the
+    text tokens a reader sees.  A numeric token that is not a finite number
+    stays text on the Dataset side too, as the readers keep it.
+    """
+    kinds = draw(st.lists(st.sampled_from(["numeric", 1, 2, 3]), min_size=1, max_size=4))
+    schema = tuple(
+        AttributeSpec.numeric(f"x{i}")
+        if kind == "numeric"
+        else AttributeSpec.categorical(f"s{i}", "ABC"[:kind])
+        for i, kind in enumerate(kinds)
+    ) + (AttributeSpec.categorical("cls", ("P", "Q")),)
+    rng = random.Random(draw(st.integers(0, 2**16)))
+
+    def cell(spec):
+        if spec.kind == "numeric":
+            return rng.choice([None, float(rng.randint(-3, 3)), rng.uniform(-1e3, 1e3)])
+        return rng.choice((None,) + spec.values)
+
+    rows = [[cell(s) for s in schema] for _ in range(draw(st.integers(1, 4)))]
+    bad_row = draw(st.integers(0, len(rows) - 1))
+    row = rows[bad_row]
+    numeric = [i for i, s in enumerate(schema) if s.kind == "numeric"]
+    defects = ["none", "symbol", "short", "long"] + (["number"] if numeric else [])
+    defect = draw(st.sampled_from(defects))
+    if defect == "number":
+        row[draw(st.sampled_from(numeric))] = draw(st.sampled_from(["nan", "inf", "abc"]))
+    elif defect == "symbol":
+        categorical = [i for i in range(len(schema)) if i not in numeric]
+        row[draw(st.sampled_from(categorical))] = "Z"
+    elif defect == "short":
+        row.pop()
+    elif defect == "long":
+        row.append("P")
+    tokens = [["?" if v is None else repr(v) if isinstance(v, float) else v for v in r] for r in rows]
+    return schema, rows, tokens, None if defect == "none" else bad_row
+
+
+@settings(max_examples=150, deadline=None)
+@given(schema_and_token_rows())
+def test_readers_accept_exactly_what_dataset_accepts(case):
+    schema, rows, tokens, bad_row = case
+    arff = serialize_arff(Dataset(schema, len(schema) - 1, (), "r")).splitlines()
+    arff_text = "\n".join(arff + [",".join(t) for t in tokens]) + "\n"
+    csv_text = "\n".join([",".join(a.name for a in schema)] + [",".join(t) for t in tokens]) + "\n"
+    readers = (
+        (lambda: parse_arff(arff_text, class_name="cls"), len(arff) + 1),
+        (lambda: parse_csv(csv_text, schema=schema, class_name="cls"), 2),
+    )
+    try:
+        expected = Dataset(schema, len(schema) - 1, tuple(Instance(r) for r in rows))
+    except ValueError as exc:
+        assert bad_row is not None
+        message = str(exc).split(": ", 1)[1]  # without the "instance i: " prefix
+        for read, first_line in readers:
+            with pytest.raises(ParseError) as err:
+                read()
+            assert err.value.line == first_line + bad_row
+            assert str(err.value) == f"line {first_line + bad_row}: {message}"
+    else:
+        assert bad_row is None
+        for read, _ in readers:
+            assert [i.values for i in read().instances] == [i.values for i in expected.instances]
+
+
 def test_parse_csv_infers_schema():
     d = parse_csv("s,x,c\nhi,1,A\nlo,2.5,B\nhi,?,A\n", class_name="c")
     kinds = [a.kind for a in d.schema]
@@ -316,6 +385,18 @@ def test_impute_entirely_missing_column_names_it():
     d = Dataset(schema, 1, (Instance((None, "A")), Instance((None, "B"))))
     with pytest.raises(ValueError, match="gap"):
         impute_missing(d)
+
+
+def test_impute_overflowing_mean_names_the_attribute_not_a_row():
+    schema = (AttributeSpec.numeric("x"), AttributeSpec.categorical("c", ("A", "B")))
+    rows = [(1e308, "A"), (1e308, "B"), (None, "A"), (1.0, "B")]
+    d = Dataset(schema, 1, tuple(Instance(r) for r in rows))
+    with pytest.raises(ValueError) as err:
+        impute_missing(d)
+    message = str(err.value)
+    assert message.startswith("imputation failed: ")
+    assert "attribute x" in message
+    assert "instance" not in message
 
 
 def random_mixed_dataset(rng, n_rows, n_numeric, n_nominal, missing_rate):
@@ -442,6 +523,54 @@ def test_random_folds_partition():
     folds = random_folds(d, 3, seed=5)
     total = sum(len(te) for _, te in folds)
     assert total == 30
+
+
+#: test positions of every fold, as dealt before the two fold functions
+#: shared one dealing routine
+FOLD_PINS = {
+    ("checklist", "stratified"): [[0, 3, 12, 16, 18], [2, 4, 5, 11, 15], [1, 8, 9, 14, 17], [6, 7, 10, 13]],
+    ("checklist", "random"): [[2, 4, 12, 14, 16], [7, 9, 11, 15, 17], [6, 8, 10, 13, 18], [0, 1, 3, 5]],
+    ("gap_class", "stratified"): [[2, 5, 6, 8], [0, 1, 3, 10], [4, 7, 9]],
+    ("gap_class", "random"): [[0, 4, 5, 8], [1, 3, 7, 9], [2, 6, 10]],
+}
+
+
+@pytest.mark.parametrize("data, kind", sorted(FOLD_PINS))
+def test_fold_positions_are_pinned(data, kind):
+    if data == "checklist":
+        d, k, seed = synthetic_checklist(13, 6, seed=2), 4, 5
+    else:  # a declared class with no rows
+        schema = (AttributeSpec.numeric("x"), AttributeSpec.categorical("cls", ("A", "B", "C")))
+        rows = tuple(Instance((float(i), "AC"[i % 3 == 0])) for i in range(11))
+        d, k, seed = Dataset(schema, 1, rows), 3, 11
+    folds = (stratified_folds if kind == "stratified" else random_folds)(d, k, seed)
+    where = {id(inst): i for i, inst in enumerate(d.instances)}
+    tests = [[where[id(inst)] for inst in te.instances] for _, te in folds]
+    assert tests == FOLD_PINS[data, kind]
+    for (train, _), test in zip(folds, tests):
+        assert [where[id(inst)] for inst in train.instances] == [
+            i for i in range(len(d)) if i not in test
+        ]
+
+
+def test_rows_are_checked_once_when_read(monkeypatch):
+    text = serialize_arff(synthetic_checklist(20, 10, seed=2, missing_rate=0.2))
+    calls = []
+    check = dataset_module._check_instance
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(dataset_module, "_check_instance", counted)
+    d = parse_arff(text)
+    assert len(calls) == 30
+    calls.clear()
+    stratified_folds(d, 3, seed=1)
+    random_folds(d, 3, seed=1)
+    assert calls == []
+    impute_missing(d)
+    assert len(calls) == 1
 
 
 # --- first_max -----------------------------------------------------------------

@@ -6,19 +6,8 @@ classifiers with cross-validated confusion-matrix metrics.  Ships the
 16-symptom learning-disability checklist schema as a built-in.
 """
 
-from .cluster import (
-    ClusterModel,
-    cluster_model_from_json,
-    cluster_model_to_json,
-    cluster_profile,
-    cluster_report_text,
-    clustered_instances_text,
-    distance2,
-    encode_dataset,
-    kmeans_fit,
-    map_clusters_to_classes,
-    percentage,
-)
+import importlib
+
 from .dataset import (
     AttributeSpec,
     Dataset,
@@ -138,3 +127,28 @@ __all__ = [
     "ucb_error_rate",
     "__version__",
 ]
+
+# The cluster names load numpy, which screening never needs, so they
+# resolve on first use (PEP 562; the pattern of Scientific Python SPEC 1).
+_CLUSTER_NAMES = {
+    "ClusterModel",
+    "cluster_model_from_json",
+    "cluster_model_to_json",
+    "cluster_profile",
+    "cluster_report_text",
+    "clustered_instances_text",
+    "distance2",
+    "encode_dataset",
+    "kmeans_fit",
+    "map_clusters_to_classes",
+    "percentage",
+}
+
+
+def __getattr__(name):
+    # import_module, not `from . import cluster`: that statement looks the
+    # submodule up as an attribute of this package first, calling back here
+    if name == "cluster" or name in _CLUSTER_NAMES:
+        cluster = importlib.import_module(".cluster", __name__)
+        return cluster if name == "cluster" else getattr(cluster, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,12 +12,6 @@ import os
 import sys
 from pathlib import Path
 
-from .cluster import (
-    cluster_model_to_json,
-    cluster_profile_csv,
-    cluster_report_text,
-    kmeans_fit,
-)
 from .dataset import ParseError, finite_float, impute_missing, parse_arff, parse_csv
 from .evaluation import (
     cross_validate,
@@ -226,6 +220,15 @@ def cmd_rules(args):
 
 
 def cmd_cluster(args):
+    # imported here, not at module level: cluster loads numpy, which
+    # `--help` and `checklist` never need
+    from .cluster import (
+        cluster_model_to_json,
+        cluster_profile_csv,
+        cluster_report_text,
+        kmeans_fit,
+    )
+
     _require_at_least(1, "--clusters", args.clusters)
     _require_at_least(1, "--max-iter", args.max_iter)
     dataset = impute_missing(_load_dataset(args))

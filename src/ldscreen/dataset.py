@@ -135,7 +135,9 @@ class AttributeSpec:
     values : tuple of str
         Distinct declared symbols, in declaration order.  Exactly two for
         binary, at least one for nominal (two for a class), empty for
-        numeric.
+        numeric.  A symbol is a string other than ``'?'`` and ``''``,
+        without leading or trailing whitespace: the readers could not
+        read any other back.
     """
 
     name: str
@@ -157,6 +159,14 @@ class AttributeSpec:
                 raise ValueError(f"nominal attribute {self.name} declares no values")
         else:
             raise ValueError(f"unknown attribute kind: {self.kind}")
+        for v in self.values:
+            if not isinstance(v, str):
+                raise ValueError(f"values of {self.name} are not strings")
+            if v in ("", "?") or v != v.strip():
+                raise ValueError(
+                    f"attribute {self.name} declares value {v!r}, which no reader "
+                    "reads back: '?' and empty cells are missing, spaces are stripped"
+                )
         if len(set(self.values)) != len(self.values):
             raise ValueError(f"attribute {self.name} declares a value twice")
 
@@ -411,8 +421,6 @@ def _parse_attribute_line(line, lineno):
         if not brace or tail.strip():
             raise ParseError(f"malformed value set for attribute {name!r}", lineno)
         values = tuple(v.strip() for v in values_part.split(","))
-        if any(not v for v in values):
-            raise ParseError(f"empty symbol in value set of {name!r}", lineno)
         try:
             return AttributeSpec.categorical(name, values)
         except ValueError as exc:
@@ -509,24 +517,27 @@ def parse_csv(text, schema=None, class_name=None):
     number, else categorical with symbols in first-appearance order.
     Empty cells and ``'?'`` are missing.
     """
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
-    if not rows:
+    reader = csv.reader(io.StringIO(text))
+    records, start = [], 1  # (line the record starts on, cells); blank lines dropped
+    for cells in reader:
+        if any(cell.strip() for cell in cells):
+            records.append((start, cells))
+        start = reader.line_num + 1
+    if not records:
         raise ParseError("empty CSV input")
-    header, rows = rows[0], rows[1:]
+    (header_line, header), records = records[0], records[1:]
     if schema is not None:
         schema = tuple(schema)
         if [h.strip() for h in header] != [a.name for a in schema]:
-            raise ParseError("CSV header does not match the given schema")
+            raise ParseError("CSV header does not match the given schema", header_line)
     if schema is None:
-        schema = _infer_schema([h.strip() for h in header], rows)
-    instances = [
-        _parse_row(row, schema, lineno) for lineno, row in enumerate(rows, start=2)
-    ]
+        names = [h.strip() for h in header]
+        schema = _infer_schema(names, [cells for _, cells in records], header_line)
+    instances = [_parse_row(cells, schema, lineno) for lineno, cells in records]
     return _parsed_dataset(schema, class_name, instances)
 
 
-def _infer_schema(names, rows):
+def _infer_schema(names, rows, header_line):
     specs = []
     for col, name in enumerate(names):
         tokens = [r[col].strip() for r in rows if col < len(r)]  # short rows fail to parse
@@ -539,7 +550,7 @@ def _infer_schema(names, rows):
             else:
                 specs.append(AttributeSpec.categorical(name, symbols))
         except ValueError as exc:
-            raise ParseError(str(exc), 1) from None
+            raise ParseError(str(exc), header_line) from None
     return tuple(specs)
 
 

@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 
-from scipy.special import betaincinv
-
 from .dataset import (
     AttributeSpec,
     Dataset,
@@ -340,6 +338,8 @@ def ucb_error_rate(errors, total, confidence_factor):
         return 0.0
     if errors >= total:
         return 1.0
+    from scipy.special import betaincinv  # imported here: classify never needs scipy
+
     return float(betaincinv(errors + 1.0, total - errors, 1.0 - confidence_factor))
 
 
@@ -453,12 +453,8 @@ def _schema_to_json(schema):
 
 
 def _schema_from_json(items):
-    # AttributeSpec refuses repeated values
-    schema = tuple(AttributeSpec(a["name"], a["kind"], tuple(a["values"])) for a in items)
-    for spec in schema:
-        if not all(isinstance(v, str) for v in spec.values):
-            raise ValueError(f"values of {spec.name} are not strings")
-    return schema
+    # AttributeSpec refuses values that are not strings, repeated or unreadable
+    return tuple(AttributeSpec(a["name"], a["kind"], tuple(a["values"])) for a in items)
 
 
 def _node_to_json(node, schema):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import ldscreen
 from ldscreen.cli import main
 from ldscreen.cluster import cluster_model_from_json
 from ldscreen.dataset import serialize_arff, serialize_csv, synthetic_checklist
@@ -85,6 +86,7 @@ def test_malformed_input_exits_2(tmp_path, capsys):
 DUPLICATE_ARFF = "@relation d\n@attribute a {x,y}\n@attribute a {x,y}\n@attribute c {p,q}\n@data\n"
 ONE_VALUE_CLASS = "@relation d\n@attribute a {x,y}\n@attribute c {p}\n@data\nx,p\ny,p\nx,p\ny,p\n"
 DUPLICATE_VALUE_ARFF = "@relation d\n@attribute a {x,x,y}\n@attribute c {p,q}\n@data\nx,p\ny,q\n"
+QUERY_VALUE_ARFF = "@relation d\n@attribute a {?,y}\n@attribute c {p,q}\n@data\ny,p\ny,q\n"
 
 
 @pytest.mark.parametrize(
@@ -94,8 +96,9 @@ DUPLICATE_VALUE_ARFF = "@relation d\n@attribute a {x,x,y}\n@attribute c {p,q}\n@
         ("dup.csv", "a,a,c\n1,2,p\n3,4,q\n", ["evaluate"]),
         ("one.arff", ONE_VALUE_CLASS, ["evaluate", "--learner", "rules"]),
         ("dupvalue.arff", DUPLICATE_VALUE_ARFF, ["train"]),
+        ("query.arff", QUERY_VALUE_ARFF, ["train"]),
     ],
-    ids=["duplicate_arff", "duplicate_csv", "one_value_class", "duplicate_value"],
+    ids=["duplicate_arff", "duplicate_csv", "one_value_class", "duplicate_value", "query_value"],
 )
 def test_invalid_schema_exits_2(tmp_path, capsys, name, text, command):
     path = tmp_path / name
@@ -343,6 +346,17 @@ def _duplicate_name(text):
     return json.dumps(doc)
 
 
+def _unreadable_value(value):
+    # replaces Y, so that the all-N answers stay valid
+    def damage(text):
+        doc = json.loads(text)
+        doc["schema"][0]["values"][-1] = value
+        return json.dumps(doc)
+
+    damage.__name__ = f"unreadable_value({value!r})"
+    return damage
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -352,6 +366,9 @@ def _duplicate_name(text):
         _drop_root_child,
         _duplicate_name,
         _bad_config,
+        _unreadable_value("?"),
+        _unreadable_value(""),
+        _unreadable_value(" N"),
     ],
 )
 def test_checklist_malformed_model_exits_2(model_path, damage, capsys):
@@ -421,6 +438,64 @@ def test_csv_bad_header_name_exits_2(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("ldscreen: error: line 1: ")
     assert len(captured.err.splitlines()) == 1
+
+
+# --- start-up imports ----------------------------------------------------------
+
+#: run in a fresh interpreter: which of numpy and scipy each step has loaded,
+#: then what the package's lazily resolved names look like
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+
+def loaded():
+    return [m for m in ("numpy", "scipy") if m in sys.modules]
+
+model, arff, answers = sys.argv[1:]
+seen = {}
+import ldscreen
+seen["import ldscreen"] = loaded()
+import ldscreen.cli
+seen["import ldscreen.cli"] = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = ldscreen.cli.main(["checklist", "--model", model, "--answers", answers])
+seen["checklist"] = loaded() + ([] if code == 0 else [f"exit {code}"])
+seen["cluster is the submodule"] = ldscreen.cluster is sys.modules["ldscreen.cluster"]
+seen["unresolved"] = [n for n in ldscreen.__all__ if not hasattr(ldscreen, n)]
+star = {}
+exec("from ldscreen import *", star)
+seen["unbound by *"] = sorted(set(ldscreen.__all__) - set(star))
+try:
+    ldscreen.no_such_name
+    seen["unknown name"] = "resolved"
+except AttributeError:
+    seen["unknown name"] = "AttributeError"
+with contextlib.redirect_stdout(io.StringIO()):
+    code = ldscreen.cli.main(["cluster", "--input", arff, "--clusters", "2"])
+seen["cluster"] = loaded() + ([] if code == 0 else [f"exit {code}"])
+print(json.dumps(seen))
+"""
+
+
+def test_screening_loads_neither_numpy_nor_scipy(arff_125, model_path):
+    src = str(Path(ldscreen.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, model_path, arff_125, ALL_N],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+        timeout=120,
+    )
+    assert json.loads(done.stdout) == {
+        "import ldscreen": [],
+        "import ldscreen.cli": [],
+        "checklist": [],
+        "cluster is the submodule": True,
+        "unresolved": [],
+        "unbound by *": [],
+        "unknown name": "AttributeError",
+        "cluster": ["numpy"],
+    }
 
 
 # --- closed stdout -------------------------------------------------------------

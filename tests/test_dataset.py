@@ -83,6 +83,12 @@ def test_undeclared_symbol_rejected():
         Dataset(tiny_schema(), 2, (Instance(("Z", 1.0, "P")),))
 
 
+@pytest.mark.parametrize("value", ["?", "", " y", "y "], ids=["query", "empty", "lead", "trail"])
+def test_spec_refuses_values_no_reader_reads_back(value):
+    with pytest.raises(ValueError, match="no reader reads back"):
+        AttributeSpec.categorical("a", ("x", value))
+
+
 def test_checklist_schema_shape():
     schema = checklist_schema()
     assert len(schema) == 17
@@ -322,6 +328,37 @@ def test_readers_accept_exactly_what_dataset_accepts(case):
         assert bad_row is None
         for read, _ in readers:
             assert [i.values for i in read().instances] == [i.values for i in expected.instances]
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("a,cls\n\nY,P\nZ,Q\n", "line 4: 'Z' not declared for attribute a"),
+        ('a,cls\nY,"P"\nN,"two\nlines"\nY,P\nZ,Q\n', "line 6: 'Z' not declared for attribute a"),
+        ("\n\nb,cls\nY,P\n", "line 3: CSV header does not match the given schema"),
+    ],
+    ids=["blank_line", "multi_line_cell", "header_after_blank_lines"],
+)
+def test_parse_csv_names_the_line_a_record_starts_on(text, error):
+    schema = (
+        AttributeSpec.categorical("a", ("Y", "N")),
+        AttributeSpec.categorical("cls", ("P", "Q", "two\nlines")),
+    )
+    with pytest.raises(ParseError) as err:
+        parse_csv(text, schema=schema)
+    assert str(err.value) == error
+
+
+def test_readers_refuse_unreadable_declared_values():
+    with pytest.raises(ParseError, match="^line 2: attribute a declares value '\\?'"):
+        parse_arff("@relation r\n@attribute a {?,y}\n@attribute c {p,q}\n@data\n")
+    with pytest.raises(ParseError, match="^line 3: attribute a declares value ''"):
+        parse_arff("@relation r\n\n@attribute a {x,,y}\n@attribute c {p,q}\n@data\n")
+    # the CSV reader takes '?' and empty cells as missing and strips the rest,
+    # so it never declares such a value
+    d = parse_csv("a,c\n?,p\n,q\n y ,p\n")
+    assert d.schema[0].values == ("y",)
+    assert [i.values[0] for i in d.instances] == [None, None, "y"]
 
 
 def test_parse_csv_infers_schema():

@@ -544,14 +544,17 @@ def _import_time_imports(node):
 
 def test_only_cluster_and_columns_import_numpy_at_module_level():
     # classify and best_rule must not load numpy: tree.py and rules.py reach
-    # the encoded view through imports inside the functions that use it
+    # the encoded view through imports inside the functions that use it.
+    # Nothing loads scipy or the cluster module on import, so `--help` and
+    # `checklist` start without either library.
     package = Path(ldscreen.__file__).resolve().parent
-    importers = {
-        path.name
+    imports = {
+        path.name: set(_import_time_imports(ast.parse(path.read_text())))
         for path in package.glob("*.py")
-        if {"numpy", ".columns"} & set(_import_time_imports(ast.parse(path.read_text())))
     }
-    assert importers <= {"cluster.py", "columns.py"}
+    numpy_importers = {name for name, found in imports.items() if {"numpy", ".columns"} & found}
+    assert numpy_importers <= {"cluster.py", "columns.py"}
+    assert not {name for name, found in imports.items() if {"scipy", ".cluster"} & found}
 
 
 def fixture_model(children_counts):

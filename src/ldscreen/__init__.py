@@ -91,7 +91,6 @@ __all__ = [
     "clustered_instances_text",
     "confusion",
     "cross_validate",
-    "distance2",
     "encode_dataset",
     "entropy",
     "evaluate_split",
@@ -137,7 +136,6 @@ _CLUSTER_NAMES = {
     "cluster_profile",
     "cluster_report_text",
     "clustered_instances_text",
-    "distance2",
     "encode_dataset",
     "kmeans_fit",
     "map_clusters_to_classes",

@@ -138,9 +138,17 @@ def build_parser():
     return parser
 
 
+def _read_text(path):
+    """The text of the file at ``path``; ParseError naming it when undecodable."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def _load_dataset(args):
     path = Path(args.input)
-    text = path.read_text()
+    text = _read_text(path)
     fmt = args.format
     if fmt is None:
         fmt = "arff" if path.suffix.lower() == ".arff" else "csv"
@@ -189,16 +197,16 @@ def cmd_evaluate(args):
     _require_at_least(2, "--folds", args.folds)
     config = _tree_config(args)
     dataset = _load_dataset(args)
-    factories = {
-        "tree": lambda: tree_learner(config),
-        "rules": lambda: rules_learner(config),
-        "majority": lambda: majority_learner(),
+    learners = {
+        "tree": tree_learner(config),
+        "rules": rules_learner(config),
+        "majority": majority_learner(),
     }
     report = cross_validate(
         dataset,
         k=args.folds,
         seed=args.seed,
-        learner=factories[args.learner](),
+        learner=learners[args.learner],
         stratify=not args.no_stratify,
     )
     print(report_text(report))
@@ -249,7 +257,7 @@ def _read_answers(args):
     if args.answers is not None:
         raw = args.answers
     else:
-        raw = Path(args.answers_file).read_text()
+        raw = _read_text(args.answers_file)
     tokens = [t.strip() for t in raw.replace("\n", ",").split(",")]
     return [t for t in tokens if t]
 
@@ -271,7 +279,7 @@ def _normalize_answer(token, spec):
 
 
 def cmd_checklist(args):
-    model = model_from_json(Path(args.model).read_text())
+    model = model_from_json(_read_text(args.model))
     # answers follow the model's own schema: 16 symptoms for the built-in
     # checklist, whatever the model was trained on otherwise
     features = [

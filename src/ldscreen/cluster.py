@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .columns import Columns
-from .dataset import BINARY, NUMERIC, Dataset, dump_document, first_max, load_document
+from .dataset import BINARY, EQ, NUMERIC, Dataset, align_columns, dump_document
+from .dataset import first_max, load_document
 
 CLUSTER_FORMAT = "ldscreen-cluster"
 CLUSTER_VERSION = 1
@@ -68,31 +69,21 @@ def encode_dataset(dataset: Dataset):
     columns = []
     labels = []
     for i in dataset.feature_indices:
-        spec, codes = dataset.schema[i], view.columns[i]
+        spec = dataset.schema[i]
         if spec.kind == NUMERIC:
             labels.append(spec.name)
-            columns.append(codes)
+            columns.append(view.columns[i])
         elif spec.kind == BINARY:
             labels.append(spec.name)
-            columns.append(codes == 1)
+            columns.append(view.holds(i, EQ, spec.values[1]))
         else:
-            for k, v in enumerate(spec.values):
+            for v in spec.values:
                 labels.append(f"{spec.name}={v}")
-                columns.append(codes == k)
+                columns.append(view.holds(i, EQ, v))
     rows = np.empty((len(dataset), len(columns)))
     for c, column in enumerate(columns):
         rows[:, c] = column
     return rows, tuple(labels)
-
-
-def distance2(a, b):
-    """Squared Euclidean distance; Hamming count on 0/1 vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    diff = a - b
-    return float(np.dot(diff, diff))
 
 
 def _assign(rows, centroids):
@@ -170,17 +161,14 @@ def kmeans_fit(dataset, k=2, seed=0, max_iter=100, initial_centroids=None):
                 f"initial centroids must have shape {(k, rows.shape[1])}"
             )
 
-    assign = _assign(rows, centroids)
-    centroids, assign = _means(rows, assign, k, centroids)
-    history = [float(((rows - centroids[assign]) ** 2).sum())]
-    iterations = 1
-    while iterations < max_iter:
+    assign, history = None, []
+    while len(history) < max_iter:
         new_assign = _assign(rows, centroids)
-        if (new_assign == assign).all():
+        # compared with the assignment _means returned, after any repair
+        if history and (new_assign == assign).all():
             break
         centroids, assign = _means(rows, new_assign, k, centroids)
         history.append(float(((rows - centroids[assign]) ** 2).sum()))
-        iterations += 1
     return ClusterModel(
         k=k,
         column_labels=labels,
@@ -188,7 +176,7 @@ def kmeans_fit(dataset, k=2, seed=0, max_iter=100, initial_centroids=None):
         assignments=tuple(int(a) for a in assign),
         wcss=history[-1],
         wcss_history=tuple(history),
-        iterations=iterations,
+        iterations=len(history),
         seed=seed,
     )
 
@@ -265,11 +253,7 @@ def cluster_report_text(model: ClusterModel, dataset: Dataset) -> str:
     rows = [header]
     for label, full, per in profile:
         rows.append([label, f"{full:.3f}"] + [f"{m:.3f}" for m in per])
-    widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
-    table = "\n".join(
-        "  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
-        for r in rows
-    )
+    table = "\n".join(line.rstrip() for line in align_columns(rows, str.ljust))
     lines = [
         f"Number of iterations: {model.iterations}",
         f"Within cluster sum of squared errors: {model.wcss:.3f}",

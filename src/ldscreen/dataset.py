@@ -56,6 +56,14 @@ def total(values):
     return reduce(add, values, 0.0)
 
 
+def align_columns(rows, justify):
+    """Lines of the text cells of ``rows``, two spaces apart, each cell padded
+    by ``justify`` (``str.rjust`` or ``str.ljust``) to its column's widest cell.
+    """
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return ["  ".join(justify(cell, w) for cell, w in zip(row, widths)) for row in rows]
+
+
 def is_finite_number(value):
     """True for an int or float (not a bool) that is neither NaN nor infinite.
 
@@ -201,9 +209,6 @@ class Instance:
         if not self.weight > 0:
             raise ValueError(f"instance weight must be > 0, got {self.weight}")
 
-    def reweighted(self, weight):
-        return Instance(self.values, weight)
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -255,9 +260,6 @@ class Dataset:
 
     def column(self, index):
         return [inst.values[index] for inst in self.instances]
-
-    def with_instances(self, instances):
-        return Dataset(self.schema, self.class_index, instances, self.name)
 
     def _with_checked(self, instances):
         """This dataset over ``instances`` that were checked against its schema."""
@@ -396,7 +398,10 @@ def parse_arff(text, class_name=None):
                 if len(parts) == 2:
                     relation = parts[1].strip()
             elif lowered.startswith("@attribute"):
-                specs.append(_parse_attribute_line(line, lineno))
+                try:
+                    specs.append(_parse_attribute_line(line))
+                except ValueError as exc:
+                    raise ParseError(str(exc), lineno) from None
             elif lowered.startswith("@data"):
                 if not specs:
                     raise ParseError("@data before any @attribute", lineno)
@@ -410,28 +415,23 @@ def parse_arff(text, class_name=None):
     return _parsed_dataset(specs, class_name, instances, relation)
 
 
-def _parse_attribute_line(line, lineno):
+def _parse_attribute_line(line):
+    """The AttributeSpec of one ``@attribute`` line; ValueError when malformed."""
     body = line.split(None, 1)[1].strip() if len(line.split(None, 1)) == 2 else ""
     if not body:
-        raise ParseError("@attribute needs a name and a type", lineno)
+        raise ValueError("@attribute needs a name and a type")
     if "{" in body:
         name, _, rest = body.partition("{")
         name = name.strip()
         values_part, brace, tail = rest.partition("}")
         if not brace or tail.strip():
-            raise ParseError(f"malformed value set for attribute {name!r}", lineno)
+            raise ValueError(f"malformed value set for attribute {name!r}")
         values = tuple(v.strip() for v in values_part.split(","))
-        try:
-            return AttributeSpec.categorical(name, values)
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from exc
+        return AttributeSpec.categorical(name, values)
     parts = body.split()
     if len(parts) != 2 or parts[1].lower() not in _NUMERIC_KEYWORDS:
-        raise ParseError(f"unsupported attribute type: {body!r}", lineno)
-    try:
-        return AttributeSpec.numeric(parts[0])
-    except ValueError as exc:
-        raise ParseError(str(exc), lineno) from exc
+        raise ValueError(f"unsupported attribute type: {body!r}")
+    return AttributeSpec.numeric(parts[0])
 
 
 def _parse_row(tokens, specs, lineno):

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, replace
 
 from .dataset import (
     Dataset,
+    align_columns,
     class_tally,
     dump_document,
     first_max,
@@ -281,9 +282,7 @@ def report_text(report: EvaluationReport) -> str:
     rows = [list(_COLUMNS) + ["Class"]]
     for label, metrics in report.per_class:
         rows.append(_metric_cells(metrics) + [str(label)])
-    widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
-    for r in rows:
-        lines.append("  ".join(cell.rjust(w) for cell, w in zip(r, widths)))
+    lines += align_columns(rows, str.rjust)
     lines.append("")
     lines.append("Confusion Matrix (rows actual, columns predicted)")
     header = "  ".join(f"{v:>6}" for v in report.matrix.class_values)

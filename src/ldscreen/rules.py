@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dataset import EQ, GT, LE
-from .dataset import Dataset, _check_instance, class_tally, dump_document, first_max, total
+from .dataset import Dataset, _check_instance, dump_document, first_max, total
 from .tree import DecisionTreeModel, Leaf, ucb_error_rate
 
 RULES_FORMAT = "ldscreen-rules"
@@ -113,13 +113,16 @@ def simplify_rules(ruleset: RuleSet, dataset: Dataset) -> RuleSet:
     Rules whose estimate ends below the match-everything default-class
     baseline are discarded.  The default class becomes the majority among
     instances no surviving rule covers (global majority when none).
+    ``dataset`` must have the rule set's own schema and class; else
+    ValueError.
     """
     from .columns import Columns
 
+    if (tuple(ruleset.schema), ruleset.class_index) != (dataset.schema, dataset.class_index):
+        raise ValueError("the dataset's schema or class differs from the rule set's")
     class_values = ruleset.schema[ruleset.class_index].values
-    global_counts = class_tally(dataset.rows, ruleset.schema, ruleset.class_index)
-    global_majority = class_values[first_max(global_counts)]
     view = Columns(dataset)
+    global_majority = class_values[first_max(view.root().class_counts())]
     masks = {}  # Condition -> mask of the rows where it holds, built at first use
 
     def matching(conditions):

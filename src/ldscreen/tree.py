@@ -196,17 +196,22 @@ def evaluate_split(dataset, attribute_index, threshold=None):
 
     A constant attribute yields a single branch, hence intrinsic value 0:
     the candidate comes back flagged invalid rather than raising.
+    ValueError on an index outside the schema or of the class, on a
+    threshold for a categorical attribute, and on a numeric one without a
+    finite threshold.
     """
     from .columns import Columns
 
+    if not 0 <= attribute_index < len(dataset.schema):
+        raise ValueError(f"attribute index {attribute_index} out of range")
     if attribute_index == dataset.class_index:
         raise ValueError("cannot split on the class attribute")
     spec = dataset.schema[attribute_index]
     if spec.is_categorical:
         if threshold is not None:
             raise ValueError(f"threshold given for categorical attribute {spec.name}")
-    elif threshold is None:
-        raise ValueError(f"numeric attribute {spec.name} needs a threshold")
+    elif not is_finite_number(threshold):
+        raise ValueError(f"numeric attribute {spec.name} needs a finite threshold")
     tallies = Columns(dataset).root().split_tallies(attribute_index, [threshold])
     return _score_splits(attribute_index, *tallies)[0]
 

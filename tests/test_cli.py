@@ -87,6 +87,7 @@ DUPLICATE_ARFF = "@relation d\n@attribute a {x,y}\n@attribute a {x,y}\n@attribut
 ONE_VALUE_CLASS = "@relation d\n@attribute a {x,y}\n@attribute c {p}\n@data\nx,p\ny,p\nx,p\ny,p\n"
 DUPLICATE_VALUE_ARFF = "@relation d\n@attribute a {x,x,y}\n@attribute c {p,q}\n@data\nx,p\ny,q\n"
 QUERY_VALUE_ARFF = "@relation d\n@attribute a {?,y}\n@attribute c {p,q}\n@data\ny,p\ny,q\n"
+CLASS_DECLARATION = "@attribute c {p,q}\n@data\n"
 
 
 @pytest.mark.parametrize(
@@ -97,8 +98,40 @@ QUERY_VALUE_ARFF = "@relation d\n@attribute a {?,y}\n@attribute c {p,q}\n@data\n
         ("one.arff", ONE_VALUE_CLASS, ["evaluate", "--learner", "rules"]),
         ("dupvalue.arff", DUPLICATE_VALUE_ARFF, ["train"]),
         ("query.arff", QUERY_VALUE_ARFF, ["train"]),
+        ("early.arff", "@relation d\n@data\nx,p\n", ["train"]),
+        ("foo.arff", "@relation d\n@foo x\n" + CLASS_DECLARATION, ["train"]),
+        ("nodata.arff", "@relation d\n@attribute a {x,y}\n@attribute c {p,q}\n", ["train"]),
+        ("bare.arff", "@relation d\n@attribute\n" + CLASS_DECLARATION, ["train"]),
+        ("open.arff", "@relation d\n@attribute a {x,y\n" + CLASS_DECLARATION, ["train"]),
+        ("string.arff", "@relation d\n@attribute a string\n" + CLASS_DECLARATION, ["train"]),
+        ("comma.arff", "@relation d\n@attribute a,b numeric\n" + CLASS_DECLARATION, ["train"]),
+        (
+            "zz.arff",
+            "@relation d\n@attribute a {x,y}\n" + CLASS_DECLARATION,
+            ["train", "--class", "zz"],
+        ),
+        ("numbers.csv", "a,b\n1,2\n3,4\n", ["train"]),
+        ("empty.csv", "", ["train"]),
+        ("gaps.csv", "a,b,c\n?,1,p\n,2,q\n", ["train"]),
     ],
-    ids=["duplicate_arff", "duplicate_csv", "one_value_class", "duplicate_value", "query_value"],
+    ids=[
+        "duplicate_arff",
+        "duplicate_csv",
+        "one_value_class",
+        "duplicate_value",
+        "query_value",
+        "data_before_attribute",
+        "unknown_declaration",
+        "no_data_section",
+        "bare_attribute",
+        "unclosed_value_set",
+        "string_attribute",
+        "comma_in_name",
+        "unknown_class",
+        "no_class_candidate",
+        "empty_csv",
+        "column_all_missing",
+    ],
 )
 def test_invalid_schema_exits_2(tmp_path, capsys, name, text, command):
     path = tmp_path / name
@@ -108,6 +141,36 @@ def test_invalid_schema_exits_2(tmp_path, capsys, name, text, command):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("ldscreen: error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_format_flag_overrides_the_extension(arff_125, tmp_path, capsys):
+    path = tmp_path / "demo.txt"  # read as CSV by its extension
+    path.write_text(Path(arff_125).read_text())
+    assert main(["train", "--input", str(path), "--format", "arff"]) == 0
+    capsys.readouterr()
+    code = main(["train", "--input", arff_125, "--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("ldscreen: error: line 1: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", ["--input", "--model", "--answers-file"])
+def test_undecodable_file_exits_2_and_names_it(model_path, tmp_path, flag, capsys):
+    path = tmp_path / "undecodable.txt"
+    argv, content = {
+        "--input": (["train"], "a,c\nné,p\nno,q\n".encode("latin-1")),
+        "--model": (["checklist", "--answers", ALL_N], b"\xff{}"),
+        "--answers-file": (["checklist", "--model", model_path], b"N,N,\xe9\n"),
+    }[flag]
+    path.write_bytes(content)
+    code = main(argv + [flag, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"ldscreen: error: {path}: ")
     assert len(captured.err.splitlines()) == 1
 
 
@@ -346,6 +409,34 @@ def _duplicate_name(text):
     return json.dumps(doc)
 
 
+def _class_index(value):
+    def damage(text):
+        doc = json.loads(text)
+        doc["class_index"] = value
+        return json.dumps(doc)
+
+    damage.__name__ = f"class_index({value!r})"
+    return damage
+
+
+def _valueless_nominal(text):
+    doc = json.loads(text)
+    doc["schema"][0].update(kind="nominal", values=[])
+    return json.dumps(doc)
+
+
+def _zero_leaf_counts(text):
+    doc = json.loads(text)
+    doc["root"] = {"type": "leaf", "class_counts": [0.0, 0.0], "weight": 0.0}
+    return json.dumps(doc)
+
+
+def _zero_root_branch_weights(text):
+    doc = json.loads(text)
+    doc["root"]["branch_weights"] = [0.0, 0.0]
+    return json.dumps(doc)
+
+
 def _unreadable_value(value):
     # replaces Y, so that the all-N answers stay valid
     def damage(text):
@@ -369,6 +460,11 @@ def _unreadable_value(value):
         _unreadable_value("?"),
         _unreadable_value(""),
         _unreadable_value(" N"),
+        _class_index(99),
+        _class_index(16.0),
+        _valueless_nominal,
+        _zero_leaf_counts,
+        _zero_root_branch_weights,
     ],
 )
 def test_checklist_malformed_model_exits_2(model_path, damage, capsys):

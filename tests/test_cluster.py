@@ -14,7 +14,6 @@ from ldscreen.cluster import (
     cluster_profile_csv,
     cluster_report_text,
     clustered_instances_text,
-    distance2,
     encode_dataset,
     kmeans_fit,
     map_clusters_to_classes,
@@ -105,30 +104,6 @@ def test_missing_value_refused():
     d = synthetic_checklist(10, 5, seed=1, missing_rate=0.5)
     with pytest.raises(ValueError, match="impute"):
         encode_dataset(d)
-
-
-# --- distance ----------------------------------------------------------------
-
-
-def test_distance_identity():
-    assert distance2((1.0, 2.0, 3.0), (1.0, 2.0, 3.0)) == 0.0
-
-
-def test_distance_hamming_on_bits():
-    assert distance2((1, 0, 1, 0), (0, 0, 1, 1)) == 2.0
-
-
-def test_distance_symmetry():
-    rng = random.Random(3)
-    for _ in range(50):
-        a = [rng.uniform(-5, 5) for _ in range(6)]
-        b = [rng.uniform(-5, 5) for _ in range(6)]
-        assert distance2(a, b) == pytest.approx(distance2(b, a), abs=1e-12)
-
-
-def test_distance_dimension_mismatch():
-    with pytest.raises(ValueError):
-        distance2((1.0,), (1.0, 2.0))
 
 
 # --- kmeans_fit --------------------------------------------------------------

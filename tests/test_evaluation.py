@@ -255,7 +255,7 @@ def test_unstratified_still_partitions():
 def _unlabelled_at(data, index):
     rows = list(data.instances)
     rows[index] = Instance(rows[index].values[:-1] + (None,))
-    return data.with_instances(rows)
+    return Dataset(data.schema, data.class_index, rows, data.name)
 
 
 _LABELLED = synthetic_checklist(10, 6, seed=4)

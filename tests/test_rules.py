@@ -3,11 +3,12 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from oracles import weighted_mixed_datasets
 
 from ldscreen.columns import Columns
-from ldscreen.dataset import AttributeSpec, Dataset, Instance, first_max
+from ldscreen.dataset import AttributeSpec, Dataset, Instance, first_max, synthetic_checklist
 from ldscreen.rules import (
     Condition,
     Rule,
@@ -213,6 +214,28 @@ def test_view_mask_equals_condition_holds(d):
         assert mask.tolist() == [c.holds(inst.values) for inst in d.instances]
 
 
+def _checklist_variant(d, variant):
+    """Checklist dataset ``d`` under another schema, its rows to match."""
+    schema, rows = d.schema, [inst.values for inst in d.instances]
+    if variant == "two_columns":
+        schema, rows = (schema[0], schema[-1]), [(v[0], v[-1]) for v in rows]
+    elif variant == "extra_class_value":
+        schema = schema[:-1] + (AttributeSpec.categorical("LD", ("N", "Y", "M")),)
+        rows.append(rows[0][:-1] + ("M",))
+    else:  # the first two attributes swapped, columns and all
+        schema = (schema[1], schema[0]) + schema[2:]
+        rows = [(v[1], v[0]) + v[2:] for v in rows]
+    return Dataset(schema, len(schema) - 1, [Instance(v) for v in rows])
+
+
+@pytest.mark.parametrize("variant", ["two_columns", "extra_class_value", "swapped_attributes"])
+def test_simplify_refuses_a_dataset_of_another_schema(variant):
+    d = synthetic_checklist(60, 30, seed=2)
+    rs = extract_rules(build_tree(d))
+    with pytest.raises(ValueError, match="schema"):
+        simplify_rules(rs, _checklist_variant(d, variant))
+
+
 # --- classification ----------------------------------------------------------
 
 
@@ -270,6 +293,11 @@ def test_ruleset_text_shape():
     assert lines[0] == "IF a=1 THEN cls=Y [10, 0.900]"
     assert lines[-1] == "DEFAULT: cls=N"
     assert "IF a=1 AND b=1 THEN cls=N [5, 0.900]" in lines
+
+
+def test_rule_without_conditions_renders_true():
+    rule = Rule((), "Y", 4.0, 0.75)
+    assert rule_text(rule, demo_ruleset().schema, "cls") == "IF TRUE THEN cls=Y [4, 0.750]"
 
 
 def test_ruleset_json_fields():

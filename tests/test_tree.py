@@ -113,6 +113,22 @@ def test_numeric_split_needs_threshold():
     assert cand.gain_ratio == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("index", [-1, 2, 99])
+def test_split_index_outside_schema_rejected(index):
+    # -1 would name the class attribute from the end
+    d = binary_dataset([["1", "Y"], ["0", "N"]], 1, ("Y", "N"))
+    with pytest.raises(ValueError, match="out of range"):
+        evaluate_split(d, index)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, "abc"])
+def test_numeric_split_needs_finite_threshold(threshold):
+    schema = (AttributeSpec.numeric("x"), AttributeSpec.categorical("c", ("A", "B")))
+    d = Dataset(schema, 1, (Instance((1.0, "A")), Instance((2.0, "B"))))
+    with pytest.raises(ValueError, match="finite threshold"):
+        evaluate_split(d, 0, threshold)
+
+
 def reference_split_score(d, attribute_index, threshold):
     """Direct recomputation of IG/IV from the definitions, written
     independently of the production code (dict tallies, natural log)."""
@@ -197,7 +213,8 @@ def test_split_handles_missing_values():
 def test_weight_scaling_leaves_scores_unchanged():
     rng = random.Random(3)
     d = random_binary_dataset(rng, 15, 3)
-    scaled = d.with_instances(tuple(i.reweighted(i.weight * 3.7) for i in d.instances))
+    reweighted = [Instance(i.values, i.weight * 3.7) for i in d.instances]
+    scaled = Dataset(d.schema, d.class_index, reweighted, d.name)
     for i in range(3):
         a, b = evaluate_split(d, i), evaluate_split(scaled, i)
         assert a.info_gain == pytest.approx(b.info_gain, abs=1e-9)
@@ -366,7 +383,9 @@ def test_split_choice_invariant_to_instance_order():
     m1 = build_tree(d, TreeConfig(pruning=False))
     shuffled = list(d.instances)
     rng.shuffle(shuffled)
-    m2 = build_tree(d.with_instances(tuple(shuffled)), TreeConfig(pruning=False))
+    m2 = build_tree(
+        Dataset(d.schema, d.class_index, shuffled, d.name), TreeConfig(pruning=False)
+    )
     if isinstance(m1.root, Decision):
         assert m1.root.attribute_index == m2.root.attribute_index
 
@@ -408,7 +427,7 @@ def _with_signed_zeros(d):
             if values[i] is not None and abs(values[i]) < 0.5:
                 values[i] = -0.0 if row % 2 else 0.0
         instances.append(Instance(tuple(values), inst.weight))
-    return d.with_instances(instances)
+    return Dataset(d.schema, d.class_index, instances, d.name)
 
 
 @settings(max_examples=200, deadline=None)
@@ -421,7 +440,8 @@ def _with_signed_zeros(d):
 def test_growth_equals_row_loop_oracle(d, min_leaf_weight, unit_weights, signed_zeros):
     # the whole unpruned tree, every number included, not only the root
     if unit_weights:
-        d = d.with_instances([inst.reweighted(1.0) for inst in d.instances])
+        unit = [Instance(inst.values, 1.0) for inst in d.instances]
+        d = Dataset(d.schema, d.class_index, unit, d.name)
     if signed_zeros:
         d = _with_signed_zeros(d)
     config = TreeConfig(min_leaf_weight=min_leaf_weight, pruning=False)

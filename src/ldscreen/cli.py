@@ -139,11 +139,12 @@ def build_parser():
 
 
 def _read_text(path):
-    """The text of the file at ``path``; ParseError naming it when undecodable."""
+    """The text at ``path`` less a leading byte-order mark; ParseError if undecodable."""
     try:
-        return Path(path).read_text()
+        text = Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
+    return text.removeprefix("\ufeff")
 
 
 def _load_dataset(args):

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .dataset import EQ, GT, LE, total as sequence_total
+from .dataset import EQ, LE, total as sequence_total
 
 
 def total(weights):
@@ -143,20 +143,17 @@ class Node:
         pairs = zip(left[cuts].tolist(), right[len(column) - cuts].tolist())
         return (thresholds, list(pairs)) + totals
 
-    def children(self, i, threshold):
-        """One Node per branch of the test on attribute ``i``.
+    def children(self, conditions):
+        """One Node per branch, given the Condition each branch tests.
 
-        A branch gets its known rows, then every row missing the value at
-        weight ``w * branch_known / known_total`` when its known weight is
-        positive.
+        ``conditions`` test one attribute, as ``tree.branch_conditions``
+        lists them.  A branch gets the rows that pass its condition, then
+        every row missing the tested value at weight ``w * branch_known /
+        known_total`` when its known weight is positive.
         """
         view = self.view
-        spec = view.schema[i]
-        if spec.is_categorical:
-            tests = [(EQ, v) for v in spec.values]
-        else:
-            tests = [(LE, threshold), (GT, threshold)]
-        masks = [view.holds(i, relation, value, self.rows) for relation, value in tests]
+        i = conditions[0].attribute_index
+        masks = [view.holds(i, c.relation, c.value, self.rows) for c in conditions]
         known_w = [total(self.weights[mask]) for mask in masks]
         known_total = sequence_total(known_w)
         missing = view.missing(i, self.rows)

@@ -481,9 +481,19 @@ def _parsed_dataset(specs, class_name, instances, name="dataset"):
 
 
 def serialize_arff(dataset):
-    """Render a Dataset in the same ARFF subset parse_arff accepts."""
+    """Render a Dataset in the same ARFF subset parse_arff accepts.
+
+    ValueError for a declared value parse_arff could not read back: one
+    with ``,``, ``}`` or a line break (as ``str.splitlines`` splits), or a
+    first attribute's value led by ``%``, which makes its rows comments.
+    Instance weights are not written; rows read back at weight 1.
+    """
     out = [f"@relation {dataset.name}", ""]
-    for spec in dataset.schema:
+    for index, spec in enumerate(dataset.schema):
+        for v in spec.values:
+            unreadable = any(c in v for c in ",}") or v.splitlines() != [v]
+            if unreadable or (index == 0 and v.startswith("%")):
+                raise ValueError(f"attribute {spec.name}: ARFF cannot hold value {v!r}")
         if spec.is_categorical:
             out.append(f"@attribute {spec.name} {{{','.join(spec.values)}}}")
         else:

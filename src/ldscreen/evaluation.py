@@ -5,14 +5,15 @@ scored once, the way a single evaluation run reports: correctly and
 incorrectly classified counts with percentages, then per-class TP rate,
 FP rate, precision, recall, F-measure, and ROC area.
 
-ROC area is the rank-sum probability that a random instance of the class
-outranks a random non-member under the model's score for that class;
+ROC area is the probability that a random instance of the class
+outscores a random non-member under the model's score for that class;
 ties count one half.  Scores come from the tree's leaf distributions or,
 for rule sets, from the matched rule's accuracy.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, replace
 
 from .dataset import (
@@ -138,31 +139,24 @@ def per_class_metrics(matrix: ConfusionMatrix) -> EvaluationReport:
 
 
 def roc_area(scores, actual, positive_class) -> float:
-    """Rank-sum ROC area: P(random positive outranks random negative).
+    """Mann-Whitney ROC area: P(random positive outscores random negative).
 
-    Tied scores contribute one half, which makes this identical to
-    trapezoidal integration of the ROC curve.
+    Each positive counts the negatives it outscores, plus one half for
+    each it ties, which makes this identical to trapezoidal integration
+    of the ROC curve.  Every term is a multiple of one half, so the count
+    is exact and only the final division rounds.
     """
     if len(scores) != len(actual):
         raise ValueError("scores and labels differ in length")
-    flags = [a == positive_class for a in actual]
-    n_pos = sum(flags)
-    n_neg = len(flags) - n_pos
-    if n_pos == 0 or n_neg == 0:
+    positives = [s for s, a in zip(scores, actual) if a == positive_class]
+    negatives = sorted(s for s, a in zip(scores, actual) if a != positive_class)
+    if not positives or not negatives:
         raise ValueError("ROC area needs both classes present")
-    order = sorted(range(len(scores)), key=lambda i: scores[i])
-    ranks = [0.0] * len(scores)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        avg = (i + j) / 2 + 1  # 1-based average rank of the tie group
-        for t in range(i, j + 1):
-            ranks[order[t]] = avg
-        i = j + 1
-    rank_sum = sum(r for r, f in zip(ranks, flags) if f)
-    return (rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
+    pairs = 0.0
+    for s in positives:
+        below = bisect_left(negatives, s)
+        pairs += below + (bisect_right(negatives, s) - below) / 2
+    return pairs / (len(positives) * len(negatives))
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +241,7 @@ def cross_validate(dataset, k, seed, learner, stratify=True) -> EvaluationReport
     report = per_class_metrics(confusion(actual, predicted, class_values))
     per_class = []
     for label, metrics in report.per_class:
-        present = any(a == label for a in actual)
-        if present and any(a != label for a in actual):
+        if 0 < actual.count(label) < len(actual):
             area = roc_area([s[label] for s in scores], actual, label)
             metrics = replace(metrics, roc_area=area)
         per_class.append((label, metrics))

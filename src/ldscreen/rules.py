@@ -16,31 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dataset import EQ, GT, LE
-from .dataset import Dataset, _check_instance, dump_document, first_max, total
-from .tree import DecisionTreeModel, Leaf, ucb_error_rate
+from .dataset import EQ, Dataset, _check_instance, dump_document, first_max, total
+from .tree import Condition, DecisionTreeModel, Leaf, branch_conditions, ucb_error_rate
 
 RULES_FORMAT = "ldscreen-rules"
 RULES_VERSION = 1
-
-
-@dataclass(frozen=True)
-class Condition:
-    """A single attribute test; '=' for categorical, '<='/'>' for numeric."""
-
-    attribute_index: int
-    relation: str
-    value: object
-
-    def holds(self, values):
-        v = values[self.attribute_index]
-        if v is None:
-            return False
-        if self.relation == EQ:
-            return v == self.value
-        if self.relation == LE:
-            return v <= self.value
-        return v > self.value
 
 
 @dataclass(frozen=True)
@@ -78,14 +58,8 @@ def extract_rules(model: DecisionTreeModel) -> RuleSet:
             acc = node.class_counts[node.predicted_index] / total(node.class_counts)
             rules.append(Rule(tuple(conditions), consequent, node.weight, acc))
             return
-        spec = model.schema[node.attribute_index]
-        for b, child in enumerate(node.children):
-            if spec.is_categorical:
-                cond = Condition(node.attribute_index, EQ, spec.values[b])
-            elif b == 0:
-                cond = Condition(node.attribute_index, LE, node.threshold)
-            else:
-                cond = Condition(node.attribute_index, GT, node.threshold)
+        tests = branch_conditions(model.schema, node.attribute_index, node.threshold)
+        for cond, child in zip(tests, node.children):
             walk(child, conditions + [cond])
 
     walk(model.root, [])
@@ -167,13 +141,10 @@ def simplify_rules(ruleset: RuleSet, dataset: Dataset) -> RuleSet:
         kept.append(Rule(tuple(conditions), rule.consequent, matched, acc))
 
     # dedupe: simplification can collapse sibling rules into the same form
-    seen = set()
-    unique = []
+    forms = {}
     for r in kept:
-        key = (frozenset(r.antecedent), r.consequent)
-        if key not in seen:
-            seen.add(key)
-            unique.append(r)
+        forms.setdefault((frozenset(r.antecedent), r.consequent), r)
+    unique = list(forms.values())
 
     uncovered_rows = view.all_rows
     for r in unique:

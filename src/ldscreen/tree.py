@@ -30,6 +30,9 @@ import math
 from dataclasses import asdict, dataclass, replace
 
 from .dataset import (
+    EQ,
+    GT,
+    LE,
     AttributeSpec,
     Dataset,
     _check_instance,
@@ -86,6 +89,35 @@ class SplitCandidate:
 
 
 @dataclass(frozen=True)
+class Condition:
+    """A single attribute test; '=' for categorical, '<='/'>' for numeric."""
+
+    attribute_index: int
+    relation: str
+    value: object
+
+    def holds(self, values):
+        v = values[self.attribute_index]
+        if v is None:
+            return False
+        if self.relation == EQ:
+            return v == self.value
+        return v <= self.value if self.relation == LE else v > self.value
+
+
+def branch_conditions(schema, attribute_index, threshold):
+    """The Condition each branch of a split tests, in branch order.
+
+    One ``=`` per declared value of a categorical attribute, else ``<=``
+    then ``>`` the threshold; growth, rules and the model reader use these.
+    """
+    spec = schema[attribute_index]
+    if spec.is_categorical:
+        return [Condition(attribute_index, EQ, v) for v in spec.values]
+    return [Condition(attribute_index, relation, threshold) for relation in (LE, GT)]
+
+
+@dataclass(frozen=True)
 class Leaf:
     """Terminal node.
 
@@ -107,8 +139,8 @@ class Leaf:
 class Decision:
     """Internal test node.
 
-    Nominal tests carry one child per declared value (threshold None);
-    numeric tests carry two children, <= threshold and > threshold.
+    ``children`` follow ``branch_conditions``: one per declared value of a
+    nominal test (threshold None), or <= then > the threshold of a numeric one.
     ``branch_weights`` is the training weight that descended each branch
     and drives fractional routing of missing values.  ``class_counts`` is
     retained for pruning and for patching empty branches.
@@ -133,22 +165,17 @@ class DecisionTreeModel:
         return self.schema[self.class_index].values
 
     def node_count(self):
-        return _count_nodes(self.root)
+        return sum(1 for _ in _walk(self.root))
 
     def leaf_count(self):
-        return _count_leaves(self.root)
+        return sum(isinstance(node, Leaf) for node in _walk(self.root))
 
 
-def _count_nodes(node):
-    if isinstance(node, Leaf):
-        return 1
-    return 1 + sum(_count_nodes(c) for c in node.children)
-
-
-def _count_leaves(node):
-    if isinstance(node, Leaf):
-        return 1
-    return sum(_count_leaves(c) for c in node.children)
+def _walk(node):
+    """``node`` and every node below it, depth first."""
+    yield node
+    for child in getattr(node, "children", ()):
+        yield from _walk(child)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +323,8 @@ def _grow(node, schema, class_index, used_nominal, config):
         child_used = used_nominal | {best.attribute_index}
     children = []
     branch_weights = []
-    for child in node.children(best.attribute_index, best.threshold):
+    conditions = branch_conditions(schema, best.attribute_index, best.threshold)
+    for child in node.children(conditions):
         branch_weights.append(child.weight)
         if child.weight <= 0:
             # empty branch: majority-class leaf borrowing the parent counts
@@ -427,11 +455,8 @@ def _accumulate(node, schema, values, weight, merged):
 
 def training_accuracy(model, dataset):
     """Fraction of instances the model labels with their recorded class."""
-    correct = 0
-    for inst in dataset.instances:
-        label, _ = classify(model, inst)
-        if label == inst.values[dataset.class_index]:
-            correct += 1
+    class_index = dataset.class_index
+    correct = sum(classify(model, i)[0] == i.values[class_index] for i in dataset.instances)
     return correct / len(dataset)
 
 
@@ -502,7 +527,7 @@ def _node_from_json(doc, schema, name_to_index, n_classes):
     spec = schema[index]
     if not spec.is_categorical and not is_finite_number(doc["threshold"]):
         raise ValueError(f"numeric test on {spec.name} needs a numeric threshold")
-    n_branches = len(spec.values) if spec.is_categorical else 2
+    n_branches = len(branch_conditions(schema, index, doc["threshold"]))
     children = tuple(
         _node_from_json(c, schema, name_to_index, n_classes) for c in doc["children"]
     )

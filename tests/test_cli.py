@@ -174,6 +174,25 @@ def test_undecodable_file_exits_2_and_names_it(model_path, tmp_path, flag, capsy
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("name", ["data.csv", "data.arff", "answers.txt"])
+def test_byte_order_mark_is_dropped(model_path, tmp_path, name, capsys):
+    d = synthetic_checklist(30, 20, seed=8)
+    argv, text = {
+        "data.csv": (["train", "--input"], serialize_csv(d)),
+        "data.arff": (["train", "--input"], serialize_arff(d)),
+        "answers.txt": (["checklist", "--model", model_path, "--answers-file"], ALL_N),
+    }[name]
+    results = []
+    # spreadsheets start "CSV UTF-8" exports with a byte-order mark
+    for folder, mark in (("plain", ""), ("marked", "\ufeff")):
+        path = tmp_path / folder / name
+        path.parent.mkdir()
+        path.write_text(mark + text, encoding="utf-8")
+        results.append((main(argv + [str(path)]), capsys.readouterr()))
+    assert results[0][0] == 0
+    assert results[1] == results[0]
+
+
 @pytest.mark.parametrize("command", ["train", "rules", "checklist"])
 def test_seed_only_where_it_acts(arff_125, command, capsys):
     source = ["--model", "m.json"] if command == "checklist" else ["--input", arff_125]

@@ -152,6 +152,68 @@ def test_arff_round_trip_synthetic_checklist():
         assert a.values == b.values
 
 
+#: Characters that parse_arff treats as syntax, with plain ones to go round them.
+ARFF_HAZARDS = ",}%\n\r\x1c\x85\u2028"
+ARFF_SYMBOL = st.text(ARFF_HAZARDS + "ab{?' \t", min_size=1, max_size=3).filter(
+    lambda v: v not in ("", "?") and v == v.strip()
+)
+
+
+@st.composite
+def arff_datasets(draw):
+    """A Dataset of unit-weight rows over symbols that may hold ARFF syntax."""
+    n = draw(st.integers(1, 3))
+    class_at = draw(st.integers(0, n))
+    schema = []
+    for i in range(n + 1):
+        if i != class_at and draw(st.booleans()):
+            schema.append(AttributeSpec.numeric(f"x{i}"))
+            continue
+        least = 2 if i == class_at else 1
+        symbols = draw(st.lists(ARFF_SYMBOL, min_size=least, max_size=3, unique=True))
+        schema.append(AttributeSpec.categorical(f"s{i}", symbols))
+    cell = [
+        st.sampled_from((None,) + spec.values)
+        if spec.is_categorical
+        else st.none() | st.floats(allow_nan=False, allow_infinity=False)
+        for spec in schema
+    ]
+    rows = draw(st.lists(st.tuples(*cell), max_size=5))
+    return Dataset(tuple(schema), class_at, tuple(Instance(r) for r in rows), "r")
+
+
+@pytest.mark.parametrize(
+    "index, bad", [(0, "%x"), (0, "x,y"), (1, "P}"), (1, "Q\u2028R")]
+)
+def test_serialize_arff_refuses_what_parse_arff_cannot_read(index, bad):
+    values = [["x", "y"], ["P", "Q"]]
+    values[index][0] = bad
+    schema = tuple(AttributeSpec.categorical(n, v) for n, v in zip(("a", "cls"), values))
+    d = Dataset(schema, 1, [Instance(r) for r in zip(*values)] * 2, "r")
+    with pytest.raises(ValueError) as err:
+        serialize_arff(d)
+    name = schema[index].name
+    assert str(err.value).startswith(f"attribute {name}: ARFF cannot hold value {bad!r}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(arff_datasets())
+def test_arff_round_trip_or_refusal(d):
+    try:
+        text = serialize_arff(d)
+    except ValueError as exc:
+        named = [
+            v
+            for spec in d.schema
+            for v in spec.values
+            if str(exc).startswith(f"attribute {spec.name}: ") and repr(v) in str(exc)
+        ]
+        assert any(c in v for v in named for c in ARFF_HAZARDS)
+        assert len(str(exc).splitlines()) == 1
+        return
+    assert parse_arff(text, class_name=d.class_attribute.name) == d
+
+
 # --- CSV parsing ------------------------------------------------------------
 
 

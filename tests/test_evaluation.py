@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldscreen.dataset import AttributeSpec, Dataset, Instance, synthetic_checklist
 from ldscreen.evaluation import (
@@ -174,6 +176,19 @@ def test_roc_matches_pairwise_oracle():
         assert mine == pytest.approx(
             roc_pairwise_oracle(scores, actual, "Y"), abs=1e-9
         )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([0.0, 0.1, 0.25, 1 / 3, 0.5, 1.0]), st.sampled_from("NY")),
+        min_size=2,
+        max_size=80,
+    ).filter(lambda pairs: len({a for _, a in pairs}) == 2)
+)
+def test_roc_equals_pair_count_exactly_on_ties(pairs):
+    scores, actual = [s for s, _ in pairs], [a for _, a in pairs]
+    assert roc_area(scores, actual, "Y") == roc_pairwise_oracle(scores, actual, "Y")
 
 
 def test_roc_binary_duality():

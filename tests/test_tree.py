@@ -26,10 +26,12 @@ from ldscreen.dataset import (
     total,
 )
 from ldscreen.tree import (
+    Condition,
     Decision,
     DecisionTreeModel,
     Leaf,
     TreeConfig,
+    branch_conditions,
     build_tree,
     classify,
     entropy,
@@ -375,6 +377,21 @@ def test_nominal_attribute_tested_once_per_path():
             walk(child, seen | {node.attribute_index})
 
     walk(m.root, frozenset())
+
+
+def test_branch_conditions_follow_branch_order():
+    schema = (
+        AttributeSpec.categorical("s", ("c", "a", "b")),
+        AttributeSpec.numeric("x"),
+        AttributeSpec.categorical("cls", ("N", "Y")),
+    )
+    # declared values in declaration order, not sorted
+    assert branch_conditions(schema, 0, None) == [
+        Condition(0, "=", "c"),
+        Condition(0, "=", "a"),
+        Condition(0, "=", "b"),
+    ]
+    assert branch_conditions(schema, 1, 2.5) == [Condition(1, "<=", 2.5), Condition(1, ">", 2.5)]
 
 
 def test_split_choice_invariant_to_instance_order():

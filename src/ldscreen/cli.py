@@ -63,7 +63,7 @@ def _add_tree_flags(sub):
         "--min-leaf-weight",
         type=float,
         default=TreeConfig.min_leaf_weight,
-        help="minimum training weight per leaf (default %(default)g)",
+        help="a node lighter than twice this weight is not split (default %(default)g)",
     )
     sub.add_argument(
         "--confidence",

@@ -79,6 +79,11 @@ def is_finite_number(value):
         return False
 
 
+def _breaks_line(text):
+    """True when ``text`` holds a character that ``str.splitlines`` splits on."""
+    return "".join(text.splitlines()) != text
+
+
 def finite_float(token):
     """Text ``token`` as a finite float, or None when it is not one."""
     try:
@@ -137,7 +142,9 @@ class AttributeSpec:
     Parameters
     ----------
     name : str
-        Attribute name, unique within a schema.
+        Attribute name, unique within a schema, without spaces, tabs,
+        ``,{}%'"`` or a line break (a character ``str.splitlines``
+        splits on).
     kind : str
         One of ``binary``, ``nominal``, ``numeric``.
     values : tuple of str
@@ -154,8 +161,9 @@ class AttributeSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
-        if not self.name or any(c in self.name for c in " \t,{}%'\""):
-            raise ValueError(f"invalid attribute name: {self.name!r}")
+        name = self.name
+        if not name or any(c in name for c in " \t,{}%'\"") or _breaks_line(name):
+            raise ValueError(f"invalid attribute name: {name!r}")
         if self.kind == NUMERIC:
             if self.values:
                 raise ValueError(f"numeric attribute {self.name} must not declare values")
@@ -483,15 +491,19 @@ def _parsed_dataset(specs, class_name, instances, name="dataset"):
 def serialize_arff(dataset):
     """Render a Dataset in the same ARFF subset parse_arff accepts.
 
-    ValueError for a declared value parse_arff could not read back: one
-    with ``,``, ``}`` or a line break (as ``str.splitlines`` splits), or a
-    first attribute's value led by ``%``, which makes its rows comments.
+    ValueError for what parse_arff could not read back: a relation name
+    that is empty, begins or ends with whitespace or holds a line break,
+    a declared value with ``,``, ``}`` or a line break, or a first
+    attribute's value led by ``%``, which makes its rows comments.
     Instance weights are not written; rows read back at weight 1.
     """
-    out = [f"@relation {dataset.name}", ""]
+    name = dataset.name
+    if not name or name != name.strip() or _breaks_line(name):
+        raise ValueError(f"ARFF cannot hold relation name {name!r}")
+    out = [f"@relation {name}", ""]
     for index, spec in enumerate(dataset.schema):
         for v in spec.values:
-            unreadable = any(c in v for c in ",}") or v.splitlines() != [v]
+            unreadable = any(c in v for c in ",}") or _breaks_line(v)
             if unreadable or (index == 0 and v.startswith("%")):
                 raise ValueError(f"attribute {spec.name}: ARFF cannot hold value {v!r}")
         if spec.is_categorical:

@@ -15,6 +15,7 @@ value simply fails the condition, so no fractional routing happens here
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .dataset import EQ, Dataset, _check_instance, dump_document, first_max, total
 from .tree import Condition, DecisionTreeModel, Leaf, branch_conditions, ucb_error_rate
@@ -40,6 +41,15 @@ class RuleSet:
     class_index: int
     rules: tuple
     default_class: str
+
+    @cached_property
+    def precedence(self):
+        """The rules by accuracy, then coverage, both descending.
+
+        The sort is stable, so a full tie keeps the earlier position.
+        Ranked once per rule set; ``rules`` keeps the declared order.
+        """
+        return tuple(sorted(self.rules, key=lambda r: (-r.accuracy, -r.coverage)))
 
 
 def extract_rules(model: DecisionTreeModel) -> RuleSet:
@@ -158,14 +168,14 @@ def simplify_rules(ruleset: RuleSet, dataset: Dataset) -> RuleSet:
 
 
 def best_rule(ruleset: RuleSet, instance) -> Rule | None:
-    """The matching rule of highest accuracy, or None when none matches.
+    """The first matching rule in precedence order, or None when none matches.
 
-    Ties break by higher coverage, then by earlier position in the set.
-    Raises ValueError if the instance does not fit the schema (see Dataset).
+    Precedence is higher accuracy, then higher coverage, then earlier
+    position in the set (see RuleSet.precedence).  Raises ValueError if
+    the instance does not fit the schema (see Dataset).
     """
     values = _check_instance(ruleset.schema, instance)
-    matched = [r for r in ruleset.rules if r.matches(values)]
-    return max(matched, key=lambda r: (r.accuracy, r.coverage), default=None)
+    return next((r for r in ruleset.precedence if r.matches(values)), None)
 
 
 def rules_classify(ruleset: RuleSet, instance) -> str:

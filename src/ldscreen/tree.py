@@ -52,7 +52,11 @@ _GAIN_EPS = 1e-12
 
 @dataclass(frozen=True)
 class TreeConfig:
-    """Induction parameters; defaults follow common C4.5 practice."""
+    """Induction parameters.
+
+    A node lighter than twice ``min_leaf_weight`` is not split.  No
+    branch's weight is checked, so a leaf can weigh less than it.
+    """
 
     min_leaf_weight: float = 2.0
     confidence_factor: float = 0.25

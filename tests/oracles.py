@@ -166,6 +166,21 @@ def roc_pairwise_oracle(scores, actual, positive):
     return wins / (len(pos) * len(neg))
 
 
+def best_rule_oracle(ruleset, values):
+    """Every rule tested: the matching one of highest (accuracy, coverage).
+
+    Only a strictly higher pair replaces the incumbent, so the earliest
+    position wins a full tie.  None when no rule matches.
+    """
+    best = None
+    for rule in ruleset.rules:
+        if not all(c.holds(values) for c in rule.antecedent):
+            continue
+        if best is None or (rule.accuracy, rule.coverage) > (best.accuracy, best.coverage):
+            best = rule
+    return best
+
+
 def enumeration_min_wcss(rows):
     """Exhaustive WCSS minimum over all 2-partitions of the rows."""
     rows = np.asarray(rows, dtype=float)

@@ -555,6 +555,16 @@ def test_csv_bad_header_name_exits_2(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+def test_csv_header_name_with_a_line_break_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b'"a\nb",c\nx,P\ny,Q\n')
+    code = main(["train", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "ldscreen: error: line 1: invalid attribute name: 'a\\nb'\n"
+
+
 # --- start-up imports ----------------------------------------------------------
 
 #: run in a fresh interpreter: which of numpy and scipy each step has loaded,

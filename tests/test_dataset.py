@@ -1,5 +1,6 @@
 """Schema, parsing, imputation, and fold-splitting behavior."""
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -59,6 +60,19 @@ def test_binary_spec_needs_two_values():
 def test_numeric_spec_rejects_values():
     with pytest.raises(ValueError):
         AttributeSpec("x", "numeric", ("1",))
+
+
+@pytest.mark.parametrize("name", ["a\nb", "a\r", "\u2028a", "a\x0cb"])
+def test_attribute_name_with_a_line_break_refused(name):
+    with pytest.raises(ValueError, match="invalid attribute name"):
+        AttributeSpec.categorical(name, ("Y", "N"))
+
+
+@pytest.mark.parametrize("name", ["r\nx", "r\u2028", "", " r", "r\t"])
+def test_serialize_arff_refuses_a_relation_name_it_cannot_read_back(name):
+    d = parse_csv("a,c\nx,P\ny,Q\n")
+    with pytest.raises(ValueError, match="relation name"):
+        serialize_arff(dataclasses.replace(d, name=name))
 
 
 def test_schema_names_unique():

@@ -1,11 +1,13 @@
 """Rule extraction, simplification, and rule-based classification."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
-from oracles import weighted_mixed_datasets
+from hypothesis import strategies as st
+from oracles import best_rule_oracle, weighted_mixed_datasets
 
 from ldscreen.columns import Columns
 from ldscreen.dataset import AttributeSpec, Dataset, Instance, first_max, synthetic_checklist
@@ -281,6 +283,70 @@ def test_best_rule_full_tie_keeps_earlier_position():
 def test_missing_value_fails_condition():
     rs = demo_ruleset()
     assert rules_classify(rs, (None, "0", None)) == "N"  # default
+
+
+_RANKED_SCHEMA = (
+    AttributeSpec.categorical("a", ("x", "y", "z")),
+    AttributeSpec.categorical("b", ("x", "y")),
+    AttributeSpec.numeric("n"),
+    AttributeSpec.categorical("cls", ("N", "Y")),
+)
+
+
+@st.composite
+def tied_rule_sets(draw):
+    """Rule sets of ``_RANKED_SCHEMA`` with equal copies of some rules appended.
+
+    Accuracies and coverages come from a small pool, so ties are common.
+    """
+    condition = st.one_of(
+        st.builds(Condition, st.just(0), st.just("="), st.sampled_from("xyz")),
+        st.builds(Condition, st.just(1), st.just("="), st.sampled_from("xy")),
+        st.builds(
+            Condition,
+            st.just(2),
+            st.sampled_from(("<=", ">")),
+            st.sampled_from((-1.0, 0.5, 2.0)),
+        ),
+    )
+    rule = st.builds(
+        Rule,
+        st.lists(condition, max_size=3).map(tuple),
+        st.sampled_from("NY"),
+        st.sampled_from((0.0, 1.0, 2.5, 4.0)),
+        st.sampled_from((0.0, 0.25, 0.5, 1.0)),
+    )
+    rules = draw(st.lists(rule, max_size=8))
+    if rules:
+        copies = draw(st.lists(st.sampled_from(rules), max_size=3))
+        rules += [dataclasses.replace(r) for r in copies]  # equal, not identical
+    return RuleSet(_RANKED_SCHEMA, 3, tuple(rules), "N")
+
+
+_gappy_rows = st.tuples(
+    st.none() | st.sampled_from("xyz"),
+    st.none() | st.sampled_from("xy"),
+    st.none() | st.sampled_from((-2.0, -1.0, 0.0, 0.25, 0.5, 2.0, 3.0)),
+    st.none() | st.sampled_from("NY"),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_rule_sets(), st.lists(_gappy_rows, min_size=1, max_size=10))
+def test_best_rule_is_the_max_over_every_match(ruleset, rows):
+    for row in rows:
+        assert best_rule(ruleset, row) is best_rule_oracle(ruleset, row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_mixed_datasets())
+def test_rules_classify_agrees_with_the_oracle_on_simplified_rules(d):
+    rs = extract_rules(build_tree(d, TreeConfig(min_leaf_weight=0.5, pruning=False)))
+    simplified = simplify_rules(rs, d)
+    for inst in d.instances:
+        rule = best_rule_oracle(simplified, inst.values)
+        expected = simplified.default_class if rule is None else rule.consequent
+        assert rules_classify(simplified, inst.values) == expected
 
 
 # --- rendering ---------------------------------------------------------------

@@ -246,6 +246,16 @@ def test_single_class_gives_lone_leaf():
     assert m.root.predicted_index == 0
 
 
+def test_min_leaf_weight_bounds_the_node_split_not_the_leaf():
+    # the default of 2: a node lighter than 4 stays a leaf, but a node of
+    # weight 4 splits 1 + 3, so an unpruned leaf weighs 1
+    rows = [["0", "N"], ["1", "Y"], ["1", "Y"]]
+    assert isinstance(build_tree(binary_dataset(rows, 1), TreeConfig(pruning=False)).root, Leaf)
+    m = build_tree(binary_dataset(rows + [["1", "Y"]], 1), TreeConfig(pruning=False))
+    assert isinstance(m.root, Decision)
+    assert sorted(child.weight for child in m.root.children) == [1.0, 3.0]
+
+
 def test_empty_dataset_rejected():
     d = binary_dataset([], 1)
     with pytest.raises(ValueError):

@@ -127,26 +127,13 @@ __all__ = [
     "__version__",
 ]
 
-# The cluster names load numpy, which screening never needs, so they
-# resolve on first use (PEP 562; the pattern of Scientific Python SPEC 1).
-_CLUSTER_NAMES = {
-    "ClusterModel",
-    "cluster_model_from_json",
-    "cluster_model_to_json",
-    "cluster_profile",
-    "cluster_report_text",
-    "clustered_instances_text",
-    "encode_dataset",
-    "kmeans_fit",
-    "map_clusters_to_classes",
-    "percentage",
-}
-
-
+# The names of __all__ not bound above come from ldscreen.cluster, which
+# loads numpy, so they resolve on first use: screening never needs numpy
+# (PEP 562; the pattern of Scientific Python SPEC 1).
 def __getattr__(name):
     # import_module, not `from . import cluster`: that statement looks the
     # submodule up as an attribute of this package first, calling back here
-    if name == "cluster" or name in _CLUSTER_NAMES:
+    if name == "cluster" or name in __all__:
         cluster = importlib.import_module(".cluster", __name__)
         return cluster if name == "cluster" else getattr(cluster, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,8 +22,8 @@ from .evaluation import (
     tree_learner,
 )
 from .rules import (
-    best_rule,
     extract_rules,
+    reached_rule,
     rule_text,
     ruleset_text,
     ruleset_to_json,
@@ -271,9 +271,10 @@ def _normalize_answer(token, spec):
         raise UsageError(
             f"invalid answer {token!r} for {spec.name}; expected a finite number"
         )
-    for v in spec.values:
-        if token.upper() == v.upper():
-            return v
+    exact = [v for v in spec.values if v == token]
+    matches = exact or [v for v in spec.values if v.upper() == token.upper()]
+    if len(matches) == 1:
+        return matches[0]
     raise UsageError(
         f"invalid answer {token!r} for {spec.name}; expected one of {spec.values}"
     )
@@ -290,9 +291,7 @@ def cmd_checklist(args):
     ]
     answers = _read_answers(args)
     if len(answers) != len(features):
-        raise UsageError(
-            f"expected {len(features)} answers, got {len(answers)}"
-        )
+        raise UsageError(f"expected {len(features)} answers, got {len(answers)}")
     values = [None] * len(model.schema)
     for (i, spec), token in zip(features, answers):
         values[i] = _normalize_answer(token, spec)
@@ -301,9 +300,7 @@ def cmd_checklist(args):
     print(f"Prediction: {class_name}={label}")
     dist_text = ", ".join(f"{v}={dist[v]:.3f}" for v in model.class_values)
     print(f"Distribution: {dist_text}")
-    ruleset = extract_rules(model)
-    # complete answers always match the rule of the leaf they reach
-    rule = best_rule(ruleset, values)
+    rule = reached_rule(model, values)
     print("Matched rule: " + rule_text(rule, model.schema, class_name))
     return 0
 

@@ -600,7 +600,7 @@ def serialize_csv(dataset):
 
 
 def impute_missing(dataset):
-    """Replace every gap by the global column mean (numeric) or mode.
+    """Replace each gap outside the class by its column mean (numeric) or mode.
 
     Mode ties break by schema value order.  The input dataset is not
     modified; imputation is idempotent.
@@ -614,11 +614,11 @@ def impute_missing(dataset):
     for i, spec in enumerate(dataset.schema):
         column = dataset.column(i)
         known = [v for v in column if v is not None]
-        if len(known) == len(column):
-            fills.append(None)  # nothing to fill
-            continue
-        if not known:
+        if column and not known:
             raise ValueError(f"attribute {spec.name} is entirely missing")
+        if len(known) == len(column) or i == dataset.class_index:
+            fills.append(None)  # nothing to fill; a guessed class would pass as recorded
+            continue
         if spec.is_categorical:
             counts = Counter(known)
             fills.append(spec.values[first_max([counts[v] for v in spec.values])])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .dataset import EQ, Dataset, _check_instance, dump_document, first_max, total
-from .tree import Condition, DecisionTreeModel, Leaf, branch_conditions, ucb_error_rate
+from .tree import Condition, DecisionTreeModel, Leaf, _paths, ucb_error_rate
 
 RULES_FORMAT = "ldscreen-rules"
 RULES_VERSION = 1
@@ -59,22 +59,28 @@ def extract_rules(model: DecisionTreeModel) -> RuleSet:
     leaf.  Rule order follows a depth-first walk, but classification does
     not depend on it except as a final tie-break.
     """
-    class_values = model.class_values
-    rules = []
+    default = model.class_values[first_max(model.root.class_counts)]
+    return RuleSet(model.schema, model.class_index, tuple(_leaf_rules(model)), default)
 
-    def walk(node, conditions):
+
+def reached_rule(model: DecisionTreeModel, instance) -> Rule | None:
+    """The rule of the leaf ``instance`` reaches; None if a tested value is missing.
+
+    Walks only the branches whose test holds.  A tree's rules partition the
+    rows they match, so this is ``best_rule(extract_rules(model), instance)``.
+    Raises ValueError if the instance does not fit the schema (see Dataset).
+    """
+    values = _check_instance(model.schema, instance)
+    return next(_leaf_rules(model, lambda cond: cond.holds(values)), None)
+
+
+def _leaf_rules(model, passes=None):
+    """The rule of each leaf the walk of ``_paths`` reaches, in its order."""
+    for conditions, node in _paths(model.root, model.schema, passes):
         if isinstance(node, Leaf):
-            consequent = class_values[node.predicted_index]
-            acc = node.class_counts[node.predicted_index] / total(node.class_counts)
-            rules.append(Rule(tuple(conditions), consequent, node.weight, acc))
-            return
-        tests = branch_conditions(model.schema, node.attribute_index, node.threshold)
-        for cond, child in zip(tests, node.children):
-            walk(child, conditions + [cond])
-
-    walk(model.root, [])
-    default = class_values[first_max(model.root.class_counts)]
-    return RuleSet(model.schema, model.class_index, tuple(rules), default)
+            i = node.predicted_index
+            accuracy = node.class_counts[i] / total(node.class_counts)
+            yield Rule(conditions, model.class_values[i], node.weight, accuracy)
 
 
 #: Confidence factor of the pessimistic accuracy estimate in simplify_rules;

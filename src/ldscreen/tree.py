@@ -169,17 +169,24 @@ class DecisionTreeModel:
         return self.schema[self.class_index].values
 
     def node_count(self):
-        return sum(1 for _ in _walk(self.root))
+        return sum(1 for _ in _paths(self.root, self.schema))
 
     def leaf_count(self):
-        return sum(isinstance(node, Leaf) for node in _walk(self.root))
+        return sum(isinstance(node, Leaf) for _, node in _paths(self.root, self.schema))
 
 
-def _walk(node):
-    """``node`` and every node below it, depth first."""
-    yield node
-    for child in getattr(node, "children", ()):
-        yield from _walk(child)
+def _paths(node, schema, passes=None, conditions=()):
+    """``(conditions, node)`` for ``node`` and each node below, depth first.
+
+    ``conditions`` adds the ``branch_conditions`` taken to the prefix given;
+    only branches whose Condition ``passes`` accepts (all if None) are entered.
+    """
+    yield conditions, node
+    if isinstance(node, Decision):
+        tests = branch_conditions(schema, node.attribute_index, node.threshold)
+        for cond, child in zip(tests, node.children):
+            if passes is None or passes(cond):
+                yield from _paths(child, schema, passes, conditions + (cond,))
 
 
 # ---------------------------------------------------------------------------
@@ -520,20 +527,22 @@ def _weights(items, n, what):
     return weights
 
 
-def _node_from_json(doc, schema, name_to_index, n_classes):
-    # refuses every value that would break classify or extract_rules
-    counts = _weights(doc["class_counts"], n_classes, "class_counts")
+def _node_from_json(doc, schema, name_to_index, class_index):
+    # refuses every value that would break classify or the rules of the tree
+    counts = _weights(doc["class_counts"], len(schema[class_index].values), "class_counts")
     if doc["type"] == "leaf":
         if not _is_weight(doc["weight"]) or sum(counts) <= 0:
             raise ValueError("a leaf needs a weight and class_counts summing above 0")
         return Leaf(counts, doc["weight"])
     index = name_to_index[doc["attribute"]]
     spec = schema[index]
+    if index == class_index:
+        raise ValueError(f"a decision tests the class attribute {spec.name}")
     if not spec.is_categorical and not is_finite_number(doc["threshold"]):
         raise ValueError(f"numeric test on {spec.name} needs a numeric threshold")
     n_branches = len(branch_conditions(schema, index, doc["threshold"]))
     children = tuple(
-        _node_from_json(c, schema, name_to_index, n_classes) for c in doc["children"]
+        _node_from_json(c, schema, name_to_index, class_index) for c in doc["children"]
     )
     if len(children) != n_branches:
         raise ValueError(f"test on {spec.name} needs {n_branches} children")
@@ -555,7 +564,6 @@ def _model_from_doc(doc):
         raise ValueError(f"class_index {class_index!r} is not an integer")
     Dataset(schema, class_index)  # distinct names and a nominal class of 2+ values
     name_to_index = {a.name: i for i, a in enumerate(schema)}
-    n_classes = len(schema[class_index].values)
-    root = _node_from_json(doc["root"], schema, name_to_index, n_classes)
+    root = _node_from_json(doc["root"], schema, name_to_index, class_index)
     config = TreeConfig(**doc["config"])
     return DecisionTreeModel(schema, class_index, root, config)

@@ -287,6 +287,20 @@ def test_cluster_auto_imputes(arff_gappy, capsys):
     assert "Within cluster sum of squared errors" in capsys.readouterr().out
 
 
+def test_cluster_class_gaps_do_not_vote(tmp_path, capsys):
+    # every recorded label in the first cluster is Y; a filled-in mode would be N
+    rows = ["Y,Y,Y"] * 2 + ["Y,Y,?"] * 5 + ["N,N,N"] * 6
+    path = tmp_path / "gaps.arff"
+    path.write_text(
+        "@relation gaps\n@attribute a {N,Y}\n@attribute b {N,Y}\n"
+        "@attribute c {N,Y}\n@data\n" + "\n".join(rows) + "\n"
+    )
+    assert main(["cluster", "--input", str(path), "--clusters", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "0  c=Y - 7 Nos." in out
+    assert "1  c=N - 6 Nos." in out
+
+
 def test_cluster_model_json(arff_125, tmp_path, capsys):
     out = tmp_path / "cluster.json"
     main(["cluster", "--input", arff_125, "--out", str(out), "--seed", "4"])
@@ -387,6 +401,54 @@ def test_checklist_invalid_symbol_exits_2(model_path, capsys):
     assert "maybe" in captured.err
 
 
+def test_checklist_blank_answer_exits_2(model_path, capsys):
+    # a matched rule exists only for complete answers
+    blank = ",".join(["N"] * 15 + ["?"])
+    code = main(["checklist", "--model", model_path, "--answers", blank])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "'?'" in captured.err
+
+
+@pytest.fixture
+def case_model_path(tmp_path, capsys):
+    rows = ["y,no,N", "Y,no,Y", "n,no,N"] * 5
+    data = tmp_path / "case.arff"
+    data.write_text(
+        "@relation case\n@attribute a {y,Y,n}\n@attribute b {no,NO}\n"
+        "@attribute c {N,Y}\n@data\n" + "\n".join(rows) + "\n"
+    )
+    path = tmp_path / "case.json"
+    assert main(["train", "--input", str(data), "--out", str(path)]) == 0
+    capsys.readouterr()
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "answers, rule",
+    [
+        ("Y,no", "IF a=Y THEN c=Y"),
+        ("y,NO", "IF a=y THEN c=N"),
+        ("N,No", None),  # No could be no or NO
+        ("N,nO", None),
+        ("N,no", "IF a=n THEN c=N"),  # only n matches N
+    ],
+)
+def test_checklist_exact_answer_wins_then_one_case_insensitive_match(
+    case_model_path, answers, rule, capsys
+):
+    code = main(["checklist", "--model", case_model_path, "--answers", answers])
+    captured = capsys.readouterr()
+    if rule is None:
+        assert code == 2
+        assert captured.out == ""
+        assert "expected one of ('no', 'NO')" in captured.err
+    else:
+        assert code == 0
+        assert f"Matched rule: {rule} [" in captured.out
+
+
 def test_checklist_requires_one_answer_source(model_path, capsys):
     code = main(["checklist", "--model", model_path])
     assert code == 2
@@ -450,6 +512,12 @@ def _zero_leaf_counts(text):
     return json.dumps(doc)
 
 
+def _root_tests_the_class(text):
+    doc = json.loads(text)
+    doc["root"]["attribute"] = doc["schema"][doc["class_index"]]["name"]
+    return json.dumps(doc)
+
+
 def _zero_root_branch_weights(text):
     doc = json.loads(text)
     doc["root"]["branch_weights"] = [0.0, 0.0]
@@ -484,6 +552,7 @@ def _unreadable_value(value):
         _valueless_nominal,
         _zero_leaf_counts,
         _zero_root_branch_weights,
+        _root_tests_the_class,
     ],
 )
 def test_checklist_malformed_model_exits_2(model_path, damage, capsys):

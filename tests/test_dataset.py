@@ -500,6 +500,16 @@ def test_impute_entirely_missing_column_names_it():
         impute_missing(d)
 
 
+def test_impute_leaves_class_gaps_but_refuses_an_empty_class():
+    schema = (AttributeSpec.categorical("b", ("Y", "N")), AttributeSpec.categorical("c", ("A", "B")))
+    rows = [("Y", "A"), (None, "A"), ("N", None)]
+    d = Dataset(schema, 1, tuple(Instance(r) for r in rows))
+    assert impute_missing(d).column(1) == ["A", "A", None]
+    empty = Dataset(schema, 1, tuple(Instance((b, None)) for b in ("Y", "N")))
+    with pytest.raises(ValueError, match="attribute c is entirely missing"):
+        impute_missing(empty)
+
+
 def test_impute_overflowing_mean_names_the_attribute_not_a_row():
     schema = (AttributeSpec.numeric("x"), AttributeSpec.categorical("c", ("A", "B")))
     rows = [(1e308, "A"), (1e308, "B"), (None, "A"), (1.0, "B")]

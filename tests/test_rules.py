@@ -17,6 +17,7 @@ from ldscreen.rules import (
     RuleSet,
     best_rule,
     extract_rules,
+    reached_rule,
     rule_text,
     rules_classify,
     ruleset_text,
@@ -104,6 +105,32 @@ def test_unpruned_rules_equal_tree_on_enumeration():
         for bits in itertools.product("01", repeat=5):
             x = bits + (None,)
             assert rules_classify(rs, x) == classify(m, x)[0]
+
+
+def _answer(rng, spec):
+    # eighths hit the midpoint thresholds of the quarter values datasets draw
+    return rng.choice(spec.values) if spec.is_categorical else rng.randint(-24, 24) / 8
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_mixed_datasets(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_reached_rule_is_the_best_rule_of_the_tree(d, pruning, seed):
+    model = build_tree(d, TreeConfig(min_leaf_weight=0.5, pruning=pruning))
+    ruleset = extract_rules(model)
+    rng = random.Random(seed)
+    features = d.feature_indices
+    for inst in d.instances:
+        complete = [
+            _answer(rng, spec) if v is None and i in features else v
+            for i, (spec, v) in enumerate(zip(d.schema, inst.values))
+        ]
+        rule = reached_rule(model, complete)
+        assert rule is not None
+        assert rule == best_rule(ruleset, complete)
+        blanked = list(complete)
+        blanked[rng.choice(features)] = None
+        for row in (inst.values, blanked):
+            assert reached_rule(model, row) == best_rule(ruleset, row)
 
 
 # --- simplification ----------------------------------------------------------

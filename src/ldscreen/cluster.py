@@ -184,10 +184,13 @@ def kmeans_fit(dataset, k=2, seed=0, max_iter=100, initial_centroids=None):
 def map_clusters_to_classes(model: ClusterModel, dataset: Dataset):
     """Label each cluster by the majority class of its members.
 
+    Members without a recorded class are not counted.
+
     Returns
     -------
-    (tuple of str, list of list of int)
+    (tuple of str or None, list of list of int)
         One class label per cluster (ties resolve to the earlier declared
+        class; None for a cluster none of whose members has a recorded
         class) and the contingency counts[cluster][class].
     """
     class_values = dataset.class_values
@@ -196,7 +199,7 @@ def map_clusters_to_classes(model: ClusterModel, dataset: Dataset):
         label = inst.values[dataset.class_index]
         if label is not None:
             counts[a][class_values.index(label)] += 1
-    labels = tuple(class_values[first_max(row)] for row in counts)
+    labels = tuple(class_values[first_max(row)] if any(row) else None for row in counts)
     return labels, counts
 
 
@@ -231,7 +234,10 @@ def percentage(part, whole):
 
 
 def clustered_instances_text(model: ClusterModel, dataset: Dataset) -> str:
-    """The 'Clustered Instances' block: size and share per cluster."""
+    """The 'Clustered Instances' block: size and share per cluster.
+
+    A cluster with no recorded class among its members is labelled ``?``.
+    """
     class_name = dataset.class_attribute.name
     labels, _ = map_clusters_to_classes(model, dataset)
     sizes = model.cluster_sizes()
@@ -239,7 +245,7 @@ def clustered_instances_text(model: ClusterModel, dataset: Dataset) -> str:
     lines = ["Clustered Instances"]
     for j, (size, label) in enumerate(zip(sizes, labels)):
         lines.append(
-            f"{j}  {class_name}={label} - {size} Nos. - {percentage(size, total)}"
+            f"{j}  {class_name}={label or '?'} - {size} Nos. - {percentage(size, total)}"
         )
     return "\n".join(lines)
 

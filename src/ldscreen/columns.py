@@ -102,6 +102,12 @@ class Node:
         view = self.view
         return np.bincount(view.classes[self.rows], self.weights, view.n_classes).tolist()
 
+    def _known(self, i):
+        """Value, class and weight arrays of the rows whose attribute ``i`` is known."""
+        view = self.view
+        known = ~view.missing(i, self.rows)
+        return view.columns[i][self.rows][known], view.classes[self.rows][known], self.weights[known]
+
     def split_tallies(self, i, thresholds=None):
         """``(thresholds, branch tallies, parent, known_w, total_w)`` of attribute ``i``.
 
@@ -110,29 +116,34 @@ class Node:
         A categorical attribute has the one threshold None, whose tallies
         hold one class tally per declared value.  A numeric attribute has
         one ``(left, right)`` pair of class tallies per threshold, for the
-        values ``<=`` and ``>`` it; ``thresholds`` must ascend, and None
-        means every midpoint between adjacent distinct known values.
+        values ``<=`` and ``>`` it; its ``thresholds`` must be given, in
+        ascending order (``midpoints`` covers every midpoint).
         """
-        view = self.view
-        known = ~view.missing(i, self.rows)
-        column = view.columns[i][self.rows][known]
-        classes = view.classes[self.rows][known]
-        weights = self.weights[known]
-        n = view.n_classes
+        spec = self.view.schema[i]
+        if not spec.is_categorical:
+            splits = self.midpoints(i, thresholds)
+            return (thresholds,) + splits.tallies(slice(None))[1:]
+        column, classes, weights = self._known(i)
+        n = self.view.n_classes
+        tally = np.bincount(column * n + classes, weights, len(spec.values) * n)
         parent = np.bincount(classes, weights, n).tolist()
-        totals = (parent, total(weights), self.weight)
-        spec = view.schema[i]
-        if spec.is_categorical:
-            tally = np.bincount(column * n + classes, weights, len(spec.values) * n)
-            tally = tally.reshape(-1, n)
-            return ([None], [tally.tolist()]) + totals
+        return [None], [tally.reshape(-1, n).tolist()], parent, total(weights), self.weight
 
+    def midpoints(self, i, thresholds=None):
+        """The Midpoints of numeric attribute ``i``, sorted once.
+
+        ``thresholds`` must ascend; None means every midpoint between
+        adjacent distinct known values.
+        """
+        column, classes, weights = self._known(i)
+        n = self.view.n_classes
         order = np.argsort(column, kind="stable")  # equal values keep row order
         column = column[order]
         if thresholds is None:
             # the first of each run of equal values, as -0.0 and 0.0 compare equal
             distinct = np.concatenate((column[:1], column[1:][column[1:] != column[:-1]]))
-            thresholds = ((distinct[:-1] + distinct[1:]) / 2).tolist()
+            thresholds = (distinct[:-1] + distinct[1:]) / 2
+        thresholds = np.asarray(thresholds, float)
         by_class = np.zeros((len(column) + 1, n))
         by_class[np.arange(1, len(column) + 1), classes[order]] = weights[order]
         # the right tallies are summed down from the top on their own, never
@@ -140,8 +151,9 @@ class Node:
         left = np.cumsum(by_class, axis=0)
         right = np.cumsum(np.concatenate((by_class[:1], by_class[:0:-1])), axis=0)
         cuts = np.searchsorted(column, thresholds, side="right")  # value <= threshold
-        pairs = zip(left[cuts].tolist(), right[len(column) - cuts].tolist())
-        return (thresholds, list(pairs)) + totals
+        parent = np.bincount(classes, weights, n).tolist()
+        branches = np.stack((left[cuts], right[len(column) - cuts]))
+        return Midpoints(thresholds, branches, parent, total(weights), self.weight)
 
     def children(self, conditions):
         """One Node per branch, given the Condition each branch tests.
@@ -166,3 +178,52 @@ class Node:
                 weights = np.concatenate((weights, scaled))
             children.append(Node(view, rows, weights))
         return children
+
+
+class Midpoints:
+    """The class tallies of one numeric attribute at a node, per threshold.
+
+    ``branches[0][j]`` and ``branches[1][j]`` are the class tallies of the
+    known rows ``<=`` and ``>`` ``thresholds[j]``, each summed in sorted
+    order on its own; ``parent``, ``known_w`` and ``total_w`` are as in
+    ``Node.split_tallies``.
+    """
+
+    def __init__(self, thresholds, branches, parent, known_w, total_w):
+        self.thresholds = thresholds
+        self.branches = branches
+        self.parent = parent
+        self.known_w = known_w
+        self.total_w = total_w
+
+    def tallies(self, picks):
+        """``Node.split_tallies``'s tuple for the thresholds at ``picks``."""
+        branches = self.branches[:, picks]
+        pairs = zip(branches[0].tolist(), branches[1].tolist())
+        thresholds = self.thresholds[picks].tolist()
+        return thresholds, list(pairs), self.parent, self.known_w, self.total_w
+
+    def screen(self, h_parent):
+        """``(gain, intrinsic value, valid)`` arrays, one entry per threshold.
+
+        The gain and the intrinsic value follow ``tree._score_splits``'s
+        formulas in numpy (``h_parent`` is the entropy of ``parent``), so
+        they can differ from its scores by rounding; ``tree._screen_error``
+        bounds the difference.  ``valid`` is exact: a sum of non-negative
+        weights is positive exactly when one of them is, in any order.
+        ``known_w`` must be positive.
+        """
+        weight = self.branches.sum(axis=2)
+        valid = (weight > 0).all(axis=0)
+        p = self.branches / np.where(weight > 0, weight, 1.0)[:, :, None]
+        h_branch = -_xlog2x(p).sum(axis=2)
+        share = weight / self.known_w
+        h_children = share[0] * h_branch[0] + share[1] * h_branch[1]
+        iv = -(_xlog2x(share[0]) + _xlog2x(share[1]))
+        gain = (self.known_w / self.total_w) * (h_parent - h_children)
+        return gain, iv, valid
+
+
+def _xlog2x(x):
+    """``x * log2(x)`` elementwise, 0 where ``x`` is 0."""
+    return x * np.log2(x, out=np.zeros_like(x), where=x > 0)

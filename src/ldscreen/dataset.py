@@ -541,10 +541,13 @@ def parse_csv(text, schema=None, class_name=None):
     """
     reader = csv.reader(io.StringIO(text))
     records, start = [], 1  # (line the record starts on, cells); blank lines dropped
-    for cells in reader:
-        if any(cell.strip() for cell in cells):
-            records.append((start, cells))
-        start = reader.line_num + 1
+    try:
+        for cells in reader:
+            if any(cell.strip() for cell in cells):
+                records.append((start, cells))
+            start = reader.line_num + 1
+    except csv.Error as exc:  # such as a cell over the csv module's field size limit
+        raise ParseError(str(exc), reader.line_num) from None
     if not records:
         raise ParseError("empty CSV input")
     (header_line, header), records = records[0], records[1:]
@@ -585,7 +588,15 @@ def _is_number(token):
 
 
 def serialize_csv(dataset):
-    """Render a Dataset as CSV with a header row; missing values become '?'."""
+    """Render a Dataset as CSV with a header row; missing values become '?'.
+
+    ValueError for a declared value holding a carriage return, which the
+    csv module writes unquoted and ``parse_csv`` cannot read back.
+    """
+    for spec in dataset.schema:
+        for v in spec.values:
+            if "\r" in v:
+                raise ValueError(f"attribute {spec.name}: CSV cannot hold value {v!r}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([a.name for a in dataset.schema])

@@ -11,15 +11,16 @@ error estimate favors the collapse.
 Growth reads the encoded view of ``columns``, built once per call: a node
 is an array of row positions with their weights.  A nominal attribute's
 branch tallies are one ``bincount`` per node; a numeric attribute is
-sorted once per node and every midpoint threshold is scored from
-cumulative class tallies, O(n log n) per attribute per node.  Those
-tallies are summed in sorted order rather than row order, so with
-fractional weights two candidates whose gain ratios tie to within
-rounding may resolve differently from a per-row rescan; unit weights sum
-exactly.  The scores themselves stay in Python (``math.log2``, which
-``np.log2`` does not match bit for bit), and every weight written to a
-model is a left-to-right sum, so model files are the same on every
-supported Python.
+sorted once per node and the tallies of every midpoint threshold are
+cumulative sums, O(n log n) per attribute per node.  Those tallies are
+summed in sorted order rather than row order, so with fractional weights
+two candidates whose gain ratios tie to within rounding may resolve
+differently from a per-row rescan; unit weights sum exactly.  numpy
+screens every midpoint, and only those that can be the best are scored
+again in Python (``_score_near_best``).  The scores that decide stay in
+Python (``math.log2``, which ``np.log2`` does not match bit for bit), and
+every weight written to a model is a left-to-right sum, so model files
+are the same on every supported Python.
 
 A built model is immutable; concurrent classification is safe.
 """
@@ -352,16 +353,88 @@ def _grow(node, schema, class_index, used_nominal, config):
 
 
 def _best_candidate(node, schema, class_index, used_nominal):
+    attributes = [i for i in range(len(schema)) if i != class_index and i not in used_nominal]
+    numeric = {i: node.midpoints(i) for i in attributes if not schema[i].is_categorical}
+    scored = {i: _score_splits(i, *node.split_tallies(i)) for i in attributes if i not in numeric}
+    if numeric:
+        scored.update(_score_near_best(numeric, scored.values(), node.view.n_classes))
     # generation order (attribute index, then ascending threshold) is the
     # tie-break, so the first maximum wins
-    candidates = []
-    for i in range(len(schema)):
-        if i != class_index and i not in used_nominal:
-            candidates.extend(_score_splits(i, *node.split_tallies(i)))
-    useful = [c for c in candidates if c.valid and c.info_gain > _GAIN_EPS]
+    useful = [c for i in attributes for c in scored[i] if c.valid and c.info_gain > _GAIN_EPS]
     if not useful:
         return None
     return useful[first_max([c.gain_ratio for c in useful])]
+
+
+def _score_near_best(numeric, nominal, n_classes):
+    """Exact candidates of each numeric attribute's thresholds that can be the best.
+
+    ``numeric`` maps an attribute index to its ``columns.Midpoints``,
+    ``nominal`` holds the exact candidate lists of the other attributes.
+    Every threshold is screened in numpy: ``Midpoints.screen`` gives an
+    approximate gain g~ and intrinsic value iv~, each within
+    E = ``_screen_error(n_classes)`` of what ``_score_splits`` computes.
+    A threshold whose screened gain ratio is certainly reached, with
+    g~ - E > ``_GAIN_EPS`` and iv~ > E, is useful and scores at least
+    (g~ - E) / (iv~ + E); L is the largest of these and of the nominal
+    candidates' useful ratios, or 0.  Only the valid thresholds with
+    g~ + E > ``_GAIN_EPS`` and an upper bound (g~ + E) / (iv~ - E) of at
+    least L (always when iv~ <= E) go to ``_score_splits``.  Every other
+    threshold is useless or scores below L, itself at most the best useful
+    ratio, so the best and every candidate tied with it are rescored and
+    ``first_max`` picks what scoring every threshold would.
+    """
+    error = _screen_error(n_classes)
+    screens = {}
+    reached = 0.0  # every useful ratio is positive, so 0 bounds the best from below
+    for i, splits in numeric.items():
+        if splits.known_w > 0:  # else every candidate is invalid
+            gain, iv, valid = screens[i] = splits.screen(entropy(splits.parent))
+            sure = valid & (gain - error > _GAIN_EPS) & (iv > error)
+            reached = max(reached, ((gain - error) / (iv + error))[sure].max(initial=0.0))
+    for candidates in nominal:
+        for c in candidates:
+            if c.valid and c.info_gain > _GAIN_EPS:
+                reached = max(reached, c.gain_ratio)
+    scored = dict.fromkeys(numeric, [])
+    for i, (gain, iv, valid) in screens.items():
+        # (g~ + E) >= L * (iv~ - E) holds when iv~ <= E, as L >= 0 < g~ + E
+        near = valid & (gain + error > _GAIN_EPS) & (gain + error >= reached * (iv - error))
+        scored[i] = _score_splits(i, *numeric[i].tallies(near.nonzero()[0]))
+    return scored
+
+
+def _screen_error(n_classes):
+    """E: how far a screened gain or intrinsic value may be from ``_score_splits``'s.
+
+    Both sides compute from the same float tallies, so only rounding
+    separates them.  With u = 2**-53 and k classes, and every log2 within
+    4 ulps (relative error 8u):
+
+    - a branch weight, summed over k classes in any order, and its class
+      shares p = tally / weight carry relative error gamma_k ~ k u;
+    - each term p log2 p is then off by |p log2 p| (gamma_k + 9u) plus
+      p * 1.5 gamma_k (log2 of p (1 + t) moves by at most 1.5 |t|), and
+      adding the k terms costs gamma_{k-1} of their sum; as the entropy
+      is at most log2 k and the shares sum to 1, a branch entropy is off
+      by at most ((2k + 9) log2 k + 2k) u;
+    - the children's entropy, two shares w / known_w (relative error
+      gamma_k) times branch entropies, is then off by at most
+      ((3k + 11) log2 k + 2k) u on each side, and the gain, which shares
+      ``h_parent`` and ``known_w / total_w`` with the exact path, by at
+      most twice that plus 4u log2 k: ((6k + 26) log2 k + 4k) u;
+    - the intrinsic value, two terms s log2 s of shares s whose terms sum
+      to at most 1 in magnitude, is off by at most (2.5k + 10) u on each
+      side, (5k + 20) u between them.
+
+    E doubles the sum of the two, ((6k + 26) log2 k + 9k + 20) u.  The
+    doubling covers the second-order terms, shares that sum to 1 only to
+    within 2 gamma_n for n rows, and the rounding of the bounds in
+    ``_score_near_best``: it leaves at least 30u of relative slack in each
+    ratio bound, where rounding moves them by at most 4u.
+    """
+    k = n_classes
+    return 2 * ((6 * k + 26) * math.log2(k) + 9 * k + 20) * 2.0**-53
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,31 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ldscreen
 from ldscreen.cli import main
 from ldscreen.cluster import cluster_model_from_json
-from ldscreen.dataset import serialize_arff, serialize_csv, synthetic_checklist
+from ldscreen.dataset import (
+    ParseError,
+    parse_arff,
+    parse_csv,
+    serialize_arff,
+    serialize_csv,
+    synthetic_checklist,
+)
 from ldscreen.evaluation import report_from_json
-from ldscreen.tree import model_from_json
+from ldscreen.tree import build_tree, model_from_json, model_to_json
 
 ALL_N = ",".join(["N"] * 16)
 
@@ -299,6 +311,20 @@ def test_cluster_class_gaps_do_not_vote(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "0  c=Y - 7 Nos." in out
     assert "1  c=N - 6 Nos." in out
+
+
+def test_cluster_without_recorded_class_is_unlabelled(tmp_path, capsys):
+    # no member of the a=Y cluster has a class, so no majority can be stated
+    rows = ["Y,?"] * 4 + ["N,Y"] * 3
+    path = tmp_path / "unlabelled.arff"
+    path.write_text(
+        "@relation gaps\n@attribute a {Y,N}\n@attribute c {N,Y}\n@data\n"
+        + "\n".join(rows) + "\n"
+    )
+    assert main(["cluster", "--input", str(path), "--clusters", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "0  c=Y - 3 Nos. - 42.86 %" in out
+    assert "1  c=? - 4 Nos. - 57.14 %" in out
 
 
 def test_cluster_model_json(arff_125, tmp_path, capsys):
@@ -632,6 +658,61 @@ def test_csv_header_name_with_a_line_break_exits_2(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "ldscreen: error: line 1: invalid attribute name: 'a\\nb'\n"
+
+
+# --- malformed corpus ----------------------------------------------------------
+
+_SMALL = synthetic_checklist(5, 3, seed=2, missing_rate=0.1)
+
+#: per kind: file suffix, a valid document, its reader, and the command reading it
+MALFORMED_BASES = {
+    "arff": (".arff", serialize_arff(_SMALL), parse_arff, ["train", "--input"]),
+    "csv": (".csv", serialize_csv(_SMALL), parse_csv, ["train", "--input"]),
+    "json": (
+        ".json",
+        model_to_json(build_tree(synthetic_checklist(20, 10, seed=2))),
+        model_from_json,
+        ["checklist", "--answers", ALL_N, "--model"],
+    ),
+}
+
+#: bytes that are syntax in one of the formats, or not UTF-8 at all
+JUNK = st.binary(max_size=4) | st.sampled_from(
+    [b",", b"{", b"}", b"?", b"\n", b"\r", b"%", b'"', b"@data\n", b"@attribute x real\n",
+     b"nan", b"1e999", b"\xef\xbb\xbf", b"\xff", b"null", b"[", b"-1", b"{}", b"\x00"]
+)
+
+
+@st.composite
+def damaged(draw, data):
+    """``data`` with one to three spans of up to 16 bytes replaced by junk."""
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, len(data)))
+        end = draw(st.integers(start, min(len(data), start + 16)))
+        data = data[:start] + draw(JUNK) + data[end:]
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(MALFORMED_BASES)), st.data())
+def test_damaged_input_exits_2_when_refused_and_never_raises(kind, data):
+    suffix, text, read, command = MALFORMED_BASES[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / ("input" + suffix)
+        path.write_bytes(data.draw(damaged(text.encode())))
+        try:  # the reading main does, by the library readers
+            read(path.read_text().removeprefix("\ufeff"))
+            refused = False
+        except (UnicodeDecodeError, ParseError):
+            refused = True
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(command + [str(path)])  # an input that is read raises nothing
+    if refused:
+        assert code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("ldscreen: error: ")
+        assert len(err.getvalue().splitlines()) == 1
 
 
 # --- start-up imports ----------------------------------------------------------

@@ -234,6 +234,20 @@ def test_pure_cluster_takes_its_class():
     assert sum(sum(row) for row in counts) == 4
 
 
+def test_cluster_without_recorded_class_has_no_label():
+    d = Dataset(
+        binvec_dataset(["00", "01"]).schema,
+        2,
+        (Instance(("0", "0", None)), Instance(("1", "1", "Y"))),
+    )
+    m = kmeans_fit(d, k=2, seed=0)
+    labels, counts = map_clusters_to_classes(m, d)
+    unlabelled = m.assignments[0]
+    assert labels[unlabelled] is None and counts[unlabelled] == [0, 0]
+    assert labels[1 - unlabelled] == "Y"
+    assert f"{unlabelled}  cls=? - 1 Nos. - 50.00 %" in clustered_instances_text(m, d)
+
+
 def test_majority_labels_match_brute_force():
     rng = random.Random(12)
     d = synthetic_checklist(40, 30, seed=3)

@@ -173,9 +173,15 @@ ARFF_SYMBOL = st.text(ARFF_HAZARDS + "ab{?' \t", min_size=1, max_size=3).filter(
 )
 
 
+#: Characters that CSV quoting or the csv module treat specially, and plain ones.
+CSV_SYMBOL = st.text(',"\'\n\r\x1c\u2028{}%?=+1 \tx', min_size=1, max_size=3).filter(
+    lambda v: v not in ("", "?") and v == v.strip()
+)
+
+
 @st.composite
-def arff_datasets(draw):
-    """A Dataset of unit-weight rows over symbols that may hold ARFF syntax."""
+def arff_datasets(draw, symbol=ARFF_SYMBOL, name="r"):
+    """A Dataset of unit-weight rows over symbols that may hold file syntax."""
     n = draw(st.integers(1, 3))
     class_at = draw(st.integers(0, n))
     schema = []
@@ -184,7 +190,7 @@ def arff_datasets(draw):
             schema.append(AttributeSpec.numeric(f"x{i}"))
             continue
         least = 2 if i == class_at else 1
-        symbols = draw(st.lists(ARFF_SYMBOL, min_size=least, max_size=3, unique=True))
+        symbols = draw(st.lists(symbol, min_size=least, max_size=3, unique=True))
         schema.append(AttributeSpec.categorical(f"s{i}", symbols))
     cell = [
         st.sampled_from((None,) + spec.values)
@@ -193,7 +199,7 @@ def arff_datasets(draw):
         for spec in schema
     ]
     rows = draw(st.lists(st.tuples(*cell), max_size=5))
-    return Dataset(tuple(schema), class_at, tuple(Instance(r) for r in rows), "r")
+    return Dataset(tuple(schema), class_at, tuple(Instance(r) for r in rows), name)
 
 
 @pytest.mark.parametrize(
@@ -226,6 +232,25 @@ def test_arff_round_trip_or_refusal(d):
         assert len(str(exc).splitlines()) == 1
         return
     assert parse_arff(text, class_name=d.class_attribute.name) == d
+
+
+@settings(max_examples=300, deadline=None)
+@given(arff_datasets(CSV_SYMBOL, "dataset"))
+def test_csv_round_trip_with_schema_or_refusal(d):
+    # numeric-looking symbols, quotes and line breaks come back as declared,
+    # given the schema; a carriage return the writer refuses
+    try:
+        text = serialize_csv(d)
+    except ValueError as exc:
+        assert any("\r" in v for spec in d.schema for v in spec.values)
+        assert len(str(exc).splitlines()) == 1
+        return
+    assert parse_csv(text, schema=d.schema, class_name=d.class_attribute.name) == d
+
+
+def test_parse_csv_wraps_csv_module_errors():
+    with pytest.raises(ParseError, match=r"^line 2: field larger than field limit"):
+        parse_csv("a,c\n" + "x" * 200_000 + ",P\ny,Q\n")
 
 
 # --- CSV parsing ------------------------------------------------------------

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from oracles import reference_split_score, row_loop_tree, weighted_mixed_datasets
 
 import ldscreen
+import ldscreen.tree as tree_module
+from ldscreen.columns import Columns, Node
 from ldscreen.dataset import (
     AttributeSpec,
     Dataset,
@@ -42,6 +44,7 @@ from ldscreen.tree import (
     training_accuracy,
     ucb_error_rate,
 )
+from ldscreen.tree import _score_splits, _screen_error
 
 
 def binary_dataset(rows, n_attrs, class_values=("N", "Y")):
@@ -254,6 +257,56 @@ def test_min_leaf_weight_bounds_the_node_split_not_the_leaf():
     m = build_tree(binary_dataset(rows + [["1", "Y"]], 1), TreeConfig(pruning=False))
     assert isinstance(m.root, Decision)
     assert sorted(child.weight for child in m.root.children) == [1.0, 3.0]
+
+
+# --- departures from C4.5 and J48 (README "Differences from C4.5 and J48") ------
+
+
+def test_numeric_threshold_gain_has_no_mdl_penalty():
+    # x, with eight distinct values, cuts the rows as the binary b does; C4.5
+    # release 8 would take log2(7) / 8 off x's gain, and b would win
+    schema = (
+        AttributeSpec.numeric("x"),
+        AttributeSpec.categorical("b", ("lo", "hi")),
+        AttributeSpec.categorical("c", ("A", "B")),
+    )
+    labels = ["A", "A", "A", "B", "B", "B", "B", "A"]
+    rows = [Instance((v, "lo" if v <= 3 else "hi", c)) for v, c in zip(range(1, 9), labels)]
+    d = Dataset(schema, 2, rows)
+    numeric, nominal = evaluate_split(d, 0, 3.5), evaluate_split(d, 1)
+    assert (numeric.info_gain, numeric.gain_ratio) == (nominal.info_gain, nominal.gain_ratio)
+    root = build_tree(d, TreeConfig(min_leaf_weight=1.0, pruning=False)).root
+    assert (root.attribute_index, root.threshold) == (0, 3.5)
+
+
+def test_no_average_gain_filter_before_the_gain_ratio():
+    # id, one value per row, has gain 1 and ratio 1 / log2(20); b has the
+    # higher ratio but a gain below the average of the two, so C4.5 would
+    # not consider it
+    ids = tuple(f"v{r}" for r in range(20))
+    schema = (
+        AttributeSpec.categorical("id", ids),
+        AttributeSpec.categorical("b", ("u", "v")),
+        AttributeSpec.categorical("c", ("A", "B")),
+    )
+    labels = ["A"] * 10 + ["B"] * 10
+    rows = [Instance((ids[r], "u" if r < 3 else "v", labels[r])) for r in range(20)]
+    d = Dataset(schema, 2, rows)
+    by_id, by_b = evaluate_split(d, 0), evaluate_split(d, 1)
+    assert by_b.info_gain < (by_id.info_gain + by_b.info_gain) / 2
+    assert by_b.gain_ratio > by_id.gain_ratio
+    assert build_tree(d, TreeConfig(pruning=False)).root.attribute_index == 1
+
+
+def test_unpruned_tree_keeps_a_split_that_leaves_training_errors_unchanged():
+    # both branches predict the parent's class A, with 1 + 4 errors against
+    # its 5; J48 collapses such a split unless -O is given
+    rows = [["p", "A"]] * 9 + [["p", "B"]] + [["q", "A"]] * 6 + [["q", "B"]] * 4
+    schema = (AttributeSpec.categorical("x", ("p", "q")), AttributeSpec.categorical("c", ("A", "B")))
+    d = Dataset(schema, 1, tuple(Instance(tuple(r)) for r in rows))
+    root = build_tree(d, TreeConfig(pruning=False)).root
+    assert isinstance(root, Decision)
+    assert [child.predicted_index for child in root.children] == [0, 0]
 
 
 def test_empty_dataset_rejected():
@@ -475,6 +528,101 @@ def test_growth_equals_row_loop_oracle(d, min_leaf_weight, unit_weights, signed_
     model = build_tree(d, config)
     oracle = DecisionTreeModel(d.schema, d.class_index, row_loop_tree(d, config), config)
     assert model_to_json(model) == model_to_json(oracle)
+
+
+@st.composite
+def screened_midpoints(draw):
+    """The Midpoints of one numeric column at a root, with 2-4 classes.
+
+    Weights mix 1, fractional values, large ones and values down to
+    1e-12, so that a branch's share falls to about 1e-12 and one side of
+    a cut can be nearly empty; some values are missing.
+    """
+    classes = "PQRS"[: draw(st.integers(2, 4))]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    weights = (
+        lambda: 1.0,
+        lambda: rng.uniform(0.01, 100.0),
+        lambda: rng.uniform(1e-12, 1e-6),
+        lambda: rng.uniform(1e3, 1e6),
+    )
+    instances = [
+        Instance(
+            (None if rng.random() < 0.1 else rng.randint(0, 24) / 4, rng.choice(classes)),
+            rng.choice(weights)(),
+        )
+        for _ in range(rng.randint(2, 60))
+    ]
+    schema = (AttributeSpec.numeric("x"), AttributeSpec.categorical("c", classes))
+    return Columns(Dataset(schema, 1, instances)).root().midpoints(0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(screened_midpoints())
+def test_screen_is_within_its_error_bound(splits):
+    if splits.known_w <= 0:
+        return
+    error = _screen_error(len(splits.parent))
+    gain, iv, valid = splits.screen(entropy(splits.parent))
+    exact = _score_splits(0, *splits.tallies(slice(None)))
+    assert valid.tolist() == [c.valid for c in exact]
+    for j, c in enumerate(exact):
+        if c.valid:
+            assert abs(gain[j] - c.info_gain) <= error
+            assert abs(iv[j] - c.intrinsic_value) <= error
+
+
+def test_tied_numeric_splits_resolve_to_the_first_max():
+    # x1 repeats x0, and x2 mirrors x0 around 4.5; in each column the cuts
+    # at 2.5 and 6.5 set two A rows apart, so six candidates tie
+    x0 = [1, 2, 3, 4, 5, 6, 7, 8]
+    labels = ["A", "A", "B", "B", "B", "B", "A", "A"]
+    schema = tuple(AttributeSpec.numeric(f"x{i}") for i in range(3))
+    schema += (AttributeSpec.categorical("c", ("A", "B")),)
+    rows = [Instance((v, v, 9 - v, c)) for v, c in zip(x0, labels)]
+    d = Dataset(schema, 3, rows)
+    candidates = [
+        evaluate_split(d, i, t) for i in range(3) for t in (1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5)
+    ]
+    best = first_max([c.gain_ratio for c in candidates])
+    assert sum(c.gain_ratio == candidates[best].gain_ratio for c in candidates) == 6
+    root = build_tree(d, TreeConfig(pruning=False)).root
+    assert (root.attribute_index, root.threshold) == (0, 2.5)
+    assert (root.attribute_index, root.threshold) == (
+        candidates[best].attribute_index,
+        candidates[best].threshold,
+    )
+
+
+def test_screen_scores_few_midpoints_exactly(monkeypatch):
+    # scoring every midpoint exactly again would fail this, with no timing
+    rng = random.Random(5)
+    schema = tuple(AttributeSpec.numeric(f"x{i}") for i in range(5))
+    schema += (AttributeSpec.categorical("c", ("neg", "pos")),)
+    rows = []
+    for _ in range(1000):
+        x = [rng.randint(0, 400) / 4 for _ in range(5)]
+        label = "pos" if x[0] + x[1] > 100 else "neg"
+        if rng.random() < 0.1:
+            label = "neg" if label == "pos" else "pos"
+        rows.append(Instance(tuple(x) + (label,)))
+    seen = {"midpoints": 0, "scored": 0}
+
+    def count_midpoints(node, i, thresholds=None):
+        splits = real_midpoints(node, i, thresholds)
+        seen["midpoints"] += len(splits.thresholds)
+        return splits
+
+    def count_scored(i, thresholds, *rest):
+        seen["scored"] += len(thresholds)
+        return real_score_splits(i, thresholds, *rest)
+
+    real_midpoints, real_score_splits = Node.midpoints, tree_module._score_splits
+    monkeypatch.setattr(Node, "midpoints", count_midpoints)
+    monkeypatch.setattr(tree_module, "_score_splits", count_scored)
+    model = build_tree(Dataset(schema, 5, rows), TreeConfig(pruning=False))
+    assert model.node_count() > 20
+    assert 0 < seen["scored"] < seen["midpoints"] / 100
 
 
 def test_branch_weight_is_left_to_right_sum():

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .dataset import EQ, Dataset, _check_instance, dump_document, first_max, total
-from .tree import Condition, DecisionTreeModel, Leaf, _paths, ucb_error_rate
+from .tree import Condition, DecisionTreeModel, Leaf, _check_apart, _decide, _paths
 
 RULES_FORMAT = "ldscreen-rules"
 RULES_VERSION = 1
@@ -88,11 +88,11 @@ def _leaf_rules(model, passes=None):
 SIMPLIFY_CONFIDENCE = 0.25
 
 
-def _pessimistic_accuracy(stats):
+def _pessimistic_accuracy(stats, bound):
     matched, hit = stats
     if matched <= 0:
         return 0.0
-    return 1.0 - ucb_error_rate(matched - hit, matched, SIMPLIFY_CONFIDENCE)
+    return 1.0 - bound(matched - hit, matched, SIMPLIFY_CONFIDENCE)
 
 
 def simplify_rules(ruleset: RuleSet, dataset: Dataset) -> RuleSet:
@@ -104,7 +104,8 @@ def simplify_rules(ruleset: RuleSet, dataset: Dataset) -> RuleSet:
     baseline are discarded.  The default class becomes the majority among
     instances no surviving rule covers (global majority when none).
     ``dataset`` must have the rule set's own schema and class; else
-    ValueError.
+    ValueError.  Every decision is ucb_error_rate's, most of them taken
+    with the screen of ``tree._decide``.
     """
     from .columns import Columns
 
@@ -132,29 +133,51 @@ def simplify_rules(ruleset: RuleSet, dataset: Dataset) -> RuleSet:
         matched = matching(antecedent)
         return view.weight(matched), view.weight(matched & labelled(consequent))
 
-    baseline = _pessimistic_accuracy(rule_stats((), global_majority))
+    def simplified(bound):
+        """The rules kept, each simplified, deciding with ``bound``."""
+        estimates = {}  # (matched, hit) -> pessimistic accuracy
 
-    kept = []
-    for rule in ruleset.rules:
-        conditions = list(rule.antecedent)
-        stats = rule_stats(conditions, rule.consequent)
-        current = _pessimistic_accuracy(stats)
-        while conditions:
-            trials = []
-            for i in range(len(conditions)):
-                without = conditions[:i] + conditions[i + 1 :]
-                trials.append(rule_stats(without, rule.consequent))
-            estimates = [_pessimistic_accuracy(t) for t in trials]
-            best_i = first_max(estimates)
-            if estimates[best_i] < current:
-                break
-            del conditions[best_i]
-            stats, current = trials[best_i], estimates[best_i]
-        if current < baseline:
-            continue
-        matched, hit = stats
-        acc = hit / matched if matched > 0 else 0.0
-        kept.append(Rule(tuple(conditions), rule.consequent, matched, acc))
+        def estimate(stats):
+            if stats not in estimates:
+                estimates[stats] = _pessimistic_accuracy(stats, bound)
+            return estimates[stats]
+
+        def apart(stats, than):
+            # every bound gives the same estimate to the same counts, and 0
+            # to a rule that hits nothing
+            if stats != than and (stats[1] > 0 or than[1] > 0):
+                _check_apart(bound, estimate(stats), estimate(than))
+
+        def below(stats, than):
+            """Whether the estimate of ``stats`` is below that of ``than``."""
+            apart(stats, than)
+            return estimate(stats) < estimate(than)
+
+        baseline = rule_stats((), global_majority)
+        kept = []
+        for rule in ruleset.rules:
+            conditions = list(rule.antecedent)
+            stats = rule_stats(conditions, rule.consequent)
+            while conditions:
+                trials = []
+                for i in range(len(conditions)):
+                    without = conditions[:i] + conditions[i + 1 :]
+                    trials.append(rule_stats(without, rule.consequent))
+                best_i = first_max([estimate(t) for t in trials])
+                for t in trials:  # no other trial may tie or beat the best exactly
+                    apart(t, trials[best_i])
+                if below(trials[best_i], stats):
+                    break
+                del conditions[best_i]
+                stats = trials[best_i]
+            if below(stats, baseline):
+                continue
+            matched, hit = stats
+            acc = hit / matched if matched > 0 else 0.0
+            kept.append(Rule(tuple(conditions), rule.consequent, matched, acc))
+        return kept
+
+    kept = _decide(simplified)
 
     # dedupe: simplification can collapse sibling rules into the same form
     forms = {}

@@ -6,7 +6,9 @@ attributes branching multi-way and numeric attributes on a binary
 threshold.  Instances whose tested value is missing descend every branch
 with fractionally scaled weight, both while growing and while classifying.
 Pruning replaces subtrees by leaves whenever an upper-confidence-bound
-error estimate favors the collapse.
+error estimate favors the collapse.  Its bounds come from a pure-Python
+screen of scipy's exact quantile; scipy is loaded only for a comparison
+the screen cannot settle (``_decide``).
 
 Growth reads the encoded view of ``columns``, built once per call: a node
 is an array of row positions with their weights.  A nominal attribute's
@@ -69,11 +71,15 @@ class TreeConfig:
             raise ValueError(
                 f"min_leaf_weight must be a finite number >= 0, got {self.min_leaf_weight!r}"
             )
-        if not (is_finite_number(self.confidence_factor) and 0 < self.confidence_factor < 1):
-            raise ValueError(
-                f"confidence_factor must be a number strictly between 0 and 1, "
-                f"got {self.confidence_factor!r}"
-            )
+        _check_confidence(self.confidence_factor)
+
+
+def _check_confidence(confidence_factor):
+    if not (is_finite_number(confidence_factor) and 0 < confidence_factor < 1):
+        raise ValueError(
+            f"confidence_factor must be a number strictly between 0 and 1, "
+            f"got {confidence_factor!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -449,8 +455,11 @@ def ucb_error_rate(errors, total, confidence_factor):
     >= confidence_factor, i.e. the (1 - CF) quantile of
     Beta(errors + 1, total - errors).  For zero errors this reduces to the
     closed form 1 - CF**(1/total).  Fractional counts from missing-value
-    routing interpolate smoothly.
+    routing interpolate smoothly.  ValueError for a confidence factor
+    outside (0, 1), negative errors, or errors or a total that is not a
+    finite number.
     """
+    _check_bound_args(errors, total, confidence_factor)
     if total <= 0:
         return 0.0
     if errors >= total:
@@ -460,9 +469,232 @@ def ucb_error_rate(errors, total, confidence_factor):
     return float(betaincinv(errors + 1.0, total - errors, 1.0 - confidence_factor))
 
 
-def _leaf_ucb_errors(counts, weight, cf):
+def _check_bound_args(errors, total, confidence_factor):
+    _check_confidence(confidence_factor)
+    if not (is_finite_number(errors) and is_finite_number(total)):
+        raise ValueError(
+            f"errors and total must be finite numbers, got {errors!r} and {total!r}"
+        )
+    if errors < 0:
+        raise ValueError(f"errors must be >= 0, got {errors!r}")
+
+
+# The screen: ucb_error_rate's quantile from ``math`` alone.  Pruning and
+# rule simplification decide with it, and load scipy only to settle a
+# comparison it cannot (``_decide``).
+
+#: Where the screen answers, it is within _UCB_TAU * min(U, 1 - U) + 2**-52 U
+#: of ucb_error_rate's U.
+_UCB_TAU = 1e-9
+#: Screened estimates closer than this, relative, are compared exactly.
+_UCB_MARGIN = 1e-7
+
+_HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
+_TINY = 1e-300  # Lentz's stand-in for a zero denominator
+
+
+def _screen_ucb(errors, total, confidence_factor):
+    """ucb_error_rate's bound U computed with ``math`` only, or None.
+
+    Where it answers, the answer is within _UCB_TAU * min(U, 1 - U) +
+    2**-52 * U of U (see ``_beta_quantile``).  It declines (None) where
+    that is not certain, and where a float leaves its range.  Same
+    ValueError as ucb_error_rate.
+    """
+    _check_bound_args(errors, total, confidence_factor)
+    if total <= 0:
+        return 0.0
+    if errors >= total:
+        return 1.0
+    try:
+        return _beta_quantile(errors + 1.0, total - errors, 1.0 - confidence_factor)
+    except (ArithmeticError, ValueError):  # overflow, or a log of 0
+        return None
+
+
+def _beta_quantile(a, b, p):
+    """The p quantile of Beta(a >= 1, b), as betaincinv(a, b, p) gives it, or None.
+
+    a = 1 takes the closed form.  Otherwise ``_beta_root`` solves
+    I_x(a, b) = p for the regularized incomplete beta I, or, for a
+    quantile near 1, I_y(b, a) = 1 - p for y = 1 - x, so that y keeps
+    its relative precision.
+    """
+    q = 1.0 - p  # exact: p >= 1/2, or p = 1 - CF exactly
+    if a == 1.0:  # I_x(1, b) = 1 - (1 - x)**b
+        return -math.expm1(math.log(q) / b)
+    if _beta_guess(a, b, p, q) <= 0.5:
+        return _beta_root(a, b, p, q)
+    # I_y(b, a) >= y**b (1 - y)**(a - 1) / (b B(b, a)): past q at y = 2**-60,
+    # the root y is smaller still, and 1 - y rounds to 1
+    y = 2.0**-60
+    if b * math.log(y) + (a - 1.0) * math.log1p(-y) - math.log(b) - _log_beta(b, a) > (
+        math.log(q) + 1e-6
+    ):
+        return 1.0
+    y = _beta_root(b, a, q, p)
+    return None if y is None else 1.0 - y
+
+
+def _stirling_rest(z):
+    """lgamma(z) less Stirling's (z - 1/2) log z - z + log(2 pi) / 2."""
+    if z < 10:
+        return math.lgamma(z) - (z - 0.5) * math.log(z) + z - _HALF_LOG_2PI
+    r = 1.0 / (z * z)
+    return (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / z
+
+
+def _log_beta(a, b):
+    """log B(a, b) without the cancellation of lgamma(a) + lgamma(b) - lgamma(a + b)."""
+    return -(
+        a * math.log1p(b / a)
+        + b * math.log1p(a / b)
+        + 0.5 * math.log(a * b / (a + b))
+        - _HALF_LOG_2PI
+        + _stirling_rest(a + b)
+        - _stirling_rest(a)
+        - _stirling_rest(b)
+    )
+
+
+def _beta_fraction(a, b, x):
+    """a I_x(a, b) / (x**a (1 - x)**b / B(a, b)) by Lentz's method, or None.
+
+    The continued fraction of Numerical Recipes (3rd ed., 6.4); it
+    converges fast for x below (a + 1) / (a + b + 2).
+    """
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _TINY else _TINY)
+    h = d
+    for m in range(1, 2000):
+        m2 = 2 * m
+        for step in (
+            m * (b - m) * x / ((a - 1.0 + m2) * (a + m2)),
+            -(a + m) * (a + b + m) * x / ((a + m2) * (a + 1.0 + m2)),
+        ):
+            d = 1.0 + step * d
+            d = 1.0 / (d if abs(d) > _TINY else _TINY)
+            c = 1.0 + step / c
+            if abs(c) < _TINY:
+                c = _TINY
+            h *= d * c
+        if abs(d * c - 1.0) <= 1e-15:
+            return h
+    return None
+
+
+def _beta_guess(a, b, p, q):
+    """A first guess at the p quantile of Beta(a, b), q = 1 - p (Numerical Recipes)."""
+    if a >= 1 and b >= 1:
+        t = math.sqrt(-2.0 * math.log(min(p, q)))
+        z = (2.30753 + t * 0.27061) / (1.0 + t * (0.99229 + t * 0.04481)) - t
+        if p < 0.5:
+            z = -z
+        al = (z * z - 3.0) / 6.0
+        h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
+        w = z * math.sqrt(al + h) / h - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0)) * (
+            al + 5.0 / 6.0 - 2.0 / (3.0 * h)
+        )
+        return a / (a + b * math.exp(2.0 * w))
+    t = math.exp(a * math.log(a / (a + b))) / a
+    u = math.exp(b * math.log(b / (a + b))) / b
+    w = t + u
+    if p < t / w:
+        return (a * w * p) ** (1.0 / a)
+    return 1.0 - (b * w * q) ** (1.0 / b)
+
+
+def _beta_root(a, b, p, q):
+    """x in (0, 1) with I_x(a, b) = p, q = 1 - p, by Halley's method; or None.
+
+    The residual is taken from the tail the continued fraction computes,
+    I below (a + 1) / (a + b + 2) and 1 - I above, so each keeps its
+    relative precision.  That tail's relative rounding error is at most
+    eps = 2**-52 (64 + a + b + |a log x| + |b log(1 - x)|), and it moves
+    the root by eps * tail / density: above _UCB_TAU / 16 of min(x, 1 - x),
+    the root is declined.
+    """
+    x = _beta_guess(a, b, p, q)
+    for _ in range(32):
+        if not 0.0 < x < 1.0:
+            return None
+        log_x, log_1mx = math.log(x), math.log1p(-x)
+        front = math.exp(a * log_x + b * log_1mx - _log_beta(a, b))
+        if x < (a + 1.0) / (a + b + 2.0):
+            fraction = _beta_fraction(a, b, x)
+            tail = None if fraction is None else front * fraction / a
+            residual = None if tail is None else tail - p
+        else:
+            fraction = _beta_fraction(b, a, 1.0 - x)
+            tail = None if fraction is None else front * fraction / b
+            residual = None if tail is None else q - tail
+        density = front / (x * (1.0 - x))
+        if residual is None or not 0.0 < density < math.inf:
+            return None
+        u = residual / density
+        step = u / (1.0 - 0.5 * min(1.0, u * ((a - 1.0) / x - (b - 1.0) / (1.0 - x))))
+        new = x - step
+        if new <= 0.0:
+            new = 0.5 * x
+        elif new >= 1.0:
+            new = 0.5 * (x + 1.0)
+        if abs(step) <= _UCB_TAU / 64 * min(new, 1.0 - new):
+            eps = 2.0**-52 * (64 + a + b + abs(a * log_x) + abs(b * log_1mx))
+            if eps * tail > _UCB_TAU / 16 * min(x, 1.0 - x) * density:
+                return None
+            return new
+        x = new
+    return None
+
+
+class _CloseCall(Exception):
+    """The screen cannot settle a decision; ``_decide`` takes it again exactly."""
+
+
+def _screened_bound(errors, total, confidence_factor):
+    rate = _screen_ucb(errors, total, confidence_factor)
+    if rate is None:
+        raise _CloseCall
+    return rate
+
+
+def _decide(decision):
+    """``decision(bound)`` with the screen as ``bound``, else with ucb_error_rate.
+
+    ``decision`` computes every estimate with ``bound`` and checks each
+    comparison of two of them with ``_check_apart`` before making it.  If
+    the screen declines or two estimates are too close, the whole
+    decision runs again on ucb_error_rate, so the screen decides only
+    what ucb_error_rate would decide the same way.
+    """
+    try:
+        return decision(_screened_bound)
+    except _CloseCall:
+        return decision(ucb_error_rate)
+
+
+def _check_apart(bound, a, b):
+    """Raise _CloseCall if screened estimates ``a`` and ``b`` may order differently exactly.
+
+    Each estimate is a sum of non-negative weights times bounds U
+    (pruning) or one minus a bound (simplification), so a screened one
+    is within about _UCB_TAU of the exact one, relative, plus 2**-52
+    absolute for 1 - U near 0.  Estimates further apart than _UCB_MARGIN,
+    relative, plus 2**-50 therefore order as the exact ones do.  An
+    estimate compared with another made from the same counts needs no
+    check: both bounds give the two the same value.
+    """
+    apart = abs(a - b) > _UCB_MARGIN * max(abs(a), abs(b)) + 2.0**-50
+    if bound is _screened_bound and not apart:  # NaN (margin inf, a = b = 0) is close
+        raise _CloseCall
+
+
+def _leaf_ucb_errors(counts, weight, cf, bound):
+    if weight <= 0:  # an empty branch, which borrows its parent's counts
+        return 0.0
     errors = weight - max(counts)
-    return weight * ucb_error_rate(errors, weight, cf)
+    return weight * bound(errors, weight, cf)
 
 
 def prune_tree(model):
@@ -471,20 +703,22 @@ def prune_tree(model):
     Bottom-up, a decision node collapses to a leaf whenever the UCB error
     estimate of that leaf is no worse than the summed estimates of its
     (already pruned) children.  Node sets only shrink: every path of the
-    pruned tree is a prefix of an original path.  Idempotent.
+    pruned tree is a prefix of an original path.  Idempotent.  Every
+    decision is ucb_error_rate's, most of them taken with the screen.
     """
     cf = model.config.confidence_factor
-    return replace(model, root=_prune(model.root, cf)[0])
+    return replace(model, root=_decide(lambda bound: _prune(model.root, cf, bound)[0]))
 
 
-def _prune(node, cf):
+def _prune(node, cf, bound):
     """The pruned ``node`` and its summed UCB error estimate."""
     if isinstance(node, Leaf):
-        return node, _leaf_ucb_errors(node.class_counts, node.weight, cf)
-    pruned = [_prune(c, cf) for c in node.children]
+        return node, _leaf_ucb_errors(node.class_counts, node.weight, cf, bound)
+    pruned = [_prune(c, cf, bound) for c in node.children]
     weight = total(node.class_counts)
-    leaf_est = _leaf_ucb_errors(node.class_counts, weight, cf)
+    leaf_est = _leaf_ucb_errors(node.class_counts, weight, cf, bound)
     subtree_est = total(est for _, est in pruned)
+    _check_apart(bound, leaf_est, subtree_est)
     if leaf_est <= subtree_est:
         return Leaf(node.class_counts, weight), leaf_est
     return replace(node, children=tuple(c for c, _ in pruned)), subtree_est
@@ -538,9 +772,22 @@ def _accumulate(node, schema, values, weight, merged):
 
 
 def training_accuracy(model, dataset):
-    """Fraction of instances the model labels with their recorded class."""
-    class_index = dataset.class_index
-    correct = sum(classify(model, i)[0] == i.values[class_index] for i in dataset.instances)
+    """Fraction of instances the model labels with their recorded class.
+
+    ``dataset`` must have the model's schema and class, else ValueError;
+    its rows were checked against that schema when it was built, so they
+    are classified without checking them again.
+    """
+    if (tuple(model.schema), model.class_index) != (dataset.schema, dataset.class_index):
+        raise ValueError("the dataset's schema or class differs from the model's")
+    class_values = model.class_values
+    correct = 0
+    for inst in dataset.instances:  # classify's label, without its check
+        merged = [0.0] * len(class_values)
+        _accumulate(model.root, model.schema, inst.values, 1.0, merged)
+        merged_total = total(merged)
+        label = class_values[first_max([c / merged_total for c in merged])]
+        correct += label == inst.values[model.class_index]
     return correct / len(dataset)
 
 

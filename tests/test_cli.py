@@ -773,6 +773,46 @@ def test_screening_loads_neither_numpy_nor_scipy(arff_125, model_path):
     }
 
 
+#: run in a fresh interpreter: each command that prunes or simplifies, then
+#: its exit code and whether scipy has been loaded so far
+BOUND_PROBE = """
+import contextlib, io, json, sys
+import ldscreen.cli
+
+arff = sys.argv[1]
+seen = []
+for command in (
+    ["train"],
+    ["evaluate", "--learner", "tree"],
+    ["evaluate", "--learner", "rules"],
+    ["rules", "--simplify"],
+):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = ldscreen.cli.main(command + ["--input", arff])
+    seen.append([" ".join(command), code, "scipy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_pruning_and_simplification_leave_scipy_unloaded(arff_125):
+    # the screen settles every decision on the paper-size cohort
+    src = str(Path(ldscreen.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", BOUND_PROBE, arff_125],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+        timeout=120,
+    )
+    assert json.loads(done.stdout) == [
+        ["train", 0, False],
+        ["evaluate --learner tree", 0, False],
+        ["evaluate --learner rules", 0, False],
+        ["rules --simplify", 0, False],
+    ]
+
+
 # --- closed stdout -------------------------------------------------------------
 
 

@@ -24,6 +24,7 @@ from ldscreen.rules import (
     ruleset_to_json,
     simplify_rules,
 )
+import ldscreen.tree as tree_module
 from ldscreen.tree import TreeConfig, build_tree, classify
 
 
@@ -149,6 +150,21 @@ def test_constant_attribute_condition_dropped():
     simplified = simplify_rules(rs, d)
     assert len(simplified.rules) == 1
     assert simplified.rules[0].antecedent == (Condition(0, "=", "1"),)
+
+
+def test_rules_that_hit_nothing_need_no_exact_bound(monkeypatch):
+    # dropping either condition leaves a rule that hits no Y row: (2, 0) and
+    # (3, 0) differ, but both estimates are 0 whatever the bound
+    calls = []
+    exact = tree_module.ucb_error_rate
+    monkeypatch.setattr(tree_module, "ucb_error_rate", lambda *a: calls.append(a) or exact(*a))
+    d = binary_dataset(
+        [["0", "0", "N"], ["0", "1", "N"], ["1", "0", "N"], ["0", "1", "N"], ["1", "1", "Y"]], 2
+    )
+    cond = (Condition(0, "=", "0"), Condition(1, "=", "0"))
+    simplified = simplify_rules(RuleSet(d.schema, 2, (Rule(cond, "Y", 1.0, 0.0),), "N"), d)
+    assert simplified.rules == ()
+    assert calls == []
 
 
 def test_simplified_set_preserves_noise_free_predictions():

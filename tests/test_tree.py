@@ -1,6 +1,8 @@
 """Split scoring, induction, pruning, classification, persistence."""
 
 import ast
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -17,6 +19,7 @@ from oracles import reference_split_score, row_loop_tree, weighted_mixed_dataset
 
 import ldscreen
 import ldscreen.tree as tree_module
+from ldscreen.cli import main
 from ldscreen.columns import Columns, Node
 from ldscreen.dataset import (
     AttributeSpec,
@@ -24,9 +27,11 @@ from ldscreen.dataset import (
     Instance,
     class_tally,
     first_max,
+    serialize_arff,
     synthetic_checklist,
     total,
 )
+from ldscreen.rules import extract_rules, simplify_rules
 from ldscreen.tree import (
     Condition,
     Decision,
@@ -44,7 +49,7 @@ from ldscreen.tree import (
     training_accuracy,
     ucb_error_rate,
 )
-from ldscreen.tree import _score_splits, _screen_error
+from ldscreen.tree import _UCB_TAU, _score_splits, _screen_error, _screen_ucb
 
 
 def binary_dataset(rows, n_attrs, class_values=("N", "Y")):
@@ -706,6 +711,159 @@ def test_ucb_equals_beta_quantile_exactly():
             for cf in (0.05, 0.1, 0.25, 0.5, 0.9):
                 expected = float(beta.ppf(1.0 - cf, errors + 1.0, total - errors))
                 assert ucb_error_rate(errors, total, cf) == expected
+
+
+BOUNDS = (ucb_error_rate, _screen_ucb)
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+@pytest.mark.parametrize("cf", [0.0, 1.0, 1.5, -0.25, math.nan, True])
+def test_ucb_refuses_a_confidence_factor_outside_0_1(bound, cf):
+    wording = "confidence_factor must be a number strictly between 0 and 1"  # as TreeConfig
+    with pytest.raises(ValueError, match=wording):
+        bound(1, 5, cf)
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_ucb_refuses_negative_errors(bound):
+    with pytest.raises(ValueError, match="errors must be >= 0"):
+        bound(-1, 5, 0.25)
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+@pytest.mark.parametrize("errors, n", [(math.nan, 5), (math.inf, 5), (1, math.inf), (1, math.nan)])
+def test_ucb_refuses_non_finite_counts(bound, errors, n):
+    with pytest.raises(ValueError, match="must be finite numbers"):
+        bound(errors, n, 0.25)
+
+
+@st.composite
+def bound_arguments(draw):
+    """``(errors, total, CF)``: totals from 1e-3 to 1e5 and fractional errors.
+
+    Half leave total - errors below 0.05, where the quantile is near 1.
+    """
+    n = 10.0 ** draw(st.floats(-3, 5))
+    if draw(st.booleans()):
+        errors = n * draw(st.floats(0, 1, exclude_max=True))
+    else:
+        errors = max(n - draw(st.floats(0, 0.05, exclude_min=True)), 0.0)
+    return errors, n, draw(st.floats(0, 1, exclude_min=True, exclude_max=True))
+
+
+def screen_excess(args):
+    """How far the screen is outside its documented error at ``args``; 0 if it declines."""
+    exact = ucb_error_rate(*args)
+    screened = _screen_ucb(*args)
+    if screened is None:
+        return 0.0
+    return abs(screened - exact) - _UCB_TAU * min(exact, 1 - exact) - 2.0**-52 * exact
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(bound_arguments(), min_size=1, max_size=40))
+def test_ucb_screen_is_within_tau_or_declines(arguments):
+    worst = max(arguments, key=screen_excess)
+    assert screen_excess(worst) <= 0, (
+        f"errors, total, CF = {worst}: screen {_screen_ucb(*worst)!r}, "
+        f"ucb_error_rate {ucb_error_rate(*worst)!r}"
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (5.1680027745788255, 5.168002774580343, 0.9999999999987638),
+        (0.014046610198263094, 0.01404661019938584, 0.9999999999867091),
+    ],
+)
+def test_ucb_screen_declines_where_rounding_could_reach_tau(args):
+    # total - errors ~ 1e-12 and 1 - CF ~ 1e-12: the quantile's conditioning
+    # would carry rounding to about 1e-2 of 1 - U
+    assert screen_excess(args) <= 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [  # the lightest leaves of a pruned 4000-row gappy checklist tree
+        (0.007522480918462828, 0.028811488524950513, 0.25),  # U rounds to 1
+        (0.021483435122888583, 0.08552299914175698, 0.25),
+        (0.11277782580722165, 0.30834037538936565, 0.25),
+    ],
+)
+def test_ucb_screen_answers_quantiles_near_1(args):
+    assert _screen_ucb(*args) is not None
+    assert screen_excess(args) <= 0
+
+
+@contextlib.contextmanager
+def exact_decisions():
+    """Every comparison of two bounds too close for the screen: all exact."""
+    saved = tree_module._UCB_MARGIN
+    tree_module._UCB_MARGIN = math.inf
+    try:
+        yield
+    finally:
+        tree_module._UCB_MARGIN = saved
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    weighted_mixed_datasets(),
+    st.sampled_from([0.0, 0.5, 2.0]),
+    st.sampled_from([0.01, 0.25, 0.6, 0.99]),
+)
+def test_screened_decisions_equal_exact_ones(d, min_leaf_weight, cf):
+    grown = build_tree(d, TreeConfig(min_leaf_weight, cf, pruning=False))
+    rules = extract_rules(grown)
+    screened = prune_tree(grown), simplify_rules(rules, d)
+    with exact_decisions():
+        assert (prune_tree(grown), simplify_rules(rules, d)) == screened
+
+
+def test_exact_tie_collapses_through_ucb_error_rate(monkeypatch):
+    calls = []
+    exact = tree_module.ucb_error_rate
+    monkeypatch.setattr(tree_module, "ucb_error_rate", lambda *a: calls.append(a) or exact(*a))
+    schema = (
+        AttributeSpec.categorical("a", ("0", "1")),
+        AttributeSpec.categorical("cls", ("N", "Y")),
+    )
+    counts = (7.0, 3.0)
+    # the leaf and the subtree have the same estimate, 10 * U(3, 10)
+    root = Decision(0, None, (Leaf(counts, 10.0), Leaf(counts, 0.0)), (10.0, 0.0), counts)
+    pruned = prune_tree(DecisionTreeModel(schema, 1, root, TreeConfig())).root
+    assert pruned == Leaf(counts, 10.0)
+    assert (3.0, 10.0, 0.25) in calls
+
+
+def test_training_accuracy_checks_no_row_again(monkeypatch, tmp_path):
+    path = tmp_path / "gappy.arff"
+    path.write_text(serialize_arff(synthetic_checklist(3000, 1000, seed=1, missing_rate=0.1)))
+    checked = []
+    dataset_module = sys.modules["ldscreen.dataset"]
+    check = dataset_module._check_instance
+
+    def counted(*args):
+        checked.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(dataset_module, "_check_instance", counted)
+    monkeypatch.setattr(tree_module, "_check_instance", counted)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["train", "--input", str(path), "--out", str(tmp_path / "m.json")]) == 0
+    assert len(checked) == 4000  # once each, when read
+    model = model_from_json((tmp_path / "m.json").read_text())
+    d = dataset_module.parse_arff(path.read_text())
+    expected = sum(classify(model, i)[0] == i.values[-1] for i in d.instances) / len(d)
+    assert f"Training accuracy: {100 * expected:.1f} %" in out.getvalue()
+
+
+def test_training_accuracy_refuses_another_schema():
+    d = binary_dataset([["0", "N"], ["1", "Y"]] * 3, 1)
+    other = binary_dataset([["0", "N"], ["1", "Y"]] * 3, 1, ("Y", "N"))
+    with pytest.raises(ValueError, match="schema or class differs"):
+        training_accuracy(build_tree(d), other)
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

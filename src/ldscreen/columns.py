@@ -14,6 +14,13 @@ in the same order, bit for bit.  ``np.sum`` and dot products add pairwise
 and would not.  The view holds floats, which is why ``Dataset`` refuses
 an int that a float cannot hold exactly.
 
+Growth tallies a numeric attribute node by node (``Node.midpoints``) and
+a nominal one level by level (``Level.nominal``): one ``bincount`` over
+the rows of every node of a tree level, keyed by node, fills each node's
+bins as a ``bincount`` over that node alone would.  The screens in numpy
+(``Midpoints.screen``, ``Nominal.screen``) only sort candidates out; the
+scores that decide are ``tree._score_splits``'.
+
 ``classify`` and ``best_rule`` do not import this module, so scoring a
 row never loads numpy through it.
 """
@@ -108,27 +115,6 @@ class Node:
         known = ~view.missing(i, self.rows)
         return view.columns[i][self.rows][known], view.classes[self.rows][known], self.weights[known]
 
-    def split_tallies(self, i, thresholds=None):
-        """``(thresholds, branch tallies, parent, known_w, total_w)`` of attribute ``i``.
-
-        ``parent`` is the class tally of the rows whose value is known,
-        ``known_w`` their weight and ``total_w`` the weight of every row.
-        A categorical attribute has the one threshold None, whose tallies
-        hold one class tally per declared value.  A numeric attribute has
-        one ``(left, right)`` pair of class tallies per threshold, for the
-        values ``<=`` and ``>`` it; its ``thresholds`` must be given, in
-        ascending order (``midpoints`` covers every midpoint).
-        """
-        spec = self.view.schema[i]
-        if not spec.is_categorical:
-            splits = self.midpoints(i, thresholds)
-            return (thresholds,) + splits.tallies(slice(None))[1:]
-        column, classes, weights = self._known(i)
-        n = self.view.n_classes
-        tally = np.bincount(column * n + classes, weights, len(spec.values) * n)
-        parent = np.bincount(classes, weights, n).tolist()
-        return [None], [tally.reshape(-1, n).tolist()], parent, total(weights), self.weight
-
     def midpoints(self, i, thresholds=None):
         """The Midpoints of numeric attribute ``i``, sorted once.
 
@@ -152,7 +138,7 @@ class Node:
         right = np.cumsum(np.concatenate((by_class[:1], by_class[:0:-1])), axis=0)
         cuts = np.searchsorted(column, thresholds, side="right")  # value <= threshold
         parent = np.bincount(classes, weights, n).tolist()
-        branches = np.stack((left[cuts], right[len(column) - cuts]))
+        branches = np.stack((left[cuts], right[len(column) - cuts]), axis=1)
         return Midpoints(thresholds, branches, parent, total(weights), self.weight)
 
     def children(self, conditions):
@@ -183,10 +169,10 @@ class Node:
 class Midpoints:
     """The class tallies of one numeric attribute at a node, per threshold.
 
-    ``branches[0][j]`` and ``branches[1][j]`` are the class tallies of the
+    ``branches[j, 0]`` and ``branches[j, 1]`` are the class tallies of the
     known rows ``<=`` and ``>`` ``thresholds[j]``, each summed in sorted
-    order on its own; ``parent``, ``known_w`` and ``total_w`` are as in
-    ``Node.split_tallies``.
+    order on its own.  ``parent`` is the class tally of the known rows,
+    ``known_w`` their weight and ``total_w`` the weight of every row.
     """
 
     def __init__(self, thresholds, branches, parent, known_w, total_w):
@@ -197,31 +183,134 @@ class Midpoints:
         self.total_w = total_w
 
     def tallies(self, picks):
-        """``Node.split_tallies``'s tuple for the thresholds at ``picks``."""
-        branches = self.branches[:, picks]
-        pairs = zip(branches[0].tolist(), branches[1].tolist())
+        """``tree._score_splits``'s arguments after the attribute index, for the thresholds at ``picks``."""
         thresholds = self.thresholds[picks].tolist()
-        return thresholds, list(pairs), self.parent, self.known_w, self.total_w
+        return thresholds, self.branches[picks].tolist(), self.parent, self.known_w, self.total_w
 
     def screen(self, h_parent):
         """``(gain, intrinsic value, valid)`` arrays, one entry per threshold.
 
-        The gain and the intrinsic value follow ``tree._score_splits``'s
-        formulas in numpy (``h_parent`` is the entropy of ``parent``), so
-        they can differ from its scores by rounding; ``tree._screen_error``
-        bounds the difference.  ``valid`` is exact: a sum of non-negative
-        weights is positive exactly when one of them is, in any order.
-        ``known_w`` must be positive.
+        ``h_parent`` is the entropy of ``parent``; ``known_w`` must be
+        positive.  See ``_screen``.
         """
-        weight = self.branches.sum(axis=2)
-        valid = (weight > 0).all(axis=0)
-        p = self.branches / np.where(weight > 0, weight, 1.0)[:, :, None]
-        h_branch = -_xlog2x(p).sum(axis=2)
-        share = weight / self.known_w
-        h_children = share[0] * h_branch[0] + share[1] * h_branch[1]
-        iv = -(_xlog2x(share[0]) + _xlog2x(share[1]))
-        gain = (self.known_w / self.total_w) * (h_parent - h_children)
-        return gain, iv, valid
+        return _screen(self.branches, h_parent, self.known_w, self.total_w)
+
+
+class Level:
+    """The nodes of one tree level, their rows concatenated in node order.
+
+    A node's rows keep their order, so a ``bincount`` keyed by node adds
+    each node's weights as a ``bincount`` over that node alone would.
+    """
+
+    def __init__(self, nodes):
+        self.view = nodes[0].view
+        self.rows = np.concatenate([node.rows for node in nodes])
+        self.weights = np.concatenate([node.weights for node in nodes])
+        self.node = np.repeat(np.arange(len(nodes)), [len(node.rows) for node in nodes])
+        self.total_w = np.array([node.weight for node in nodes])
+
+    def nominal(self, at):
+        """The Nominal candidates of categorical attributes at nodes of the level.
+
+        ``at`` maps each attribute index to the positions of the nodes
+        where it is a candidate; the candidates follow ``at``, then node
+        order.  Each attribute takes one pass over the level's rows: a
+        ``bincount`` keyed by (node, value or missing, class) for the
+        branch tallies, one keyed by (node, known, class) for the parent
+        tallies and one keyed by (node, known) for the known weights.
+        """
+        view = self.view
+        n, m = view.n_classes, len(self.total_w)
+        values = [len(view.schema[i].values) for i in at]
+        width = max(values) + 1  # bin 0 of each node takes its missing values
+        classes = view.classes[self.rows]
+        by_known = self.node * 2
+        by_value = (self.node * width + 1) * n + classes
+        by_known_class = by_known * n + classes
+        parts = []
+        for i, positions in at.items():
+            value = view.columns[i][self.rows]  # -1 when missing
+            known = value >= 0
+            branches = np.bincount(by_value + value * n, self.weights, m * width * n)
+            parent = np.bincount(by_known_class + known * n, self.weights, m * 2 * n)
+            known_w = np.bincount(by_known + known, self.weights, m * 2)
+            positions = np.asarray(positions, np.intp)
+            parts.append((
+                positions,
+                branches.reshape(m, width, n)[positions, 1:],
+                parent.reshape(m, 2, n)[positions, 1],
+                known_w[1::2][positions],
+            ))
+        nodes, branches, parent, known_w = (np.concatenate(part) for part in zip(*parts))
+        sizes = [len(positions) for positions in at.values()]
+        return Nominal(
+            np.repeat(list(at), sizes),
+            nodes,
+            np.repeat(values, sizes),
+            branches,
+            parent,
+            known_w,
+            self.total_w[nodes],
+        )
+
+
+class Nominal:
+    """Candidate splits on categorical attributes at nodes of a Level.
+
+    Candidate c splits the ``nodes[c]``-th node on attribute
+    ``attributes[c]``, which declares ``values[c]`` values.
+    ``branches[c, v]`` is the class tally of that node's known rows whose
+    value is the v-th declared one (zero past ``values[c]``),
+    ``parent[c]`` that of all its known rows, ``known_w[c]`` their weight
+    and ``total_w[c]`` the weight of all its rows, each added in row order.
+    """
+
+    def __init__(self, attributes, nodes, values, branches, parent, known_w, total_w):
+        self.attributes = attributes
+        self.nodes = nodes
+        self.values = values
+        self.branches = branches
+        self.parent = parent
+        self.known_w = known_w
+        self.total_w = total_w
+
+    def tallies(self, c):
+        """``tree._score_splits``'s arguments after the attribute index, for candidate ``c``."""
+        branches = self.branches[c, : self.values[c]].tolist()
+        known_w, total_w = float(self.known_w[c]), float(self.total_w[c])
+        return [None], [branches], self.parent[c].tolist(), known_w, total_w
+
+    def screen(self):
+        """``(gain, intrinsic value, valid)`` arrays, one entry per candidate.
+
+        As ``_screen``, with the entropy of each ``parent`` in numpy too.
+        The empty tallies past ``values[c]`` add only zeros.
+        """
+        parent_w = self.parent.sum(axis=1)
+        p = self.parent / np.where(parent_w > 0, parent_w, 1.0)[:, None]
+        return _screen(self.branches, -_xlog2x(p).sum(axis=1), self.known_w, self.total_w)
+
+
+def _screen(branches, h_parent, known_w, total_w):
+    """``(gain, intrinsic value, valid)`` arrays of the candidates in ``branches``.
+
+    ``branches[c, v]`` is the class tally of branch v of candidate c;
+    ``h_parent``, ``known_w`` and ``total_w`` are numbers or hold one
+    entry per candidate.  The gain and the intrinsic value follow
+    ``tree._score_splits``'s formulas in numpy, so they can differ from
+    its scores by rounding; ``tree._screen_error`` bounds the difference.
+    ``valid`` is exact: a sum of non-negative weights is positive exactly
+    when one of them is, in any order.
+    """
+    weight = branches.sum(axis=2)
+    valid = (weight > 0).sum(axis=1) >= 2
+    p = branches / np.where(weight > 0, weight, 1.0)[:, :, None]
+    h_branch = -_xlog2x(p).sum(axis=2)
+    share = weight / np.where(known_w > 0, known_w, 1.0)[..., None]
+    iv = -_xlog2x(share).sum(axis=1)
+    gain = (known_w / total_w) * (h_parent - (share * h_branch).sum(axis=1))
+    return gain, iv, valid
 
 
 def _xlog2x(x):

@@ -11,18 +11,20 @@ screen of scipy's exact quantile; scipy is loaded only for a comparison
 the screen cannot settle (``_decide``).
 
 Growth reads the encoded view of ``columns``, built once per call: a node
-is an array of row positions with their weights.  A nominal attribute's
-branch tallies are one ``bincount`` per node; a numeric attribute is
-sorted once per node and the tallies of every midpoint threshold are
-cumulative sums, O(n log n) per attribute per node.  Those tallies are
-summed in sorted order rather than row order, so with fractional weights
-two candidates whose gain ratios tie to within rounding may resolve
-differently from a per-row rescan; unit weights sum exactly.  numpy
-screens every midpoint, and only those that can be the best are scored
-again in Python (``_score_near_best``).  The scores that decide stay in
-Python (``math.log2``, which ``np.log2`` does not match bit for bit), and
-every weight written to a model is a left-to-right sum, so model files
-are the same on every supported Python.
+is an array of row positions with their weights.  The tree grows level
+by level.  A nominal attribute's branch tallies come from one pass over
+the rows of every node of a level (``columns.Level.nominal``); a numeric
+attribute is sorted once per node and the tallies of every midpoint
+threshold are cumulative sums, O(n log n) per attribute per node.  Those
+tallies are summed in sorted order rather than row order, so with
+fractional weights two candidates whose gain ratios tie to within
+rounding may resolve differently from a per-row rescan; unit weights sum
+exactly.  numpy screens every candidate, nominal and numeric, and only
+those that can be the best are scored again in Python
+(``_best_candidates``).  The scores that decide stay in Python
+(``math.log2``, which ``np.log2`` does not match bit for bit), and every
+weight written to a model is a left-to-right sum, so model files are the
+same on every supported Python.
 
 A built model is immutable; concurrent classification is safe.
 """
@@ -245,7 +247,7 @@ def evaluate_split(dataset, attribute_index, threshold=None):
     threshold for a categorical attribute, and on a numeric one without a
     finite threshold.
     """
-    from .columns import Columns
+    from .columns import Columns, Level
 
     if not 0 <= attribute_index < len(dataset.schema):
         raise ValueError(f"attribute index {attribute_index} out of range")
@@ -257,7 +259,12 @@ def evaluate_split(dataset, attribute_index, threshold=None):
             raise ValueError(f"threshold given for categorical attribute {spec.name}")
     elif not is_finite_number(threshold):
         raise ValueError(f"numeric attribute {spec.name} needs a finite threshold")
-    tallies = Columns(dataset).root().split_tallies(attribute_index, [threshold])
+    root = Columns(dataset).root()
+    if spec.is_categorical:
+        tallies = Level([root]).nominal({attribute_index: [0]}).tallies(0)
+    else:
+        tallies = root.midpoints(attribute_index, [threshold]).tallies(slice(None))
+        tallies = ([threshold],) + tallies[1:]
     return _score_splits(attribute_index, *tallies)[0]
 
 
@@ -303,12 +310,12 @@ def _score_splits(attribute_index, thresholds, branch_tallies, parent, known_w, 
 def build_tree(dataset, config=None):
     """Induce a decision tree for ``dataset``.
 
-    Growth recurses greedily on the valid candidate with maximum gain
-    ratio and stops on pure nodes, on nodes lighter than twice the minimum
-    leaf weight, or when no candidate offers positive gain.  Each nominal
-    attribute is tested at most once per path; numeric attributes may
-    recur with new midpoint thresholds.  With ``config.pruning`` the grown
-    tree is pessimistically pruned before being returned.
+    Growth splits each node greedily on the valid candidate with maximum
+    gain ratio and stops on pure nodes, on nodes lighter than twice the
+    minimum leaf weight, or when no candidate offers positive gain.  Each
+    nominal attribute is tested at most once per path; numeric attributes
+    may recur with new midpoint thresholds.  With ``config.pruning`` the
+    grown tree is pessimistically pruned before being returned.
     """
     from .columns import Columns
 
@@ -317,130 +324,179 @@ def build_tree(dataset, config=None):
         raise ValueError("cannot build a tree from an empty dataset")
     if not dataset.feature_indices:
         raise ValueError("dataset has no non-class attributes")
-    root = Columns(dataset).root()
-    root = _grow(root, dataset.schema, dataset.class_index, frozenset(), config)
+    root = _grow(Columns(dataset).root(), dataset.schema, dataset.class_index, config)
     model = DecisionTreeModel(dataset.schema, dataset.class_index, root, config)
     if config.pruning:
         model = prune_tree(model)
     return model
 
 
-def _grow(node, schema, class_index, used_nominal, config):
-    counts = node.class_counts()
-    weight = total(counts)
-    nonzero = sum(1 for c in counts if c > 0)
-    if nonzero <= 1 or weight < 2 * config.min_leaf_weight:
-        return Leaf(tuple(counts), weight)
+def _grow(root, schema, class_index, config):
+    """The unpruned tree below the ``columns.Node`` ``root``, grown level by level.
 
-    best = _best_candidate(node, schema, class_index, used_nominal)
-    if best is None:
-        return Leaf(tuple(counts), weight)
+    Each level's nodes are decided together (``_best_candidates``), each
+    as it would be decided alone.  A split waits in ``levels`` as ``(best,
+    counts, children)``, its empty branches already Leaves, until the
+    levels below are built.
+    """
+    levels = []
+    level = [(root, frozenset())]
+    while level:
+        splits = []  # per node: a Leaf, or (best, counts, children)
+        open_nodes = []  # (position in splits, node, used)
+        for node, used in level:
+            counts = tuple(node.class_counts())
+            weight = total(counts)
+            splits.append(Leaf(counts, weight))
+            if sum(1 for c in counts if c > 0) > 1 and weight >= 2 * config.min_leaf_weight:
+                open_nodes.append((len(splits) - 1, node, used))
+        bests = _best_candidates([(node, used) for _, node, used in open_nodes], schema, class_index)
+        level = []
+        for (j, node, used), best in zip(open_nodes, bests):
+            if best is None:
+                continue
+            if schema[best.attribute_index].is_categorical:
+                used = used | {best.attribute_index}
+            children = node.children(branch_conditions(schema, best.attribute_index, best.threshold))
+            splits[j] = (best, splits[j].class_counts, children)
+            level += [(child, used) for child in children if child.weight > 0]
+        levels.append(splits)
+    below = []
+    for splits in reversed(levels):
+        grown = iter(below)
+        below = [split if isinstance(split, Leaf) else _decision(*split, grown) for split in splits]
+    return below[0]
 
-    child_used = used_nominal
-    if schema[best.attribute_index].is_categorical:
-        child_used = used_nominal | {best.attribute_index}
-    children = []
-    branch_weights = []
-    conditions = branch_conditions(schema, best.attribute_index, best.threshold)
-    for child in node.children(conditions):
-        branch_weights.append(child.weight)
-        if child.weight <= 0:
-            # empty branch: majority-class leaf borrowing the parent counts
-            children.append(Leaf(tuple(counts), 0.0))
-        else:
-            children.append(_grow(child, schema, class_index, child_used, config))
+
+def _decision(best, counts, children, grown):
+    """The Decision of a split whose non-empty children are the next of ``grown``."""
     return Decision(
         best.attribute_index,
         best.threshold,
-        tuple(children),
-        tuple(branch_weights),
-        tuple(counts),
+        # an empty branch is a majority-class leaf borrowing the parent counts
+        tuple(next(grown) if child.weight > 0 else Leaf(counts, 0.0) for child in children),
+        tuple(child.weight for child in children),
+        counts,
     )
 
 
-def _best_candidate(node, schema, class_index, used_nominal):
-    attributes = [i for i in range(len(schema)) if i != class_index and i not in used_nominal]
-    numeric = {i: node.midpoints(i) for i in attributes if not schema[i].is_categorical}
-    scored = {i: _score_splits(i, *node.split_tallies(i)) for i in attributes if i not in numeric}
-    if numeric:
-        scored.update(_score_near_best(numeric, scored.values(), node.view.n_classes))
-    # generation order (attribute index, then ascending threshold) is the
-    # tie-break, so the first maximum wins
-    useful = [c for i in attributes for c in scored[i] if c.valid and c.info_gain > _GAIN_EPS]
-    if not useful:
-        return None
-    return useful[first_max([c.gain_ratio for c in useful])]
+def _best_candidates(level, schema, class_index):
+    """The best useful candidate of each ``(node, used nominal attributes)``, or None.
 
-
-def _score_near_best(numeric, nominal, n_classes):
-    """Exact candidates of each numeric attribute's thresholds that can be the best.
-
-    ``numeric`` maps an attribute index to its ``columns.Midpoints``,
-    ``nominal`` holds the exact candidate lists of the other attributes.
-    Every threshold is screened in numpy: ``Midpoints.screen`` gives an
-    approximate gain g~ and intrinsic value iv~, each within
-    E = ``_screen_error(n_classes)`` of what ``_score_splits`` computes.
-    A threshold whose screened gain ratio is certainly reached, with
-    g~ - E > ``_GAIN_EPS`` and iv~ > E, is useful and scores at least
-    (g~ - E) / (iv~ + E); L is the largest of these and of the nominal
-    candidates' useful ratios, or 0.  Only the valid thresholds with
-    g~ + E > ``_GAIN_EPS`` and an upper bound (g~ + E) / (iv~ - E) of at
-    least L (always when iv~ <= E) go to ``_score_splits``.  Every other
-    threshold is useless or scores below L, itself at most the best useful
-    ratio, so the best and every candidate tied with it are rescored and
-    ``first_max`` picks what scoring every threshold would.
+    Every candidate is screened in numpy first: the midpoints of each
+    numeric attribute at each node (``Midpoints.screen``), and each
+    nominal attribute not yet used at a node from one pass over the level
+    (``Level.nominal``, ``Nominal.screen``).  A screen gives an
+    approximate gain g~ and intrinsic value iv~, each within E =
+    ``_screen_error(n_classes, branches)`` of what ``_score_splits``
+    computes.  A candidate whose screened gain ratio is certainly
+    reached, with g~ - E > ``_GAIN_EPS`` and iv~ > E, is useful and scores
+    at least (g~ - E) / (iv~ + E); a node's L is the largest of these, or
+    0.  Only the valid candidates with g~ + E > ``_GAIN_EPS`` and an upper
+    bound (g~ + E) / (iv~ - E) of at least L (always when iv~ <= E) go to
+    ``_score_splits``.  Every other candidate is useless or scores below
+    L, itself at most the best useful ratio, so the best and every
+    candidate tied with it are scored exactly, and ``first_max`` over
+    generation order (attribute index, then ascending threshold) picks
+    what scoring every candidate would.
     """
-    error = _screen_error(n_classes)
-    screens = {}
-    reached = 0.0  # every useful ratio is positive, so 0 bounds the best from below
-    for i, splits in numeric.items():
-        if splits.known_w > 0:  # else every candidate is invalid
-            gain, iv, valid = screens[i] = splits.screen(entropy(splits.parent))
-            sure = valid & (gain - error > _GAIN_EPS) & (iv > error)
-            reached = max(reached, ((gain - error) / (iv + error))[sure].max(initial=0.0))
-    for candidates in nominal:
-        for c in candidates:
-            if c.valid and c.info_gain > _GAIN_EPS:
-                reached = max(reached, c.gain_ratio)
-    scored = dict.fromkeys(numeric, [])
-    for i, (gain, iv, valid) in screens.items():
-        # (g~ + E) >= L * (iv~ - E) holds when iv~ <= E, as L >= 0 < g~ + E
-        near = valid & (gain + error > _GAIN_EPS) & (gain + error >= reached * (iv - error))
-        scored[i] = _score_splits(i, *numeric[i].tallies(near.nonzero()[0]))
-    return scored
+    if not level:
+        return []
+    import numpy as np
+
+    from .columns import Level
+
+    n_classes = level[0][0].view.n_classes
+    attributes = [i for i in range(len(schema)) if i != class_index]
+    error = _screen_error(n_classes, 2)
+    reached = np.zeros(len(level))  # every useful ratio is positive, so 0 bounds the best
+    numeric = []  # per node: {attribute: (its Midpoints, their screen)}
+    for j, (node, _) in enumerate(level):
+        screens = {}
+        for i in attributes:
+            if not schema[i].is_categorical:
+                splits = node.midpoints(i)
+                if splits.known_w > 0:  # else every candidate is invalid
+                    screens[i] = splits, splits.screen(entropy(splits.parent))
+                    reached[j] = max(reached[j], _reached(*screens[i][1], error).max(initial=0.0))
+        numeric.append(screens)
+    open_at = {
+        i: [j for j, (_, used) in enumerate(level) if i not in used]
+        for i in attributes
+        if schema[i].is_categorical
+    }
+    open_at = {i: at for i, at in open_at.items() if at}
+    near = {}  # (attribute, node) -> the position of a nominal candidate to score
+    if open_at:
+        nominal = Level([node for node, _ in level]).nominal(open_at)
+        screen = nominal.screen()
+        branches, of = np.unique(nominal.values, return_inverse=True)
+        e = np.array([_screen_error(n_classes, b) for b in branches.tolist()])[of]
+        np.maximum.at(reached, nominal.nodes, _reached(*screen, e))
+        for c in _near(*screen, e, reached[nominal.nodes]).nonzero()[0].tolist():
+            near[int(nominal.attributes[c]), int(nominal.nodes[c])] = c
+    bests = []
+    for j, screens in enumerate(numeric):
+        scored = []
+        for i in attributes:
+            if i in screens:
+                splits, screen = screens[i]
+                scored += _score_splits(i, *splits.tallies(_near(*screen, error, reached[j]).nonzero()[0]))
+            elif (i, j) in near:
+                scored += _score_splits(i, *nominal.tallies(near[i, j]))
+        useful = [c for c in scored if c.valid and c.info_gain > _GAIN_EPS]
+        bests.append(useful[first_max([c.gain_ratio for c in useful])] if useful else None)
+    return bests
 
 
-def _screen_error(n_classes):
+def _reached(gain, iv, valid, error):
+    """(g~ - E) / (iv~ + E) of each screened candidate that is surely useful, else 0."""
+    sure = valid & (gain - error > _GAIN_EPS) & (iv > error)
+    return ((gain - error) / (iv + error)) * sure  # iv~ >= 0, so every ratio is finite
+
+
+def _near(gain, iv, valid, error, reached):
+    """Mask of the screened candidates that may be useful and reach ``reached``."""
+    # (g~ + E) >= L * (iv~ - E) holds when iv~ <= E, as L >= 0 < g~ + E
+    return valid & (gain + error > _GAIN_EPS) & (gain + error >= reached * (iv - error))
+
+
+def _screen_error(n_classes, branches=2):
     """E: how far a screened gain or intrinsic value may be from ``_score_splits``'s.
 
     Both sides compute from the same float tallies, so only rounding
-    separates them.  With u = 2**-53 and k classes, and every log2 within
-    4 ulps (relative error 8u):
+    separates them.  With u = 2**-53, k classes, b branches, and every
+    log2 within 4 ulps (relative error 8u):
 
     - a branch weight, summed over k classes in any order, and its class
       shares p = tally / weight carry relative error gamma_k ~ k u;
     - each term p log2 p is then off by |p log2 p| (gamma_k + 9u) plus
       p * 1.5 gamma_k (log2 of p (1 + t) moves by at most 1.5 |t|), and
       adding the k terms costs gamma_{k-1} of their sum; as the entropy
-      is at most log2 k and the shares sum to 1, a branch entropy is off
-      by at most ((2k + 9) log2 k + 2k) u;
-    - the children's entropy, two shares w / known_w (relative error
-      gamma_k) times branch entropies, is then off by at most
-      ((3k + 11) log2 k + 2k) u on each side, and the gain, which shares
-      ``h_parent`` and ``known_w / total_w`` with the exact path, by at
-      most twice that plus 4u log2 k: ((6k + 26) log2 k + 4k) u;
-    - the intrinsic value, two terms s log2 s of shares s whose terms sum
-      to at most 1 in magnitude, is off by at most (2.5k + 10) u on each
-      side, (5k + 20) u between them.
+      is at most log2 k and the shares sum to 1, an entropy of k class
+      weights is off by at most ((2k + 9) log2 k + 2k) u: so is a branch
+      entropy, and so is the parent's, which a screen may compute in
+      numpy (``Nominal.screen``) or take from ``entropy``;
+    - the children's entropy, b shares w / known_w (relative error
+      gamma_k) times branch entropies, added in any order (gamma_{b-1}),
+      is off by at most ((3k + b + 9) log2 k + 2k) u on each side; the
+      gain, whose factor ``known_w / total_w`` both sides round alike,
+      adds the parent's entropy and two roundings of at most u log2 k:
+      ((5k + b + 20) log2 k + 4k) u on each side, twice that between them;
+    - the intrinsic value, b terms s log2 s of shares s, summing to at
+      most log2 b in magnitude, is off by at most (1.5k + (k + b + 8)
+      log2 b) u on each side, twice that between them.
 
-    E doubles the sum of the two, ((6k + 26) log2 k + 9k + 20) u.  The
-    doubling covers the second-order terms, shares that sum to 1 only to
-    within 2 gamma_n for n rows, and the rounding of the bounds in
-    ``_score_near_best``: it leaves at least 30u of relative slack in each
-    ratio bound, where rounding moves them by at most 4u.
+    E doubles the sum of the two, 2 ((10k + 2b + 40) log2 k + 2 (k + b +
+    8) log2 b + 11k) u.  The doubling covers the second-order terms,
+    shares that sum to 1 only to within 2 gamma_n for n rows, and the
+    rounding of the bounds in ``_best_candidates``: it leaves at least
+    20u of relative slack in each ratio bound, where rounding moves them
+    by at most 4u.
     """
-    k = n_classes
-    return 2 * ((6 * k + 26) * math.log2(k) + 9 * k + 20) * 2.0**-53
+    k, b = n_classes, branches
+    log2k, log2b = math.log2(k), math.log2(b)
+    return 2 * ((10 * k + 2 * b + 40) * log2k + 2 * (k + b + 8) * log2b + 11 * k) * 2.0**-53
 
 
 # ---------------------------------------------------------------------------

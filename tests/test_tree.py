@@ -20,7 +20,7 @@ from oracles import reference_split_score, row_loop_tree, weighted_mixed_dataset
 import ldscreen
 import ldscreen.tree as tree_module
 from ldscreen.cli import main
-from ldscreen.columns import Columns, Node
+from ldscreen.columns import Columns, Level, Node
 from ldscreen.dataset import (
     AttributeSpec,
     Dataset,
@@ -628,6 +628,120 @@ def test_screen_scores_few_midpoints_exactly(monkeypatch):
     model = build_tree(Dataset(schema, 5, rows), TreeConfig(pruning=False))
     assert model.node_count() > 20
     assert 0 < seen["scored"] < seen["midpoints"] / 100
+
+
+@st.composite
+def screened_level(draw):
+    """The Nominal candidates of three attributes at 1-6 nodes of one level.
+
+    Each attribute declares 1-5 values, a tenth of its cells are blank,
+    and there are 2-4 classes.  Each node takes some rows of one dataset
+    at weights mixing 1, fractional values, large ones and values down to
+    1e-12, scaled as a fractional branch scales them.
+    """
+    classes = "PQRS"[: draw(st.integers(2, 4))]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    weights = (
+        lambda: 1.0,
+        lambda: rng.uniform(0.01, 100.0),
+        lambda: rng.uniform(1e-12, 1e-6),
+        lambda: rng.uniform(1e3, 1e6),
+    )
+    schema = tuple(
+        AttributeSpec.categorical(f"s{i}", "ABCDE"[: rng.randint(1, 5)]) for i in range(3)
+    ) + (AttributeSpec.categorical("c", classes),)
+    instances = [
+        Instance(
+            tuple(None if rng.random() < 0.1 else rng.choice(a.values) for a in schema[:3])
+            + (rng.choice(classes),),
+            rng.choice(weights)(),
+        )
+        for _ in range(rng.randint(1, 60))
+    ]
+    root = Columns(Dataset(schema, 3, instances)).root()
+    nodes = []
+    for _ in range(rng.randint(1, 6)):
+        rows = sorted(rng.sample(range(len(instances)), rng.randint(1, len(instances))))
+        scale = rng.choice((1.0, rng.uniform(1e-3, 1.0)))
+        nodes.append(Node(root.view, root.rows[rows], root.weights[rows] * scale))
+    return Level(nodes).nominal({i: list(range(len(nodes))) for i in range(3)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(screened_level())
+def test_nominal_screen_is_within_its_error_bound(nominal):
+    gain, iv, valid = nominal.screen()
+    for c, i in enumerate(nominal.attributes.tolist()):
+        exact = _score_splits(i, *nominal.tallies(c))[0]
+        error = _screen_error(nominal.parent.shape[1], int(nominal.values[c]))
+        assert valid[c] == exact.valid
+        if exact.valid:
+            assert abs(gain[c] - exact.info_gain) <= error
+            assert abs(iv[c] - exact.intrinsic_value) <= error
+
+
+def test_growth_screens_nominal_candidates_once_per_level(monkeypatch):
+    # tallying node by node, or scoring every nominal candidate exactly,
+    # would fail this, with no timing
+    d = synthetic_checklist(1500, 500, seed=3, missing_rate=0.1)
+    seen = {"passes": 0, "screened": 0, "scored": 0}
+
+    def count_nominal(level, at):
+        nominal = real_nominal(level, at)
+        seen["passes"] += 1
+        seen["screened"] += len(nominal.nodes)
+        return nominal
+
+    def count_scored(i, thresholds, *rest):
+        seen["scored"] += thresholds == [None]
+        return real_score_splits(i, thresholds, *rest)
+
+    real_nominal, real_score_splits = Level.nominal, tree_module._score_splits
+    monkeypatch.setattr(Level, "nominal", count_nominal)
+    monkeypatch.setattr(tree_module, "_score_splits", count_scored)
+    model = build_tree(d, TreeConfig(pruning=False))
+    depth = max(len(conditions) for conditions, _ in tree_module._paths(model.root, d.schema))
+    assert model.node_count() > 100
+    assert 0 < seen["passes"] <= depth + 1
+    assert 0 < seen["scored"] < seen["screened"] / 4
+
+
+@pytest.mark.parametrize("x_index", [0, 1, 2])
+def test_tied_nominal_splits_resolve_to_the_first_max(x_index):
+    # under the split on r, at both nodes of the level below it, s repeats
+    # its twin and x is 1.0 where they are Y, 0.0 where N and blank where
+    # they are: the three candidates tie, and weights in quarters keep
+    # every tally exact in any order
+    names = ["s", "t"]
+    names.insert(x_index, "x")
+    schema = tuple(
+        AttributeSpec.numeric(n) if n == "x" else AttributeSpec.categorical(n, ("N", "Y"))
+        for n in names
+    ) + (AttributeSpec.categorical("r", "AB"), AttributeSpec.categorical("c", "PQ"))
+    design = [
+        ("A", "N", "P", 5), ("A", "Y", "Q", 3), ("A", "Y", "P", 1), ("A", None, "P", 2),
+        ("B", "N", "Q", 5), ("B", "Y", "P", 3), ("B", "Y", "Q", 1), ("B", None, "Q", 2),
+    ]
+    weights = itertools.cycle((0.25, 0.5, 0.75, 1.5))
+    rows = []
+    for r, s, c, count in design:
+        x = None if s is None else float(s == "Y")
+        values = [x if n == "x" else s for n in names]
+        rows += [Instance(tuple(values) + (r, c), next(weights)) for _ in range(count)]
+    random.Random(0).shuffle(rows)
+    d = Dataset(schema, 4, rows)
+    root = build_tree(d, TreeConfig(pruning=False, min_leaf_weight=1.0)).root
+    assert root.attribute_index == 3
+    for value, child in zip("AB", root.children):
+        part = Dataset(schema, 4, [inst for inst in rows if inst.values[3] == value])
+        candidates = [evaluate_split(part, i, 0.5 if i == x_index else None) for i in range(4)]
+        best = first_max([c.gain_ratio for c in candidates])
+        assert sum(c.gain_ratio == candidates[best].gain_ratio for c in candidates) == 3
+        assert (child.attribute_index, child.threshold) == (0, 0.5 if x_index == 0 else None)
+        assert (child.attribute_index, child.threshold) == (
+            candidates[best].attribute_index,
+            candidates[best].threshold,
+        )
 
 
 def test_branch_weight_is_left_to_right_sum():

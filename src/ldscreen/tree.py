@@ -579,16 +579,18 @@ def _beta_quantile(a, b, p):
     q = 1.0 - p  # exact: p >= 1/2, or p = 1 - CF exactly
     if a == 1.0:  # I_x(1, b) = 1 - (1 - x)**b
         return -math.expm1(math.log(q) / b)
-    if _beta_guess(a, b, p, q) <= 0.5:
-        return _beta_root(a, b, p, q)
+    x = _beta_guess(a, b, p, q)
+    if x <= 0.5:
+        return _beta_root(a, b, p, q, x, _log_beta(a, b))
     # I_y(b, a) >= y**b (1 - y)**(a - 1) / (b B(b, a)): past q at y = 2**-60,
     # the root y is smaller still, and 1 - y rounds to 1
     y = 2.0**-60
-    if b * math.log(y) + (a - 1.0) * math.log1p(-y) - math.log(b) - _log_beta(b, a) > (
+    log_beta = _log_beta(b, a)
+    if b * math.log(y) + (a - 1.0) * math.log1p(-y) - math.log(b) - log_beta > (
         math.log(q) + 1e-6
     ):
         return 1.0
-    y = _beta_root(b, a, q, p)
+    y = _beta_root(b, a, q, p, _beta_guess(b, a, q, p), log_beta)
     return None if y is None else 1.0 - y
 
 
@@ -619,22 +621,27 @@ def _beta_fraction(a, b, x):
     The continued fraction of Numerical Recipes (3rd ed., 6.4); it
     converges fast for x below (a + 1) / (a + b + 2).
     """
+    tiny, a_minus_1, a_plus_1, a_plus_b = _TINY, a - 1.0, a + 1.0, a + b
     c = 1.0
-    d = 1.0 - (a + b) * x / (a + 1.0)
-    d = 1.0 / (d if abs(d) > _TINY else _TINY)
+    d = 1.0 - a_plus_b * x / a_plus_1
+    d = 1.0 / (d if abs(d) > tiny else tiny)
     h = d
-    for m in range(1, 2000):
+    for m in range(1, 2000):  # the two partial numerators of each m, unrolled
         m2 = 2 * m
-        for step in (
-            m * (b - m) * x / ((a - 1.0 + m2) * (a + m2)),
-            -(a + m) * (a + b + m) * x / ((a + m2) * (a + 1.0 + m2)),
-        ):
-            d = 1.0 + step * d
-            d = 1.0 / (d if abs(d) > _TINY else _TINY)
-            c = 1.0 + step / c
-            if abs(c) < _TINY:
-                c = _TINY
-            h *= d * c
+        step = m * (b - m) * x / ((a_minus_1 + m2) * (a + m2))
+        d = 1.0 + step * d
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = 1.0 + step / c
+        if abs(c) < tiny:
+            c = tiny
+        h *= d * c
+        step = -(a + m) * (a_plus_b + m) * x / ((a + m2) * (a_plus_1 + m2))
+        d = 1.0 + step * d
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = 1.0 + step / c
+        if abs(c) < tiny:
+            c = tiny
+        h *= d * c
         if abs(d * c - 1.0) <= 1e-15:
             return h
     return None
@@ -661,22 +668,38 @@ def _beta_guess(a, b, p, q):
     return 1.0 - (b * w * q) ** (1.0 / b)
 
 
-def _beta_root(a, b, p, q):
+def _beta_root(a, b, p, q, x, log_beta):
     """x in (0, 1) with I_x(a, b) = p, q = 1 - p, by Halley's method; or None.
 
-    The residual is taken from the tail the continued fraction computes,
-    I below (a + 1) / (a + b + 2) and 1 - I above, so each keeps its
-    relative precision.  That tail's relative rounding error is at most
-    eps = 2**-52 (64 + a + b + |a log x| + |b log(1 - x)|), and it moves
-    the root by eps * tail / density: above _UCB_TAU / 16 of min(x, 1 - x),
-    the root is declined.
+    Halley starts from ``x``; ``log_beta`` is ``_log_beta(a, b)``.  The
+    residual is taken from the tail the continued fraction computes, I
+    below (a + 1) / (a + b + 2) and 1 - I above, so each keeps its
+    relative precision.
+
+    Convergence.  For f = I_x(a, b) - p, a Halley step from an error e
+    leaves K e**3 to leading order, with K = g**2 / 12 - g' / 6 and
+    g = f'' / f' = (a - 1) / x - (b - 1) / (1 - x).  With m = min(x, 1 - x)
+    and s = |a - 1| + |b - 1| <= a + b, |g| m <= s and |g'| m**2 <= s, so
+    K m**2 <= (s**2 + 2 s) / 12 < (a + b + 2)**2 / 12.  The step is e to
+    first order, so for r = |step| / min(new, 1 - new) the new root is off
+    by less than (a + b + 2)**2 r**3 / 12 of m.  Halley stops once
+    (a + b + 2)**2 r**3 <= _UCB_TAU / 64, usually one continued fraction
+    before the step itself is that small; the factor 12 covers the
+    higher-order terms, of relative size s r <= 2.5e-4 (a + b + 2)**(1/3),
+    0.25 at a + b = 1e9.  It also stops once r <= _UCB_TAU / 64, the test
+    that fires first above a + b = 6.4e10.
+
+    Rounding.  The tail's relative rounding error is at most eps = 2**-52
+    (64 + a + b + |a log x| + |b log(1 - x)|), and it moves the root by
+    eps * tail / density: above _UCB_TAU / 16 of min(x, 1 - x), the root
+    is declined.  So an answer is within _UCB_TAU / 64 + _UCB_TAU / 16 of
+    m, less than _UCB_TAU.
     """
-    x = _beta_guess(a, b, p, q)
     for _ in range(32):
         if not 0.0 < x < 1.0:
             return None
         log_x, log_1mx = math.log(x), math.log1p(-x)
-        front = math.exp(a * log_x + b * log_1mx - _log_beta(a, b))
+        front = math.exp(a * log_x + b * log_1mx - log_beta)
         if x < (a + 1.0) / (a + b + 2.0):
             fraction = _beta_fraction(a, b, x)
             tail = None if fraction is None else front * fraction / a
@@ -695,7 +718,8 @@ def _beta_root(a, b, p, q):
             new = 0.5 * x
         elif new >= 1.0:
             new = 0.5 * (x + 1.0)
-        if abs(step) <= _UCB_TAU / 64 * min(new, 1.0 - new):
+        r = abs(step) / min(new, 1.0 - new)
+        if min(r, (a + b + 2.0) ** 2 * r**3) <= _UCB_TAU / 64:
             eps = 2.0**-52 * (64 + a + b + abs(a * log_x) + abs(b * log_1mx))
             if eps * tail > _UCB_TAU / 16 * min(x, 1.0 - x) * density:
                 return None

@@ -826,6 +826,7 @@ def test_closed_stdout_exits_quietly(arff_gappy):
             stdout=write_end,
             stderr=subprocess.PIPE,
             env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=120,
         )
     finally:
         os.close(write_end)

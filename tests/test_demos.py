@@ -19,6 +19,6 @@ def test_four_demos_found():
 def test_demo_exits_0(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True
+        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr

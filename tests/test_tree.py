@@ -806,6 +806,12 @@ def test_ucb_matches_binomial_oracle():
         )
 
 
+def test_screen_matches_binomial_oracle():
+    for e, n in [(0, 1), (0, 6), (1, 3), (2, 9), (3, 10), (5, 40), (2, 5)]:
+        for cf in (0.25, 0.10):
+            assert _screen_ucb(e, n, cf) == pytest.approx(binom_ucb_oracle(e, n, cf), abs=1e-9)
+
+
 def test_ucb_zero_error_closed_form():
     assert ucb_error_rate(0, 6, 0.25) == pytest.approx(1 - 0.25 ** (1 / 6), abs=1e-12)
 
@@ -899,6 +905,26 @@ def test_ucb_screen_declines_where_rounding_could_reach_tau(args):
 
 @pytest.mark.parametrize(
     "args",
+    [  # of 90 000 random inputs (n 1e-3 to 1e5, a quarter of them with
+        # n - e below 0.05, CF across (0, 1)): the three answers nearest tau,
+        # at about 1e-2 of it
+        (0.25018721570698743, 0.25043234111333745, 0.9988294180355216),
+        (0.3350075791529844, 0.33529159427469085, 0.9984494279139617),
+        (0.0038811868222401644, 0.004169355096030408, 0.9992693547729619),
+        # and the three that Halley stopped once r**3 <= tau / 64, without
+        # the (a + b + 2)**2 of its constant, answers 5 to 7 tau off
+        (9265.5802398277, 9392.150832591236, 0.9999999563803577),
+        (117.69705640467649, 2177.707795451543, 2.035733173916183e-08),
+        (113.43740144838132, 181.28868393801403, 0.9999999785229309),
+    ],
+)
+def test_ucb_screen_stops_within_tau(args):
+    assert _screen_ucb(*args) is not None
+    assert screen_excess(args) <= 0
+
+
+@pytest.mark.parametrize(
+    "args",
     [  # the lightest leaves of a pruned 4000-row gappy checklist tree
         (0.007522480918462828, 0.028811488524950513, 0.25),  # U rounds to 1
         (0.021483435122888583, 0.08552299914175698, 0.25),
@@ -933,6 +959,31 @@ def test_screened_decisions_equal_exact_ones(d, min_leaf_weight, cf):
     screened = prune_tree(grown), simplify_rules(rules, d)
     with exact_decisions():
         assert (prune_tree(grown), simplify_rules(rules, d)) == screened
+
+
+def test_pessimistic_bounds_take_about_two_continued_fractions(monkeypatch):
+    # Halley stopped by its cubic order needs no continued fraction just to
+    # confirm a step of about 1e-18; stopped by the step alone, a bound
+    # here takes 2.97
+    d = synthetic_checklist(1500, 500, seed=3, missing_rate=0.1)
+    seen = {"roots": 0, "fractions": 0}
+
+    def count_root(*args):
+        seen["roots"] += 1
+        return real_root(*args)
+
+    def count_fraction(*args):
+        seen["fractions"] += 1
+        return real_fraction(*args)
+
+    real_root, real_fraction = tree_module._beta_root, tree_module._beta_fraction
+    monkeypatch.setattr(tree_module, "_beta_root", count_root)
+    monkeypatch.setattr(tree_module, "_beta_fraction", count_fraction)
+    grown = build_tree(d, TreeConfig(pruning=False))
+    prune_tree(grown)
+    simplify_rules(extract_rules(grown), d)
+    assert seen["roots"] > 500
+    assert seen["fractions"] <= 2.5 * seen["roots"]
 
 
 def test_exact_tie_collapses_through_ucb_error_rate(monkeypatch):

@@ -14,10 +14,13 @@ in the same order, bit for bit.  ``np.sum`` and dot products add pairwise
 and would not.  The view holds floats, which is why ``Dataset`` refuses
 an int that a float cannot hold exactly.
 
-Growth tallies a numeric attribute node by node (``Node.midpoints``) and
-a nominal one level by level (``Level.nominal``): one ``bincount`` over
-the rows of every node of a tree level, keyed by node, fills each node's
-bins as a ``bincount`` over that node alone would.  The screens in numpy
+Growth holds one ``Level`` per tree level: the rows of its nodes in one
+array.  It tallies a numeric attribute node by node (``Node.midpoints``)
+and a nominal one level by level (``Level.nominal``): one ``bincount``
+keyed by node fills each node's bins as a ``bincount`` over that node
+alone would.  The nodes that split are partitioned in one pass
+(``Level.partition``), which repeats each missing row once per branch of
+positive known weight and gives the next Level.  The screens in numpy
 (``Midpoints.screen``, ``Nominal.screen``) only sort candidates out; the
 scores that decide are ``tree._score_splits``'.
 
@@ -31,7 +34,7 @@ import math
 
 import numpy as np
 
-from .dataset import EQ, LE, total as sequence_total
+from .dataset import EQ, LE
 
 
 def total(weights):
@@ -65,14 +68,14 @@ class Columns:
         column = self.columns[i][rows]
         return column < 0 if self.schema[i].is_categorical else np.isnan(column)
 
-    def holds(self, i, relation, value, rows=slice(None)):
-        """Mask of ``rows`` whose value of attribute ``i`` passes the test.
+    def holds(self, i, relation, value):
+        """Mask of the rows whose value of attribute ``i`` passes the test.
 
         ``=`` tests a categorical attribute, ``<=`` and ``>`` a numeric
         one; a missing value fails every test, and so does every row for
         a symbol the attribute does not declare.
         """
-        column = self.columns[i][rows]
+        column = self.columns[i]
         if relation == EQ:
             values = self.schema[i].values
             return column == (values.index(value) if value in values else -2)
@@ -141,30 +144,6 @@ class Node:
         branches = np.stack((left[cuts], right[len(column) - cuts]), axis=1)
         return Midpoints(thresholds, branches, parent, total(weights), self.weight)
 
-    def children(self, conditions):
-        """One Node per branch, given the Condition each branch tests.
-
-        ``conditions`` test one attribute, as ``tree.branch_conditions``
-        lists them.  A branch gets the rows that pass its condition, then
-        every row missing the tested value at weight ``w * branch_known /
-        known_total`` when its known weight is positive.
-        """
-        view = self.view
-        i = conditions[0].attribute_index
-        masks = [view.holds(i, c.relation, c.value, self.rows) for c in conditions]
-        known_w = [total(self.weights[mask]) for mask in masks]
-        known_total = sequence_total(known_w)
-        missing = view.missing(i, self.rows)
-        children = []
-        for mask, branch_w in zip(masks, known_w):
-            rows, weights = self.rows[mask], self.weights[mask]
-            if branch_w > 0:
-                rows = np.concatenate((rows, self.rows[missing]))
-                scaled = self.weights[missing] * branch_w / known_total
-                weights = np.concatenate((weights, scaled))
-            children.append(Node(view, rows, weights))
-        return children
-
 
 class Midpoints:
     """The class tallies of one numeric attribute at a node, per threshold.
@@ -199,16 +178,92 @@ class Midpoints:
 class Level:
     """The nodes of one tree level, their rows concatenated in node order.
 
-    A node's rows keep their order, so a ``bincount`` keyed by node adds
-    each node's weights as a ``bincount`` over that node alone would.
+    ``node`` holds each row's node position and ``total_w`` each node's
+    weight.  A node's rows keep their order, so a ``bincount`` keyed by
+    node adds each node's weights as a ``bincount`` over that node alone
+    would.
     """
 
     def __init__(self, nodes):
-        self.view = nodes[0].view
-        self.rows = np.concatenate([node.rows for node in nodes])
-        self.weights = np.concatenate([node.weights for node in nodes])
-        self.node = np.repeat(np.arange(len(nodes)), [len(node.rows) for node in nodes])
-        self.total_w = np.array([node.weight for node in nodes])
+        self._hold(
+            nodes[0].view,
+            np.concatenate([node.rows for node in nodes]),
+            np.concatenate([node.weights for node in nodes]),
+            np.repeat(np.arange(len(nodes)), [len(node.rows) for node in nodes]),
+            np.array([node.weight for node in nodes]),
+        )
+
+    def _hold(self, view, rows, weights, node, total_w):
+        self.view, self.rows, self.weights = view, rows, weights
+        self.node, self.total_w = node, total_w
+        return self
+
+    def node_at(self, j):
+        """The Node of the ``j``-th node, its arrays views of the level's."""
+        start, stop = np.searchsorted(self.node, (j, j + 1)).tolist()
+        return Node(self.view, self.rows[start:stop], self.weights[start:stop])
+
+    def class_counts(self):
+        """Weight per node and declared class, a (nodes, classes) array added in row order."""
+        n, m = self.view.n_classes, len(self.total_w)
+        by_class = self.node * n + self.view.classes[self.rows]
+        return np.bincount(by_class, self.weights, m * n).reshape(m, n)
+
+    def partition(self, tests):
+        """The Level of the children of the nodes in ``tests``, and each test's branch weights.
+
+        ``tests`` lists ``(node position, attribute index, threshold)`` in
+        node order.  A child takes, in the node's order, the rows whose value
+        is its branch's (its declared position, or ``value > threshold``),
+        then each row missing the value at weight ``w * branch_w /
+        known_total`` if its branch_w is positive.  Each sum is a
+        ``bincount`` in array order, so it equals ``dataset.total``: branch_w
+        over its rows, ``known_total`` over the node's branches, a child's
+        weight over its rows.  The children of positive weight make the
+        Level, in (node, branch) order.
+        """
+        view, n_tests = self.view, len(tests)
+        widths = [len(view.schema[i].values) if view.schema[i].is_categorical else 2 for _, i, _ in tests]
+        test_at = np.full(len(self.total_w), n_tests)  # n_tests: the node does not split
+        test_at[[j for j, _, _ in tests]] = np.arange(n_tests)
+        test = test_at[self.node]
+        attribute = np.array([i for _, i, _ in tests] + [-1])[test]
+        thresholds = np.array([math.nan if t is None else t for _, _, t in tests])
+        branch = np.full(len(self.rows), -1)  # -1: missing, or the node does not split
+        for i in dict.fromkeys(i for _, i, _ in tests):  # one gather per attribute
+            mine = np.flatnonzero(attribute == i)
+            value = view.columns[i][self.rows[mine]]  # -1 or NaN when missing
+            if not view.schema[i].is_categorical:
+                value = np.where(np.isnan(value), -1, value > thresholds[test[mine]])
+            branch[mine] = value
+        first = np.cumsum(widths) - widths  # each test's first child
+        owner = np.repeat(np.arange(n_tests), widths)  # each child's test
+        known = np.flatnonzero(branch >= 0)
+        child = first[test[known]] + branch[known]
+        branch_w = np.bincount(child, self.weights[known], len(owner))
+        known_total = np.bincount(owner, branch_w, n_tests)
+        # each missing row once per branch of positive weight, in branch order
+        missing = np.flatnonzero((branch < 0) & (test < n_tests))
+        targets = np.flatnonzero(branch_w > 0)
+        per_test = np.bincount(owner[targets], minlength=n_tests)
+        copies = per_test[test[missing]]
+        shift = (np.cumsum(per_test) - per_test)[test[missing]] - (np.cumsum(copies) - copies)
+        to = targets[np.arange(copies.sum()) + np.repeat(shift, copies)]
+        missing = np.repeat(missing, copies)
+        child = np.concatenate((child, to))
+        rows = np.concatenate((self.rows[known], self.rows[missing]))
+        scaled = self.weights[missing] * branch_w[to] / known_total[owner[to]]
+        weights = np.concatenate((self.weights[known], scaled))
+        child_w = np.bincount(child, weights, len(owner)).astype(float)  # ints if no row
+        kept = child_w > 0
+        keep = kept[child]
+        if not keep.all():  # a row whose weight underflowed to 0.0 can be a child alone
+            rows, weights, child = rows[keep], weights[keep], child[keep]
+        order = np.argsort(child, kind="stable")  # keeps each child's rows in order
+        node = (np.cumsum(kept) - 1)[child[order]]
+        level = Level.__new__(Level)._hold(view, rows[order], weights[order], node, child_w[kept])
+        child_w = child_w.tolist()
+        return level, [child_w[f : f + w] for f, w in zip(first.tolist(), widths)]
 
     def nominal(self, at):
         """The Nominal candidates of categorical attributes at nodes of the level.

@@ -12,14 +12,15 @@ the screen cannot settle (``_decide``).
 
 Growth reads the encoded view of ``columns``, built once per call: a node
 is an array of row positions with their weights.  The tree grows level
-by level.  A nominal attribute's branch tallies come from one pass over
-the rows of every node of a level (``columns.Level.nominal``); a numeric
-attribute is sorted once per node and the tallies of every midpoint
-threshold are cumulative sums, O(n log n) per attribute per node.  Those
-tallies are summed in sorted order rather than row order, so with
-fractional weights two candidates whose gain ratios tie to within
-rounding may resolve differently from a per-row rescan; unit weights sum
-exactly.  numpy screens every candidate, nominal and numeric, and only
+by level, and the nodes of a level that split are partitioned in one
+pass (``columns.Level.partition``).  A nominal attribute's branch
+tallies come from one pass over the rows of every node of a level
+(``columns.Level.nominal``); a numeric attribute is sorted once per
+node and the tallies of every midpoint threshold are cumulative sums,
+O(n log n) per attribute per node.  Those tallies are summed in sorted
+order rather than row order, so with fractional weights two candidates
+whose gain ratios tie to within rounding may resolve differently from a
+per-row rescan; unit weights sum exactly.  numpy screens every candidate, nominal and numeric, and only
 those that can be the best are scored again in Python
 (``_best_candidates``).  The scores that decide stay in Python
 (``math.log2``, which ``np.log2`` does not match bit for bit), and every
@@ -334,33 +335,36 @@ def build_tree(dataset, config=None):
 def _grow(root, schema, class_index, config):
     """The unpruned tree below the ``columns.Node`` ``root``, grown level by level.
 
-    Each level's nodes are decided together (``_best_candidates``), each
-    as it would be decided alone.  A split waits in ``levels`` as ``(best,
-    counts, children)``, its empty branches already Leaves, until the
-    levels below are built.
+    Each tree level is one ``columns.Level``.  Its nodes are decided
+    together (``_best_candidates``), each as it would be decided alone, and
+    the nodes that split are partitioned in one pass (``Level.partition``),
+    which gives the next Level.  A split waits in ``levels`` as ``(best,
+    counts, branch weights)`` until the levels below are built.
     """
+    from .columns import Level
+
     levels = []
-    level = [(root, frozenset())]
-    while level:
-        splits = []  # per node: a Leaf, or (best, counts, children)
-        open_nodes = []  # (position in splits, node, used)
-        for node, used in level:
-            counts = tuple(node.class_counts())
+    level, used = Level([root]), [frozenset()]  # used: per node, its tested nominal attributes
+    while True:
+        splits = []  # per node: a Leaf, or (best, counts, branch weights)
+        open_nodes = []  # (position in the level, used)
+        for j, counts in enumerate(level.class_counts().tolist()):
             weight = total(counts)
-            splits.append(Leaf(counts, weight))
+            splits.append(Leaf(tuple(counts), weight))
             if sum(1 for c in counts if c > 0) > 1 and weight >= 2 * config.min_leaf_weight:
-                open_nodes.append((len(splits) - 1, node, used))
-        bests = _best_candidates([(node, used) for _, node, used in open_nodes], schema, class_index)
-        level = []
-        for (j, node, used), best in zip(open_nodes, bests):
-            if best is None:
-                continue
-            if schema[best.attribute_index].is_categorical:
-                used = used | {best.attribute_index}
-            children = node.children(branch_conditions(schema, best.attribute_index, best.threshold))
-            splits[j] = (best, splits[j].class_counts, children)
-            level += [(child, used) for child in children if child.weight > 0]
+                open_nodes.append((j, used[j]))
+        bests = _best_candidates(level, open_nodes, schema, class_index)
+        tests = [(j, u, best) for (j, u), best in zip(open_nodes, bests) if best is not None]
         levels.append(splits)
+        if not tests:
+            break
+        level, branch_weights = level.partition([(j, b.attribute_index, b.threshold) for j, _, b in tests])
+        used = []
+        for (j, u, best), weights in zip(tests, branch_weights):
+            splits[j] = (best, splits[j].class_counts, weights)
+            if schema[best.attribute_index].is_categorical:
+                u = u | {best.attribute_index}
+            used += [u for w in weights if w > 0]
     below = []
     for splits in reversed(levels):
         grown = iter(below)
@@ -368,25 +372,26 @@ def _grow(root, schema, class_index, config):
     return below[0]
 
 
-def _decision(best, counts, children, grown):
-    """The Decision of a split whose non-empty children are the next of ``grown``."""
+def _decision(best, counts, branch_weights, grown):
+    """The Decision of a split whose non-empty branches are the next of ``grown``."""
     return Decision(
         best.attribute_index,
         best.threshold,
         # an empty branch is a majority-class leaf borrowing the parent counts
-        tuple(next(grown) if child.weight > 0 else Leaf(counts, 0.0) for child in children),
-        tuple(child.weight for child in children),
+        tuple(next(grown) if w > 0 else Leaf(counts, 0.0) for w in branch_weights),
+        tuple(branch_weights),
         counts,
     )
 
 
-def _best_candidates(level, schema, class_index):
-    """The best useful candidate of each ``(node, used nominal attributes)``, or None.
+def _best_candidates(level, open_nodes, schema, class_index):
+    """The best useful candidate of each open node of ``level``, or None.
 
-    Every candidate is screened in numpy first: the midpoints of each
-    numeric attribute at each node (``Midpoints.screen``), and each
-    nominal attribute not yet used at a node from one pass over the level
-    (``Level.nominal``, ``Nominal.screen``).  A screen gives an
+    ``open_nodes`` lists ``(position in the level, used nominal
+    attributes)``.  Every candidate is screened in numpy first: the
+    midpoints of each numeric attribute at each node (``Midpoints.screen``),
+    and each nominal attribute not yet used at a node from one pass over the
+    level (``Level.nominal``, ``Nominal.screen``).  A screen gives an
     approximate gain g~ and intrinsic value iv~, each within E =
     ``_screen_error(n_classes, branches)`` of what ``_score_splits``
     computes.  A candidate whose screened gain ratio is certainly
@@ -400,35 +405,34 @@ def _best_candidates(level, schema, class_index):
     generation order (attribute index, then ascending threshold) picks
     what scoring every candidate would.
     """
-    if not level:
+    if not open_nodes:
         return []
     import numpy as np
 
-    from .columns import Level
-
-    n_classes = level[0][0].view.n_classes
+    n_classes = level.view.n_classes
     attributes = [i for i in range(len(schema)) if i != class_index]
+    numeric_attributes = [i for i in attributes if not schema[i].is_categorical]
     error = _screen_error(n_classes, 2)
-    reached = np.zeros(len(level))  # every useful ratio is positive, so 0 bounds the best
-    numeric = []  # per node: {attribute: (its Midpoints, their screen)}
-    for j, (node, _) in enumerate(level):
+    reached = np.zeros(len(level.total_w))  # every useful ratio is positive, so 0 bounds the best
+    numeric = []  # per open node: {attribute: (its Midpoints, their screen)}
+    for j, _ in open_nodes:
         screens = {}
-        for i in attributes:
-            if not schema[i].is_categorical:
-                splits = node.midpoints(i)
-                if splits.known_w > 0:  # else every candidate is invalid
-                    screens[i] = splits, splits.screen(entropy(splits.parent))
-                    reached[j] = max(reached[j], _reached(*screens[i][1], error).max(initial=0.0))
+        node = level.node_at(j) if numeric_attributes else None
+        for i in numeric_attributes:
+            splits = node.midpoints(i)
+            if splits.known_w > 0:  # else every candidate is invalid
+                screens[i] = splits, splits.screen(entropy(splits.parent))
+                reached[j] = max(reached[j], _reached(*screens[i][1], error).max(initial=0.0))
         numeric.append(screens)
     open_at = {
-        i: [j for j, (_, used) in enumerate(level) if i not in used]
+        i: [j for j, used in open_nodes if i not in used]
         for i in attributes
         if schema[i].is_categorical
     }
     open_at = {i: at for i, at in open_at.items() if at}
     near = {}  # (attribute, node) -> the position of a nominal candidate to score
     if open_at:
-        nominal = Level([node for node, _ in level]).nominal(open_at)
+        nominal = level.nominal(open_at)
         screen = nominal.screen()
         branches, of = np.unique(nominal.values, return_inverse=True)
         e = np.array([_screen_error(n_classes, b) for b in branches.tolist()])[of]
@@ -436,7 +440,7 @@ def _best_candidates(level, schema, class_index):
         for c in _near(*screen, e, reached[nominal.nodes]).nonzero()[0].tolist():
             near[int(nominal.attributes[c]), int(nominal.nodes[c])] = c
     bests = []
-    for j, screens in enumerate(numeric):
+    for (j, _), screens in zip(open_nodes, numeric):
         scored = []
         for i in attributes:
             if i in screens:

@@ -238,6 +238,35 @@ def _branch_of(spec, threshold, value):
     return 0 if value <= threshold else 1
 
 
+def partition_node_by_node(dataset, nodes, tests):
+    """Per test, each branch's ``(row, weight)`` pairs, one node at a time.
+
+    ``nodes`` holds each node's rows, positions in ``dataset``, and their
+    weights; ``tests`` lists ``(node position, attribute index,
+    threshold)``.  A branch takes the node's rows whose value it tests, in
+    order, then each missing row at ``w * branch_w / known_total`` if its
+    branch_w, summed left to right, is positive.
+    """
+    branches = []
+    for j, i, threshold in tests:
+        spec = dataset.schema[i]
+        known = [[] for _ in (spec.values if spec.is_categorical else "<>")]
+        missing = []
+        for row, w in zip(*nodes[j]):
+            v = dataset.instances[row].values[i]
+            if v is None:
+                missing.append((row, w))
+            else:
+                known[_branch_of(spec, threshold, v)].append((row, w))
+        known_w = [total(w for _, w in pairs) for pairs in known]
+        known_total = total(known_w)
+        branches.append([
+            pairs + [(row, w * bw / known_total) for row, w in missing] if bw > 0 else pairs
+            for pairs, bw in zip(known, known_w)
+        ])
+    return branches
+
+
 def _known_tally(rows, schema, class_index, attribute_index):
     """Tally the rows once, in row order, for scoring splits on one attribute.
 

@@ -12,10 +12,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_split_score, row_loop_tree, weighted_mixed_datasets
+from model_digest import digest
+from oracles import (
+    partition_node_by_node,
+    reference_split_score,
+    row_loop_tree,
+    weighted_mixed_datasets,
+)
 
 import ldscreen
 import ldscreen.tree as tree_module
@@ -535,6 +542,22 @@ def test_growth_equals_row_loop_oracle(d, min_leaf_weight, unit_weights, signed_
     assert model_to_json(model) == model_to_json(oracle)
 
 
+def test_model_digest_is_the_same_on_every_run():
+    # the byte-identity check that a speed-up of learning must pass:
+    # the script and the function give one digest for the same datasets
+    src = str(Path(ldscreen.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("model_digest.py")), "--datasets", "3"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+        timeout=120,
+    )
+    assert done.stdout == digest(3) + "\n"
+    assert len(done.stdout) == 65
+
+
 @st.composite
 def screened_midpoints(draw):
     """The Midpoints of one numeric column at a root, with 2-4 classes.
@@ -704,6 +727,129 @@ def test_growth_screens_nominal_candidates_once_per_level(monkeypatch):
     assert model.node_count() > 100
     assert 0 < seen["passes"] <= depth + 1
     assert 0 < seen["scored"] < seen["screened"] / 4
+
+
+def test_growth_partitions_each_level_once(monkeypatch):
+    # partitioning node by node would fail this, with no timing
+    d = synthetic_checklist(1500, 500, seed=3, missing_rate=0.1)
+    seen = {"passes": 0, "splits": 0}
+
+    def count_partition(level, tests):
+        seen["passes"] += 1
+        seen["splits"] += len(tests)
+        return real_partition(level, tests)
+
+    real_partition = Level.partition
+    monkeypatch.setattr(Level, "partition", count_partition)
+    model = build_tree(d, TreeConfig(pruning=False))
+    paths = list(tree_module._paths(model.root, d.schema))
+    depth = max(len(conditions) for conditions, _ in paths)
+    assert model.node_count() > 100
+    assert 0 < seen["passes"] <= depth + 1
+    assert seen["splits"] == sum(isinstance(node, Decision) for _, node in paths)
+
+
+def assert_partition_is_node_by_node(d, nodes, tests):
+    """``Level.partition`` of ``nodes`` by ``tests`` against ``oracles.partition_node_by_node``.
+
+    ``nodes`` holds each node's rows and weights.  Rows and weights must
+    agree bit for bit, and so must each child's weight and class counts.
+    """
+    view = Columns(d)
+    level = Level([Node(view, np.array(rows), np.array(weights, float)) for rows, weights in nodes])
+    below, branch_weights = level.partition(tests)
+    counts = below.class_counts()
+    k = 0  # the children of positive weight are the nodes of ``below``, in order
+    for (j, i, _), branches, weights in zip(tests, partition_node_by_node(d, nodes, tests), branch_weights):
+        expected = [total(w for _, w in pairs) for pairs in branches]
+        assert list(map(float.hex, weights)) == list(map(float.hex, expected)), f"node {j}"
+        for b, pairs in enumerate(branches):
+            if expected[b] <= 0:
+                continue
+            child = below.node_at(k)
+            where = f"node {j}, attribute {i}, branch {b}"
+            got = list(zip(child.rows.tolist(), map(float.hex, child.weights.tolist())))
+            assert got == [(row, float(w).hex()) for row, w in pairs], where
+            assert child.weights.tobytes() == np.array([w for _, w in pairs]).tobytes(), where
+            assert float(below.total_w[k]).hex() == expected[b].hex(), where
+            rows = [(d.instances[row].values, w) for row, w in pairs]
+            assert counts[k].tolist() == class_tally(rows, d.schema, d.class_index), where
+            k += 1
+    assert k == len(below.total_w)
+
+
+def test_partition_is_node_by_node_at_edge_cases():
+    schema = (
+        AttributeSpec.categorical("s", "ABC"),
+        AttributeSpec.numeric("x"),
+        AttributeSpec.categorical("t", "AB"),
+        AttributeSpec.categorical("c", "PQ"),
+    )
+    values = [
+        ("A", -0.0, "A", "P"),
+        ("B", 0.0, "B", "Q"),
+        (None, 0.5, None, "P"),
+        ("A", -0.5, "B", "Q"),
+        ("B", None, "A", "P"),
+        (None, 0.0, "B", "Q"),
+        ("B", -0.0, None, "Q"),
+        (None, None, "B", "P"),
+    ]
+    d = Dataset(schema, 3, [Instance(v) for v in values])
+    nodes = [
+        # s: no known C, so C takes no blank row; weights 1e-12 to 1e6
+        ([0, 1, 2, 3, 5, 7], [1e-12, 1e6, 3.0, 0.1, 2.5e-7, 1e6]),
+        # s: every known value is B, so B takes every blank row
+        ([1, 2, 4, 5, 6], [0.3, 1e-12, 7.0, 1e6, 0.1]),
+        # x at 0.0 and at -0.0: a signed zero is <= either
+        ([0, 1, 2, 3, 4, 5, 6], [1.0, 0.25, 1e6, 1e-12, 3.5, 0.1, 2.0]),
+        ([0, 1], [1.0, 1.0]),  # does not split: none of its rows goes on
+        ([7, 0, 6, 1, 5, 3], [0.5, 1e-9, 4.0, 1e5, 0.7, 0.3]),
+        # t: branch A holds one row of weight 0.0 alone, so it weighs 0
+        ([0, 1, 2, 3], [0.0, 1.5, 5e-324, 2.0]),
+    ]
+    tests = [(0, 0, None), (1, 0, None), (2, 1, 0.0), (4, 1, -0.0), (5, 2, None)]
+    assert_partition_is_node_by_node(d, nodes, tests)
+
+
+@st.composite
+def partitioned_levels(draw):
+    """A dataset, 1-6 nodes of its rows and a test at some of them.
+
+    Attributes are nominal of 1-4 values or numeric with signed zeros, a
+    fifth of the cells are blank, and weights mix 1, fractional values,
+    large ones and values down to 1e-12.  A node takes its rows in any
+    order, and a numeric test's threshold is one of the column's values.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    schema = tuple(
+        AttributeSpec.numeric(f"x{i}") if rng.random() < 0.5
+        else AttributeSpec.categorical(f"s{i}", "ABCD"[: rng.randint(1, 4)])
+        for i in range(3)
+    ) + (AttributeSpec.categorical("c", "PQR"),)
+    cells = lambda spec: spec.values if spec.is_categorical else (-1.0, -0.0, 0.0, 0.5, 2.0)
+    instances = [
+        Instance(tuple(None if rng.random() < 0.2 else rng.choice(cells(a)) for a in schema[:3])
+                 + (rng.choice("PQR"),))
+        for _ in range(rng.randint(1, 30))
+    ]
+    weights = (lambda: 1.0, lambda: rng.uniform(0.01, 100.0),
+               lambda: rng.uniform(1e-12, 1e-6), lambda: rng.uniform(1e3, 1e6))
+    nodes = []
+    for _ in range(rng.randint(1, 6)):
+        rows = rng.sample(range(len(instances)), rng.randint(1, len(instances)))
+        nodes.append((rows, [rng.choice(weights)() for _ in rows]))
+    tests = []
+    for j in sorted(rng.sample(range(len(nodes)), rng.randint(1, len(nodes)))):
+        i = rng.randrange(3)
+        tests.append((j, i, None if schema[i].is_categorical else rng.choice(cells(schema[i]))))
+    return Dataset(schema, 3, instances), nodes, tests
+
+
+@settings(max_examples=300, deadline=None)
+@given(partitioned_levels())
+def test_partition_is_node_by_node(level):
+    assert_partition_is_node_by_node(*level)
 
 
 @pytest.mark.parametrize("x_index", [0, 1, 2])
@@ -883,6 +1029,28 @@ def screen_excess(args):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(bound_arguments(), min_size=1, max_size=40))
 def test_ucb_screen_is_within_tau_or_declines(arguments):
+    worst = max(arguments, key=screen_excess)
+    assert screen_excess(worst) <= 0, (
+        f"errors, total, CF = {worst}: screen {_screen_ucb(*worst)!r}, "
+        f"ucb_error_rate {ucb_error_rate(*worst)!r}"
+    )
+
+
+@st.composite
+def extreme_bound_arguments(draw):
+    """``(errors, total, CF)`` as ``bound_arguments`` draws them, with CF near 0 or 1.
+
+    CF lies 1e-12 to 1e-3 from 0 or from 1, on a log scale: a uniform CF
+    almost never comes within 1e-7 of either end.
+    """
+    errors, n, _ = draw(bound_arguments())
+    gap = 10.0 ** draw(st.floats(-12, -3))
+    return errors, n, gap if draw(st.booleans()) else 1.0 - gap
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(extreme_bound_arguments(), min_size=1, max_size=40))
+def test_ucb_screen_is_within_tau_or_declines_near_extreme_cf(arguments):
     worst = max(arguments, key=screen_excess)
     assert screen_excess(worst) <= 0, (
         f"errors, total, CF = {worst}: screen {_screen_ucb(*worst)!r}, "

@@ -15,14 +15,16 @@ and would not.  The view holds floats, which is why ``Dataset`` refuses
 an int that a float cannot hold exactly.
 
 Growth holds one ``Level`` per tree level: the rows of its nodes in one
-array.  It tallies a numeric attribute node by node (``Node.midpoints``)
-and a nominal one level by level (``Level.nominal``): one ``bincount``
-keyed by node fills each node's bins as a ``bincount`` over that node
-alone would.  The nodes that split are partitioned in one pass
-(``Level.partition``), which repeats each missing row once per branch of
-positive known weight and gives the next Level.  The screens in numpy
-(``Midpoints.screen``, ``Nominal.screen``) only sort candidates out; the
-scores that decide are ``tree._score_splits``'.
+array.  Every candidate split of a level is one entry of one
+``Candidates`` table (``Level.candidates``).  A numeric attribute is
+tallied node by node (``Node.midpoints``) and a nominal one level by
+level (``Level.nominal``): one ``bincount`` keyed by node fills each
+node's bins as a ``bincount`` over that node alone would.  The nodes
+that split are partitioned in one pass (``Level.partition``), which
+repeats each missing row once per branch of positive known weight and
+gives the next Level.  The table's screen in numpy
+(``Candidates.screen``) only sorts candidates out; the scores that
+decide are ``tree._score_splits``'.
 
 ``classify`` and ``best_rule`` do not import this module, so scoring a
 row never loads numpy through it.
@@ -63,9 +65,9 @@ class Columns:
         self.n_classes = len(dataset.class_values)
         self.all_rows = np.ones(len(dataset), bool)
 
-    def missing(self, i, rows=slice(None)):
-        """Mask of ``rows`` whose value of attribute ``i`` is missing."""
-        column = self.columns[i][rows]
+    def missing(self, i):
+        """Mask of the rows whose value of attribute ``i`` is missing."""
+        column = self.columns[i]
         return column < 0 if self.schema[i].is_categorical else np.isnan(column)
 
     def holds(self, i, relation, value):
@@ -112,20 +114,16 @@ class Node:
         view = self.view
         return np.bincount(view.classes[self.rows], self.weights, view.n_classes).tolist()
 
-    def _known(self, i):
-        """Value, class and weight arrays of the rows whose attribute ``i`` is known."""
-        view = self.view
-        known = ~view.missing(i, self.rows)
-        return view.columns[i][self.rows][known], view.classes[self.rows][known], self.weights[known]
-
     def midpoints(self, i, thresholds=None):
-        """The Midpoints of numeric attribute ``i``, sorted once.
+        """The Candidates of numeric attribute ``i`` at this node, one per threshold, sorted once.
 
         ``thresholds`` must ascend; None means every midpoint between
-        adjacent distinct known values.
+        adjacent distinct known values.  The table names this node 0.
         """
-        column, classes, weights = self._known(i)
-        n = self.view.n_classes
+        view, n = self.view, self.view.n_classes
+        column = view.columns[i][self.rows]
+        known = ~np.isnan(column)
+        column, classes, weights = column[known], view.classes[self.rows][known], self.weights[known]
         order = np.argsort(column, kind="stable")  # equal values keep row order
         column = column[order]
         if thresholds is None:
@@ -140,39 +138,17 @@ class Node:
         left = np.cumsum(by_class, axis=0)
         right = np.cumsum(np.concatenate((by_class[:1], by_class[:0:-1])), axis=0)
         cuts = np.searchsorted(column, thresholds, side="right")  # value <= threshold
-        parent = np.bincount(classes, weights, n).tolist()
-        branches = np.stack((left[cuts], right[len(column) - cuts]), axis=1)
-        return Midpoints(thresholds, branches, parent, total(weights), self.weight)
-
-
-class Midpoints:
-    """The class tallies of one numeric attribute at a node, per threshold.
-
-    ``branches[j, 0]`` and ``branches[j, 1]`` are the class tallies of the
-    known rows ``<=`` and ``>`` ``thresholds[j]``, each summed in sorted
-    order on its own.  ``parent`` is the class tally of the known rows,
-    ``known_w`` their weight and ``total_w`` the weight of every row.
-    """
-
-    def __init__(self, thresholds, branches, parent, known_w, total_w):
-        self.thresholds = thresholds
-        self.branches = branches
-        self.parent = parent
-        self.known_w = known_w
-        self.total_w = total_w
-
-    def tallies(self, picks):
-        """``tree._score_splits``'s arguments after the attribute index, for the thresholds at ``picks``."""
-        thresholds = self.thresholds[picks].tolist()
-        return thresholds, self.branches[picks].tolist(), self.parent, self.known_w, self.total_w
-
-    def screen(self, h_parent):
-        """``(gain, intrinsic value, valid)`` arrays, one entry per threshold.
-
-        ``h_parent`` is the entropy of ``parent``; ``known_w`` must be
-        positive.  See ``_screen``.
-        """
-        return _screen(self.branches, h_parent, self.known_w, self.total_w)
+        size = len(thresholds)
+        return Candidates(
+            np.full(size, i),
+            np.zeros(size, np.intp),
+            thresholds,
+            np.full(size, 2),
+            np.stack((left[cuts], right[len(column) - cuts]), axis=1),
+            np.tile(np.bincount(classes, weights, n), (size, 1)),
+            np.full(size, total(weights)),
+            np.full(size, self.weight),
+        )
 
 
 class Level:
@@ -265,31 +241,73 @@ class Level:
         child_w = child_w.tolist()
         return level, [child_w[f : f + w] for f, w in zip(first.tolist(), widths)]
 
+    def candidates(self, at):
+        """One Candidates table of every attribute at nodes of the level.
+
+        ``at`` maps each attribute index to the positions of the nodes
+        where it is a candidate.  The nominal attributes take one pass
+        (``nominal``), and each numeric one is sorted once at each of its
+        nodes (``Node.midpoints``).  The table holds the nominal
+        candidates, then the numeric ones node by node, each attribute's
+        in ascending threshold order.  Every candidate's branch tallies
+        are zero-padded to the widest candidate's.
+        """
+        schema = self.view.schema
+        nominal = {i: positions for i, positions in at.items() if schema[i].is_categorical}
+        tables = [(0, self.nominal(nominal))] if nominal else []  # (node offset, table)
+        by_node = {}
+        for i, positions in at.items():
+            if not schema[i].is_categorical:
+                for j in positions:
+                    by_node.setdefault(j, []).append(i)
+        for j, attributes in by_node.items():
+            node = self.node_at(j)
+            tables += [(j, node.midpoints(i)) for i in attributes]
+        width = max(table.branches.shape[1] for _, table in tables)
+
+        def padded(branches):  # np.pad copies even when it adds nothing
+            pad = width - branches.shape[1]
+            return np.pad(branches, ((0, 0), (0, pad), (0, 0))) if pad else branches
+
+        fields = ("attributes", "thresholds", "values", "parent", "known_w", "total_w")
+        stacked = {f: np.concatenate([getattr(table, f) for _, table in tables]) for f in fields}
+        stacked["nodes"] = np.concatenate([table.nodes + j for j, table in tables])
+        stacked["branches"] = np.concatenate([padded(table.branches) for _, table in tables])
+        return Candidates(**stacked)
+
     def nominal(self, at):
-        """The Nominal candidates of categorical attributes at nodes of the level.
+        """The Candidates of categorical attributes at nodes of the level.
 
         ``at`` maps each attribute index to the positions of the nodes
         where it is a candidate; the candidates follow ``at``, then node
-        order.  Each attribute takes one pass over the level's rows: a
-        ``bincount`` keyed by (node, value or missing, class) for the
-        branch tallies, one keyed by (node, known, class) for the parent
-        tallies and one keyed by (node, known) for the known weights.
+        order.  Each attribute takes one pass over the rows of those
+        nodes: a ``bincount`` keyed by (node, value or missing, class) for
+        the branch tallies, one keyed by (node, known, class) for the
+        parent tallies and one keyed by (node, known) for the known
+        weights.
         """
         view = self.view
         n, m = view.n_classes, len(self.total_w)
         values = [len(view.schema[i].values) for i in at]
         width = max(values) + 1  # bin 0 of each node takes its missing values
-        classes = view.classes[self.rows]
-        by_known = self.node * 2
-        by_value = (self.node * width + 1) * n + classes
+        node, rows, weights = self.node, self.rows, self.weights
+        named = np.zeros(m, bool)
+        for positions in at.values():
+            named[positions] = True
+        if not named.all():  # the other nodes' rows fill bins no candidate reads
+            mine = named[node]
+            node, rows, weights = node[mine], rows[mine], weights[mine]
+        classes = view.classes[rows]
+        by_known = node * 2
+        by_value = (node * width + 1) * n + classes
         by_known_class = by_known * n + classes
         parts = []
         for i, positions in at.items():
-            value = view.columns[i][self.rows]  # -1 when missing
+            value = view.columns[i][rows]  # -1 when missing
             known = value >= 0
-            branches = np.bincount(by_value + value * n, self.weights, m * width * n)
-            parent = np.bincount(by_known_class + known * n, self.weights, m * 2 * n)
-            known_w = np.bincount(by_known + known, self.weights, m * 2)
+            branches = np.bincount(by_value + value * n, weights, m * width * n)
+            parent = np.bincount(by_known_class + known * n, weights, m * 2 * n)
+            known_w = np.bincount(by_known + known, weights, m * 2)
             positions = np.asarray(positions, np.intp)
             parts.append((
                 positions,
@@ -299,9 +317,10 @@ class Level:
             ))
         nodes, branches, parent, known_w = (np.concatenate(part) for part in zip(*parts))
         sizes = [len(positions) for positions in at.values()]
-        return Nominal(
+        return Candidates(
             np.repeat(list(at), sizes),
             nodes,
+            np.full(len(nodes), math.nan),
             np.repeat(values, sizes),
             branches,
             parent,
@@ -310,20 +329,23 @@ class Level:
         )
 
 
-class Nominal:
-    """Candidate splits on categorical attributes at nodes of a Level.
+class Candidates:
+    """Candidate splits at nodes of a Level, one entry per candidate.
 
     Candidate c splits the ``nodes[c]``-th node on attribute
-    ``attributes[c]``, which declares ``values[c]`` values.
-    ``branches[c, v]`` is the class tally of that node's known rows whose
-    value is the v-th declared one (zero past ``values[c]``),
-    ``parent[c]`` that of all its known rows, ``known_w[c]`` their weight
-    and ``total_w[c]`` the weight of all its rows, each added in row order.
+    ``attributes[c]`` into ``values[c]`` branches: on its declared values
+    when ``thresholds[c]`` is NaN, else ``<=`` and ``>`` the threshold.
+    ``branches[c, v]`` is the class tally of that node's known rows in
+    branch v (zero past ``values[c]``), ``parent[c]`` that of all its
+    known rows, ``known_w[c]`` their weight and ``total_w[c]`` the weight
+    of all its rows, each added in row order; a numeric candidate's two
+    branch tallies are summed in sorted order instead, each on its own.
     """
 
-    def __init__(self, attributes, nodes, values, branches, parent, known_w, total_w):
+    def __init__(self, attributes, nodes, thresholds, values, branches, parent, known_w, total_w):
         self.attributes = attributes
         self.nodes = nodes
+        self.thresholds = thresholds
         self.values = values
         self.branches = branches
         self.parent = parent
@@ -332,40 +354,33 @@ class Nominal:
 
     def tallies(self, c):
         """``tree._score_splits``'s arguments after the attribute index, for candidate ``c``."""
+        threshold = float(self.thresholds[c])
+        threshold = None if math.isnan(threshold) else threshold
         branches = self.branches[c, : self.values[c]].tolist()
         known_w, total_w = float(self.known_w[c]), float(self.total_w[c])
-        return [None], [branches], self.parent[c].tolist(), known_w, total_w
+        return [threshold], [branches], self.parent[c].tolist(), known_w, total_w
 
     def screen(self):
         """``(gain, intrinsic value, valid)`` arrays, one entry per candidate.
 
-        As ``_screen``, with the entropy of each ``parent`` in numpy too.
-        The empty tallies past ``values[c]`` add only zeros.
+        The gain and the intrinsic value follow ``tree._score_splits``'s
+        formulas in numpy, the parent's entropy included, so they can
+        differ from its scores by rounding; ``tree._screen_error`` bounds
+        the difference.  The zero tallies past ``values[c]`` add only
+        zeros.  ``valid`` is exact: a sum of non-negative weights is
+        positive exactly when one of them is, in any order, and a
+        candidate with no known weight has no branch of positive weight.
         """
         parent_w = self.parent.sum(axis=1)
-        p = self.parent / np.where(parent_w > 0, parent_w, 1.0)[:, None]
-        return _screen(self.branches, -_xlog2x(p).sum(axis=1), self.known_w, self.total_w)
-
-
-def _screen(branches, h_parent, known_w, total_w):
-    """``(gain, intrinsic value, valid)`` arrays of the candidates in ``branches``.
-
-    ``branches[c, v]`` is the class tally of branch v of candidate c;
-    ``h_parent``, ``known_w`` and ``total_w`` are numbers or hold one
-    entry per candidate.  The gain and the intrinsic value follow
-    ``tree._score_splits``'s formulas in numpy, so they can differ from
-    its scores by rounding; ``tree._screen_error`` bounds the difference.
-    ``valid`` is exact: a sum of non-negative weights is positive exactly
-    when one of them is, in any order.
-    """
-    weight = branches.sum(axis=2)
-    valid = (weight > 0).sum(axis=1) >= 2
-    p = branches / np.where(weight > 0, weight, 1.0)[:, :, None]
-    h_branch = -_xlog2x(p).sum(axis=2)
-    share = weight / np.where(known_w > 0, known_w, 1.0)[..., None]
-    iv = -_xlog2x(share).sum(axis=1)
-    gain = (known_w / total_w) * (h_parent - (share * h_branch).sum(axis=1))
-    return gain, iv, valid
+        h_parent = -_xlog2x(self.parent / np.where(parent_w > 0, parent_w, 1.0)[:, None]).sum(axis=1)
+        weight = self.branches.sum(axis=2)
+        valid = (weight > 0).sum(axis=1) >= 2
+        p = self.branches / np.where(weight > 0, weight, 1.0)[:, :, None]
+        h_branch = -_xlog2x(p).sum(axis=2)
+        share = weight / np.where(self.known_w > 0, self.known_w, 1.0)[:, None]
+        iv = -_xlog2x(share).sum(axis=1)
+        gain = (self.known_w / self.total_w) * (h_parent - (share * h_branch).sum(axis=1))
+        return gain, iv, valid
 
 
 def _xlog2x(x):

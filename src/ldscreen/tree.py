@@ -13,15 +13,17 @@ the screen cannot settle (``_decide``).
 Growth reads the encoded view of ``columns``, built once per call: a node
 is an array of row positions with their weights.  The tree grows level
 by level, and the nodes of a level that split are partitioned in one
-pass (``columns.Level.partition``).  A nominal attribute's branch
-tallies come from one pass over the rows of every node of a level
-(``columns.Level.nominal``); a numeric attribute is sorted once per
-node and the tallies of every midpoint threshold are cumulative sums,
-O(n log n) per attribute per node.  Those tallies are summed in sorted
-order rather than row order, so with fractional weights two candidates
-whose gain ratios tie to within rounding may resolve differently from a
-per-row rescan; unit weights sum exactly.  numpy screens every candidate, nominal and numeric, and only
-those that can be the best are scored again in Python
+pass (``columns.Level.partition``).  Every candidate split of a level,
+nominal or numeric, is one entry of one table
+(``columns.Level.candidates``): a nominal attribute's branch tallies
+come from one pass over the rows of the level's open nodes, and a
+numeric attribute is sorted once per node, the tallies of every
+midpoint threshold being cumulative sums, O(n log n) per attribute per
+node.  Those tallies are summed in sorted order rather than row order,
+so with fractional weights two candidates whose gain ratios tie to
+within rounding may resolve differently from a per-row rescan; unit
+weights sum exactly.  numpy screens the table once per level, and only
+the candidates that can be the best are scored again in Python
 (``_best_candidates``).  The scores that decide stay in Python
 (``math.log2``, which ``np.log2`` does not match bit for bit), and every
 weight written to a model is a left-to-right sum, so model files are the
@@ -262,11 +264,10 @@ def evaluate_split(dataset, attribute_index, threshold=None):
         raise ValueError(f"numeric attribute {spec.name} needs a finite threshold")
     root = Columns(dataset).root()
     if spec.is_categorical:
-        tallies = Level([root]).nominal({attribute_index: [0]}).tallies(0)
+        splits = Level([root]).nominal({attribute_index: [0]})
     else:
-        tallies = root.midpoints(attribute_index, [threshold]).tallies(slice(None))
-        tallies = ([threshold],) + tallies[1:]
-    return _score_splits(attribute_index, *tallies)[0]
+        splits = root.midpoints(attribute_index, [threshold])
+    return _score_splits(attribute_index, *splits.tallies(0))[0]
 
 
 def _score_splits(attribute_index, thresholds, branch_tallies, parent, known_w, total_w):
@@ -388,67 +389,45 @@ def _best_candidates(level, open_nodes, schema, class_index):
     """The best useful candidate of each open node of ``level``, or None.
 
     ``open_nodes`` lists ``(position in the level, used nominal
-    attributes)``.  Every candidate is screened in numpy first: the
-    midpoints of each numeric attribute at each node (``Midpoints.screen``),
-    and each nominal attribute not yet used at a node from one pass over the
-    level (``Level.nominal``, ``Nominal.screen``).  A screen gives an
-    approximate gain g~ and intrinsic value iv~, each within E =
-    ``_screen_error(n_classes, branches)`` of what ``_score_splits``
-    computes.  A candidate whose screened gain ratio is certainly
-    reached, with g~ - E > ``_GAIN_EPS`` and iv~ > E, is useful and scores
-    at least (g~ - E) / (iv~ + E); a node's L is the largest of these, or
-    0.  Only the valid candidates with g~ + E > ``_GAIN_EPS`` and an upper
-    bound (g~ + E) / (iv~ - E) of at least L (always when iv~ <= E) go to
-    ``_score_splits``.  Every other candidate is useless or scores below
-    L, itself at most the best useful ratio, so the best and every
-    candidate tied with it are scored exactly, and ``first_max`` over
-    generation order (attribute index, then ascending threshold) picks
-    what scoring every candidate would.
+    attributes)``.  Every candidate of the level, nominal or numeric, is
+    in one table (``Level.candidates``), and one numpy screen
+    (``Candidates.screen``) gives each an approximate gain g~ and
+    intrinsic value iv~, each within E = ``_screen_error(n_classes,
+    branches)`` of what ``_score_splits`` computes.  A candidate whose
+    screened gain ratio is certainly reached, with g~ - E > ``_GAIN_EPS``
+    and iv~ > E, is useful and scores at least (g~ - E) / (iv~ + E); a
+    node's L is the largest of these, or 0.  Only the valid candidates
+    with g~ + E > ``_GAIN_EPS`` and an upper bound (g~ + E) / (iv~ - E) of
+    at least L (always when iv~ <= E) go to ``_score_splits``.  Every
+    other candidate is useless or scores below L, itself at most the best
+    useful ratio, so the best and every candidate tied with it are scored
+    exactly, and ``first_max`` over generation order (attribute index,
+    then ascending threshold) picks what scoring every candidate would.
     """
-    if not open_nodes:
-        return []
     import numpy as np
 
-    n_classes = level.view.n_classes
-    attributes = [i for i in range(len(schema)) if i != class_index]
-    numeric_attributes = [i for i in attributes if not schema[i].is_categorical]
-    error = _screen_error(n_classes, 2)
-    reached = np.zeros(len(level.total_w))  # every useful ratio is positive, so 0 bounds the best
-    numeric = []  # per open node: {attribute: (its Midpoints, their screen)}
-    for j, _ in open_nodes:
-        screens = {}
-        node = level.node_at(j) if numeric_attributes else None
-        for i in numeric_attributes:
-            splits = node.midpoints(i)
-            if splits.known_w > 0:  # else every candidate is invalid
-                screens[i] = splits, splits.screen(entropy(splits.parent))
-                reached[j] = max(reached[j], _reached(*screens[i][1], error).max(initial=0.0))
-        numeric.append(screens)
-    open_at = {
-        i: [j for j, used in open_nodes if i not in used]
-        for i in attributes
-        if schema[i].is_categorical
+    at = {  # numeric attributes are never used
+        i: positions
+        for i in range(len(schema))
+        if i != class_index and (positions := [j for j, used in open_nodes if i not in used])
     }
-    open_at = {i: at for i, at in open_at.items() if at}
-    near = {}  # (attribute, node) -> the position of a nominal candidate to score
-    if open_at:
-        nominal = level.nominal(open_at)
-        screen = nominal.screen()
-        branches, of = np.unique(nominal.values, return_inverse=True)
-        e = np.array([_screen_error(n_classes, b) for b in branches.tolist()])[of]
-        np.maximum.at(reached, nominal.nodes, _reached(*screen, e))
-        for c in _near(*screen, e, reached[nominal.nodes]).nonzero()[0].tolist():
-            near[int(nominal.attributes[c]), int(nominal.nodes[c])] = c
+    if not at:  # no open node, or every attribute tested on each one's path
+        return [None] * len(open_nodes)
+    splits = level.candidates(at)
+    screen = splits.screen()
+    branches, of = np.unique(splits.values, return_inverse=True)
+    error = np.array([_screen_error(level.view.n_classes, b) for b in branches.tolist()])[of]
+    reached = np.zeros(len(level.total_w))  # every useful ratio is positive, so 0 bounds the best
+    np.maximum.at(reached, splits.nodes, _reached(*screen, error))
+    near = np.flatnonzero(_near(*screen, error, reached[splits.nodes]))
+    # generation order: node, then attribute; lexsort is stable, so thresholds still ascend
+    near = near[np.lexsort((splits.attributes[near], splits.nodes[near]))]
+    scored = {j: [] for j, _ in open_nodes}
+    for c, j, i in zip(near.tolist(), splits.nodes[near].tolist(), splits.attributes[near].tolist()):
+        scored[j] += _score_splits(i, *splits.tallies(c))
     bests = []
-    for (j, _), screens in zip(open_nodes, numeric):
-        scored = []
-        for i in attributes:
-            if i in screens:
-                splits, screen = screens[i]
-                scored += _score_splits(i, *splits.tallies(_near(*screen, error, reached[j]).nonzero()[0]))
-            elif (i, j) in near:
-                scored += _score_splits(i, *nominal.tallies(near[i, j]))
-        useful = [c for c in scored if c.valid and c.info_gain > _GAIN_EPS]
+    for j, _ in open_nodes:
+        useful = [c for c in scored[j] if c.valid and c.info_gain > _GAIN_EPS]
         bests.append(useful[first_max([c.gain_ratio for c in useful])] if useful else None)
     return bests
 
@@ -479,8 +458,7 @@ def _screen_error(n_classes, branches=2):
       adding the k terms costs gamma_{k-1} of their sum; as the entropy
       is at most log2 k and the shares sum to 1, an entropy of k class
       weights is off by at most ((2k + 9) log2 k + 2k) u: so is a branch
-      entropy, and so is the parent's, which a screen may compute in
-      numpy (``Nominal.screen``) or take from ``entropy``;
+      entropy, and so is the parent's, which the screen computes in numpy;
     - the children's entropy, b shares w / known_w (relative error
       gamma_k) times branch entropies, added in any order (gamma_{b-1}),
       is off by at most ((3k + b + 9) log2 k + 2k) u on each side; the

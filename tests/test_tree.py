@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from model_digest import digest
 from oracles import (
     partition_node_by_node,
+    random_mixed_dataset,
     reference_split_score,
     row_loop_tree,
     weighted_mixed_datasets,
@@ -27,7 +28,7 @@ from oracles import (
 import ldscreen
 import ldscreen.tree as tree_module
 from ldscreen.cli import main
-from ldscreen.columns import Columns, Level, Node
+from ldscreen.columns import Candidates, Columns, Level, Node
 from ldscreen.dataset import (
     AttributeSpec,
     Dataset,
@@ -560,7 +561,7 @@ def test_model_digest_is_the_same_on_every_run():
 
 @st.composite
 def screened_midpoints(draw):
-    """The Midpoints of one numeric column at a root, with 2-4 classes.
+    """The midpoint Candidates of one numeric column at a root, with 2-4 classes.
 
     Weights mix 1, fractional values, large ones and values down to
     1e-12, so that a branch's share falls to about 1e-12 and one side of
@@ -588,11 +589,9 @@ def screened_midpoints(draw):
 @settings(max_examples=300, deadline=None)
 @given(screened_midpoints())
 def test_screen_is_within_its_error_bound(splits):
-    if splits.known_w <= 0:
-        return
-    error = _screen_error(len(splits.parent))
-    gain, iv, valid = splits.screen(entropy(splits.parent))
-    exact = _score_splits(0, *splits.tallies(slice(None)))
+    error = _screen_error(splits.parent.shape[1])
+    gain, iv, valid = splits.screen()
+    exact = [_score_splits(0, *splits.tallies(c))[0] for c in range(len(splits.thresholds))]
     assert valid.tolist() == [c.valid for c in exact]
     for j, c in enumerate(exact):
         if c.valid:
@@ -703,6 +702,68 @@ def test_nominal_screen_is_within_its_error_bound(nominal):
             assert abs(iv[c] - exact.intrinsic_value) <= error
 
 
+@st.composite
+def screened_mixed_level(draw):
+    """The Candidates table of nominal and numeric attributes at 1-6 nodes of one level.
+
+    One nominal attribute declares 5 values and one 1-5, so every numeric
+    candidate's two branches are padded to 5.  Two numeric attributes
+    take a quarter-step value or a blank, a tenth of all cells are blank,
+    and there are 2-4 classes.  Each node takes some rows of one dataset
+    at weights mixing 1, fractional values, large ones and values down to
+    1e-12, scaled as a fractional branch scales them, and each attribute
+    is a candidate at some of the nodes.
+    """
+    classes = "PQRS"[: draw(st.integers(2, 4))]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    weights = (
+        lambda: 1.0,
+        lambda: rng.uniform(0.01, 100.0),
+        lambda: rng.uniform(1e-12, 1e-6),
+        lambda: rng.uniform(1e3, 1e6),
+    )
+    schema = (
+        AttributeSpec.numeric("x0"),
+        AttributeSpec.categorical("s1", "ABCDE"),
+        AttributeSpec.numeric("x2"),
+        AttributeSpec.categorical("s3", "ABCDE"[: rng.randint(1, 5)]),
+        AttributeSpec.categorical("c", classes),
+    )
+
+    def cell(spec):
+        if rng.random() < 0.1:
+            return None
+        return rng.choice(spec.values) if spec.is_categorical else rng.randint(0, 24) / 4
+
+    instances = [
+        Instance(tuple(cell(a) for a in schema[:4]) + (rng.choice(classes),), rng.choice(weights)())
+        for _ in range(rng.randint(1, 60))
+    ]
+    root = Columns(Dataset(schema, 4, instances)).root()
+    nodes = []
+    for _ in range(rng.randint(1, 6)):
+        rows = sorted(rng.sample(range(len(instances)), rng.randint(1, len(instances))))
+        scale = rng.choice((1.0, rng.uniform(1e-3, 1.0)))
+        nodes.append(Node(root.view, root.rows[rows], root.weights[rows] * scale))
+    at = {i: sorted(rng.sample(range(len(nodes)), rng.randint(1, len(nodes)))) for i in range(4)}
+    return Level(nodes).candidates(at)
+
+
+@settings(max_examples=300, deadline=None)
+@given(screened_mixed_level())
+def test_mixed_screen_is_within_its_error_bound(splits):
+    # numeric candidates padded next to nominal ones, at every node of a level
+    assert splits.branches.shape[1:] == (5, splits.parent.shape[1])
+    gain, iv, valid = splits.screen()
+    for c, i in enumerate(splits.attributes.tolist()):
+        exact = _score_splits(i, *splits.tallies(c))[0]
+        error = _screen_error(splits.parent.shape[1], int(splits.values[c]))
+        assert valid[c] == exact.valid
+        if exact.valid:
+            assert abs(gain[c] - exact.info_gain) <= error
+            assert abs(iv[c] - exact.intrinsic_value) <= error
+
+
 def test_growth_screens_nominal_candidates_once_per_level(monkeypatch):
     # tallying node by node, or scoring every nominal candidate exactly,
     # would fail this, with no timing
@@ -727,6 +788,23 @@ def test_growth_screens_nominal_candidates_once_per_level(monkeypatch):
     assert model.node_count() > 100
     assert 0 < seen["passes"] <= depth + 1
     assert 0 < seen["scored"] < seen["screened"] / 4
+
+
+def test_growth_screens_each_level_once(monkeypatch):
+    # screening numeric attributes node by node would fail this, with no timing
+    d = random_mixed_dataset(random.Random(3), 1000, 1, 6, missing_rate=0.1)
+    seen = {"screens": 0}
+
+    def count_screen(splits):
+        seen["screens"] += 1
+        return real_screen(splits)
+
+    real_screen = Candidates.screen
+    monkeypatch.setattr(Candidates, "screen", count_screen)
+    model = build_tree(d, TreeConfig(pruning=False))
+    depth = max(len(conditions) for conditions, _ in tree_module._paths(model.root, d.schema))
+    assert model.node_count() > 100
+    assert 0 < seen["screens"] <= depth + 1
 
 
 def test_growth_partitions_each_level_once(monkeypatch):

@@ -14,11 +14,12 @@ in the same order, bit for bit.  ``np.sum`` and dot products add pairwise
 and would not.  The view holds floats, which is why ``Dataset`` refuses
 an int that a float cannot hold exactly.
 
-Growth holds one ``Level`` per tree level: the rows of its nodes in one
-array.  Every candidate split of a level is one entry of one
-``Candidates`` table (``Level.candidates``).  A numeric attribute is
-tallied node by node (``Node.midpoints``) and a nominal one level by
-level (``Level.nominal``): one ``bincount`` keyed by node fills each
+Growth holds one ``Level`` per tree level, from the root's
+(``Columns.root``) down: the rows of its nodes in one array.  Every
+candidate split of a level is one entry of one ``Candidates`` table
+(``Level.candidates``).  A numeric attribute is tallied node by node
+(``Level.midpoints``) and a nominal one level by level
+(``Level.nominal``): one ``bincount`` keyed by node fills each
 node's bins as a ``bincount`` over that node alone would.  The nodes
 that split are partitioned in one pass (``Level.partition``), which
 repeats each missing row once per branch of positive known weight and
@@ -88,96 +89,28 @@ class Columns:
         return total(self.weights[mask])
 
     def root(self):
-        """The Node of every row at its own weight; ValueError on a missing class."""
+        """The one-node Level of every row at its own weight; ValueError on a missing class."""
         unlabelled = np.flatnonzero(self.classes < 0)
         if len(unlabelled):
             raise ValueError(f"instance {unlabelled[0]} has a missing class value")
-        return Node(self, np.arange(len(self.weights)), self.weights)
-
-
-class Node:
-    """The rows reaching a tree node: positions in the view and their weights.
-
-    Rows keep growth order: each branch takes its known rows in the
-    parent's order, then the parent's missing rows at scaled weight.
-    ``weight`` is their summed weight in that order.
-    """
-
-    def __init__(self, view, rows, weights):
-        self.view = view
-        self.rows = rows
-        self.weights = weights
-        self.weight = total(weights)
-
-    def class_counts(self):
-        """Weight per declared class, added in row order."""
-        view = self.view
-        return np.bincount(view.classes[self.rows], self.weights, view.n_classes).tolist()
-
-    def midpoints(self, i, thresholds=None):
-        """The Candidates of numeric attribute ``i`` at this node, one per threshold, sorted once.
-
-        ``thresholds`` must ascend; None means every midpoint between
-        adjacent distinct known values.  The table names this node 0.
-        """
-        view, n = self.view, self.view.n_classes
-        column = view.columns[i][self.rows]
-        known = ~np.isnan(column)
-        column, classes, weights = column[known], view.classes[self.rows][known], self.weights[known]
-        order = np.argsort(column, kind="stable")  # equal values keep row order
-        column = column[order]
-        if thresholds is None:
-            # the first of each run of equal values, as -0.0 and 0.0 compare equal
-            distinct = np.concatenate((column[:1], column[1:][column[1:] != column[:-1]]))
-            thresholds = (distinct[:-1] + distinct[1:]) / 2
-        thresholds = np.asarray(thresholds, float)
-        by_class = np.zeros((len(column) + 1, n))
-        by_class[np.arange(1, len(column) + 1), classes[order]] = weights[order]
-        # the right tallies are summed down from the top on their own, never
-        # taken as parent - left: with fractional weights that rounds below 0
-        left = np.cumsum(by_class, axis=0)
-        right = np.cumsum(np.concatenate((by_class[:1], by_class[:0:-1])), axis=0)
-        cuts = np.searchsorted(column, thresholds, side="right")  # value <= threshold
-        size = len(thresholds)
-        return Candidates(
-            np.full(size, i),
-            np.zeros(size, np.intp),
-            thresholds,
-            np.full(size, 2),
-            np.stack((left[cuts], right[len(column) - cuts]), axis=1),
-            np.tile(np.bincount(classes, weights, n), (size, 1)),
-            np.full(size, total(weights)),
-            np.full(size, self.weight),
-        )
+        n, weight = len(self.weights), total(self.weights)
+        return Level(self, np.arange(n), self.weights, np.zeros(n, np.intp), np.array([weight]))
 
 
 class Level:
     """The nodes of one tree level, their rows concatenated in node order.
 
-    ``node`` holds each row's node position and ``total_w`` each node's
-    weight.  A node's rows keep their order, so a ``bincount`` keyed by
-    node adds each node's weights as a ``bincount`` over that node alone
-    would.
+    ``rows`` holds positions in the view ``view`` and ``weights`` their
+    weights, ``node`` each row's node position and ``total_w`` each node's
+    weight.  A node's rows keep growth order: each branch takes its known
+    rows in the parent's order, then the parent's missing rows at scaled
+    weight.  So a ``bincount`` keyed by node adds each node's weights as
+    a ``bincount`` over that node alone would.
     """
 
-    def __init__(self, nodes):
-        self._hold(
-            nodes[0].view,
-            np.concatenate([node.rows for node in nodes]),
-            np.concatenate([node.weights for node in nodes]),
-            np.repeat(np.arange(len(nodes)), [len(node.rows) for node in nodes]),
-            np.array([node.weight for node in nodes]),
-        )
-
-    def _hold(self, view, rows, weights, node, total_w):
+    def __init__(self, view, rows, weights, node, total_w):
         self.view, self.rows, self.weights = view, rows, weights
         self.node, self.total_w = node, total_w
-        return self
-
-    def node_at(self, j):
-        """The Node of the ``j``-th node, its arrays views of the level's."""
-        start, stop = np.searchsorted(self.node, (j, j + 1)).tolist()
-        return Node(self.view, self.rows[start:stop], self.weights[start:stop])
 
     def class_counts(self):
         """Weight per node and declared class, a (nodes, classes) array added in row order."""
@@ -237,7 +170,7 @@ class Level:
             rows, weights, child = rows[keep], weights[keep], child[keep]
         order = np.argsort(child, kind="stable")  # keeps each child's rows in order
         node = (np.cumsum(kept) - 1)[child[order]]
-        level = Level.__new__(Level)._hold(view, rows[order], weights[order], node, child_w[kept])
+        level = Level(view, rows[order], weights[order], node, child_w[kept])
         child_w = child_w.tolist()
         return level, [child_w[f : f + w] for f, w in zip(first.tolist(), widths)]
 
@@ -247,33 +180,68 @@ class Level:
         ``at`` maps each attribute index to the positions of the nodes
         where it is a candidate.  The nominal attributes take one pass
         (``nominal``), and each numeric one is sorted once at each of its
-        nodes (``Node.midpoints``).  The table holds the nominal
-        candidates, then the numeric ones node by node, each attribute's
+        nodes (``midpoints``).  The table holds the nominal candidates,
+        then the numeric ones attribute by attribute, node by node, each
         in ascending threshold order.  Every candidate's branch tallies
         are zero-padded to the widest candidate's.
         """
         schema = self.view.schema
         nominal = {i: positions for i, positions in at.items() if schema[i].is_categorical}
-        tables = [(0, self.nominal(nominal))] if nominal else []  # (node offset, table)
-        by_node = {}
-        for i, positions in at.items():
-            if not schema[i].is_categorical:
-                for j in positions:
-                    by_node.setdefault(j, []).append(i)
-        for j, attributes in by_node.items():
-            node = self.node_at(j)
-            tables += [(j, node.midpoints(i)) for i in attributes]
-        width = max(table.branches.shape[1] for _, table in tables)
+        tables = [self.nominal(nominal)] if nominal else []
+        tables += [
+            self.midpoints(i, j)
+            for i, positions in at.items()
+            if not schema[i].is_categorical
+            for j in positions
+        ]
+        width = max(table.branches.shape[1] for table in tables)
 
         def padded(branches):  # np.pad copies even when it adds nothing
             pad = width - branches.shape[1]
             return np.pad(branches, ((0, 0), (0, pad), (0, 0))) if pad else branches
 
-        fields = ("attributes", "thresholds", "values", "parent", "known_w", "total_w")
-        stacked = {f: np.concatenate([getattr(table, f) for _, table in tables]) for f in fields}
-        stacked["nodes"] = np.concatenate([table.nodes + j for j, table in tables])
-        stacked["branches"] = np.concatenate([padded(table.branches) for _, table in tables])
+        fields = ("attributes", "nodes", "thresholds", "values", "parent", "known_w", "total_w")
+        stacked = {f: np.concatenate([getattr(table, f) for table in tables]) for f in fields}
+        stacked["branches"] = np.concatenate([padded(table.branches) for table in tables])
         return Candidates(**stacked)
+
+    def midpoints(self, i, j, thresholds=None):
+        """The Candidates of numeric attribute ``i`` at node ``j``, one per threshold, sorted once.
+
+        ``thresholds`` must ascend; None means every midpoint between
+        adjacent distinct known values.
+        """
+        view, n = self.view, self.view.n_classes
+        start, stop = np.searchsorted(self.node, (j, j + 1)).tolist()
+        rows, weights = self.rows[start:stop], self.weights[start:stop]
+        column = view.columns[i][rows]
+        known = ~np.isnan(column)
+        column, classes, weights = column[known], view.classes[rows][known], weights[known]
+        order = np.argsort(column, kind="stable")  # equal values keep row order
+        column = column[order]
+        if thresholds is None:
+            # the first of each run of equal values, as -0.0 and 0.0 compare equal
+            distinct = np.concatenate((column[:1], column[1:][column[1:] != column[:-1]]))
+            thresholds = (distinct[:-1] + distinct[1:]) / 2
+        thresholds = np.asarray(thresholds, float)
+        by_class = np.zeros((len(column) + 1, n))
+        by_class[np.arange(1, len(column) + 1), classes[order]] = weights[order]
+        # the right tallies are summed down from the top on their own, never
+        # taken as parent - left: with fractional weights that rounds below 0
+        left = np.cumsum(by_class, axis=0)
+        right = np.cumsum(np.concatenate((by_class[:1], by_class[:0:-1])), axis=0)
+        cuts = np.searchsorted(column, thresholds, side="right")  # value <= threshold
+        size = len(thresholds)
+        return Candidates(
+            np.full(size, i),
+            np.full(size, j),
+            thresholds,
+            np.full(size, 2),
+            np.stack((left[cuts], right[len(column) - cuts]), axis=1),
+            np.tile(np.bincount(classes, weights, n), (size, 1)),
+            np.full(size, total(weights)),
+            np.full(size, self.total_w[j]),
+        )
 
     def nominal(self, at):
         """The Candidates of categorical attributes at nodes of the level.

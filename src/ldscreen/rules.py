@@ -113,25 +113,27 @@ def simplify_rules(ruleset: RuleSet, dataset: Dataset) -> RuleSet:
         raise ValueError("the dataset's schema or class differs from the rule set's")
     class_values = ruleset.schema[ruleset.class_index].values
     view = Columns(dataset)
-    global_majority = class_values[first_max(view.root().class_counts())]
+    global_majority = class_values[first_max(view.root().class_counts()[0])]
     masks = {}  # Condition -> mask of the rows where it holds, built at first use
+
+    def holding(c):
+        if c not in masks:
+            masks[c] = view.holds(c.attribute_index, c.relation, c.value)
+        return masks[c]
 
     def matching(conditions):
         """Mask of the rows where every one of ``conditions`` holds."""
         mask = view.all_rows
         for c in conditions:
-            if c not in masks:
-                masks[c] = view.holds(c.attribute_index, c.relation, c.value)
-            mask = mask & masks[c]
+            mask = mask & holding(c)
         return mask
 
     def labelled(label):
-        return matching([Condition(ruleset.class_index, EQ, label)])
+        return holding(Condition(ruleset.class_index, EQ, label))
 
-    def rule_stats(antecedent, consequent):
+    def rule_stats(matched, labelled_right):
         """``(matched, hit)``: weight of the rows matched, and of those labelled right."""
-        matched = matching(antecedent)
-        return view.weight(matched), view.weight(matched & labelled(consequent))
+        return view.weight(matched), view.weight(matched & labelled_right)
 
     def simplified(bound):
         """The rules kept, each simplified, deciding with ``bound``."""
@@ -153,16 +155,22 @@ def simplify_rules(ruleset: RuleSet, dataset: Dataset) -> RuleSet:
             apart(stats, than)
             return estimate(stats) < estimate(than)
 
-        baseline = rule_stats((), global_majority)
+        baseline = rule_stats(view.all_rows, labelled(global_majority))
         kept = []
         for rule in ruleset.rules:
             conditions = list(rule.antecedent)
-            stats = rule_stats(conditions, rule.consequent)
+            right = labelled(rule.consequent)
+            stats = rule_stats(matching(conditions), right)
             while conditions:
-                trials = []
-                for i in range(len(conditions)):
-                    without = conditions[:i] + conditions[i + 1 :]
-                    trials.append(rule_stats(without, rule.consequent))
+                # trial i drops condition i: the AND of the masks before it
+                # and of those after it, one AND a trial
+                held = [holding(c) for c in conditions]
+                before, after = [view.all_rows], [view.all_rows]
+                for mask in held[:-1]:
+                    before.append(before[-1] & mask)
+                for mask in held[:0:-1]:
+                    after.append(after[-1] & mask)
+                trials = [rule_stats(b & a, right) for b, a in zip(before, reversed(after))]
                 best_i = first_max([estimate(t) for t in trials])
                 for t in trials:  # no other trial may tie or beat the best exactly
                     apart(t, trials[best_i])

@@ -10,11 +10,12 @@ error estimate favors the collapse.  Its bounds come from a pure-Python
 screen of scipy's exact quantile; scipy is loaded only for a comparison
 the screen cannot settle (``_decide``).
 
-Growth reads the encoded view of ``columns``, built once per call: a node
-is an array of row positions with their weights.  The tree grows level
-by level, and the nodes of a level that split are partitioned in one
-pass (``columns.Level.partition``).  Every candidate split of a level,
-nominal or numeric, is one entry of one table
+Growth reads the encoded view of ``columns``, built once per call.  The
+tree grows level by level from the root's (``columns.Columns.root``):
+each level is one ``columns.Level``, the row positions and weights of
+its nodes in one array, and the nodes of a level that split are
+partitioned in one pass (``columns.Level.partition``).  Every candidate
+split of a level, nominal or numeric, is one entry of one table
 (``columns.Level.candidates``): a nominal attribute's branch tallies
 come from one pass over the rows of the level's open nodes, and a
 numeric attribute is sorted once per node, the tallies of every
@@ -250,7 +251,7 @@ def evaluate_split(dataset, attribute_index, threshold=None):
     threshold for a categorical attribute, and on a numeric one without a
     finite threshold.
     """
-    from .columns import Columns, Level
+    from .columns import Columns
 
     if not 0 <= attribute_index < len(dataset.schema):
         raise ValueError(f"attribute index {attribute_index} out of range")
@@ -264,9 +265,9 @@ def evaluate_split(dataset, attribute_index, threshold=None):
         raise ValueError(f"numeric attribute {spec.name} needs a finite threshold")
     root = Columns(dataset).root()
     if spec.is_categorical:
-        splits = Level([root]).nominal({attribute_index: [0]})
+        splits = root.nominal({attribute_index: [0]})
     else:
-        splits = root.midpoints(attribute_index, [threshold])
+        splits = root.midpoints(attribute_index, 0, [threshold])
     return _score_splits(attribute_index, *splits.tallies(0))[0]
 
 
@@ -334,7 +335,7 @@ def build_tree(dataset, config=None):
 
 
 def _grow(root, schema, class_index, config):
-    """The unpruned tree below the ``columns.Node`` ``root``, grown level by level.
+    """The unpruned tree below the one-node ``columns.Level`` ``root``, grown level by level.
 
     Each tree level is one ``columns.Level``.  Its nodes are decided
     together (``_best_candidates``), each as it would be decided alone, and
@@ -342,10 +343,8 @@ def _grow(root, schema, class_index, config):
     which gives the next Level.  A split waits in ``levels`` as ``(best,
     counts, branch weights)`` until the levels below are built.
     """
-    from .columns import Level
-
     levels = []
-    level, used = Level([root]), [frozenset()]  # used: per node, its tested nominal attributes
+    level, used = root, [frozenset()]  # used: per node, its tested nominal attributes
     while True:
         splits = []  # per node: a Leaf, or (best, counts, branch weights)
         open_nodes = []  # (position in the level, used)
@@ -803,13 +802,17 @@ def classify(model, instance):
         branch weights.  Ties in the distribution resolve to the earlier
         declared class.
     """
-    values = _check_instance(model.schema, instance)
+    dist = _distribution(model, _check_instance(model.schema, instance))
     class_values = model.class_values
-    merged = [0.0] * len(class_values)
+    return class_values[first_max(dist)], dict(zip(class_values, dist))
+
+
+def _distribution(model, values):
+    """The class distribution of the checked row ``values``, in declared class order."""
+    merged = [0.0] * len(model.class_values)
     _accumulate(model.root, model.schema, values, 1.0, merged)
     merged_total = total(merged)
-    dist = [c / merged_total for c in merged]
-    return class_values[first_max(dist)], dict(zip(class_values, dist))
+    return [c / merged_total for c in merged]
 
 
 def _accumulate(node, schema, values, weight, merged):
@@ -845,10 +848,7 @@ def training_accuracy(model, dataset):
     class_values = model.class_values
     correct = 0
     for inst in dataset.instances:  # classify's label, without its check
-        merged = [0.0] * len(class_values)
-        _accumulate(model.root, model.schema, inst.values, 1.0, merged)
-        merged_total = total(merged)
-        label = class_values[first_max([c / merged_total for c in merged])]
+        label = class_values[first_max(_distribution(model, inst.values))]
         correct += label == inst.values[model.class_index]
     return correct / len(dataset)
 

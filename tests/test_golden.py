@@ -6,6 +6,8 @@ rule-set, report and cluster JSON and the profile CSV, so a change meant
 to keep behaviour must keep each digest.  The path printed after
 ``Model written to`` is masked.  After a deliberate output change,
 ``python tests/test_golden.py`` prints the table to paste into GOLDEN.
+``tests/model_digest.py`` over 20 random weighted datasets is pinned the
+same way.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from model_digest import digest
 
 from ldscreen.cli import main
 from ldscreen.dataset import serialize_arff, synthetic_checklist
@@ -202,6 +205,12 @@ GOLDEN = {
 def test_cli_outputs_match_recorded_digests(cohort, tmp_path):
     expected = {k: v for k, v in GOLDEN.items() if k.startswith(f"{cohort}/")}
     assert run_cohort(cohort, tmp_path) == expected
+
+
+def test_model_digest_matches_recorded():
+    # every model and rule-set file learned from 20 random weighted datasets
+    expected = "0d7b700e3ddad299764b457b70f5e0f3e0820aaefe70a1d282f20b4ab9655daf"
+    assert digest(datasets=20) == expected
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from oracles import (
 import ldscreen
 import ldscreen.tree as tree_module
 from ldscreen.cli import main
-from ldscreen.columns import Candidates, Columns, Level, Node
+from ldscreen.columns import Candidates, Columns, Level
 from ldscreen.dataset import (
     AttributeSpec,
     Dataset,
@@ -583,7 +583,7 @@ def screened_midpoints(draw):
         for _ in range(rng.randint(2, 60))
     ]
     schema = (AttributeSpec.numeric("x"), AttributeSpec.categorical("c", classes))
-    return Columns(Dataset(schema, 1, instances)).root().midpoints(0)
+    return Columns(Dataset(schema, 1, instances)).root().midpoints(0, 0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -635,8 +635,8 @@ def test_screen_scores_few_midpoints_exactly(monkeypatch):
         rows.append(Instance(tuple(x) + (label,)))
     seen = {"midpoints": 0, "scored": 0}
 
-    def count_midpoints(node, i, thresholds=None):
-        splits = real_midpoints(node, i, thresholds)
+    def count_midpoints(level, i, j, thresholds=None):
+        splits = real_midpoints(level, i, j, thresholds)
         seen["midpoints"] += len(splits.thresholds)
         return splits
 
@@ -644,12 +644,76 @@ def test_screen_scores_few_midpoints_exactly(monkeypatch):
         seen["scored"] += len(thresholds)
         return real_score_splits(i, thresholds, *rest)
 
-    real_midpoints, real_score_splits = Node.midpoints, tree_module._score_splits
-    monkeypatch.setattr(Node, "midpoints", count_midpoints)
+    real_midpoints, real_score_splits = Level.midpoints, tree_module._score_splits
+    monkeypatch.setattr(Level, "midpoints", count_midpoints)
     monkeypatch.setattr(tree_module, "_score_splits", count_scored)
     model = build_tree(Dataset(schema, 5, rows), TreeConfig(pruning=False))
     assert model.node_count() > 20
     assert 0 < seen["scored"] < seen["midpoints"] / 100
+
+
+def level_of(view, nodes):
+    """The Level of ``nodes``, each a node's row positions in ``view`` and their weights."""
+    weights = [np.asarray(w, float) for _, w in nodes]
+    return Level(
+        view,
+        np.concatenate([np.asarray(rows, np.intp) for rows, _ in nodes]),
+        np.concatenate(weights),
+        np.repeat(np.arange(len(nodes)), [len(w) for w in weights]),
+        np.array([total(w.tolist()) for w in weights]),
+    )
+
+
+@st.composite
+def numeric_levels(draw):
+    """A view of two numeric columns and 1-6 nodes of its rows, with 2-4 classes.
+
+    Values are quarter steps, a tenth of them blank.  A node takes some
+    rows in any order at weights mixing 1, fractional values, large ones
+    and values down to 1e-12, scaled as a fractional branch scales them.
+    """
+    classes = "PQRS"[: draw(st.integers(2, 4))]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    weights = (
+        lambda: 1.0,
+        lambda: rng.uniform(0.01, 100.0),
+        lambda: rng.uniform(1e-12, 1e-6),
+        lambda: rng.uniform(1e3, 1e6),
+    )
+    schema = (AttributeSpec.numeric("x0"), AttributeSpec.numeric("x1"))
+    schema += (AttributeSpec.categorical("c", classes),)
+    instances = [
+        Instance(
+            tuple(None if rng.random() < 0.1 else rng.randint(-12, 12) / 4 for _ in range(2))
+            + (rng.choice(classes),),
+            rng.choice(weights)(),
+        )
+        for _ in range(rng.randint(1, 60))
+    ]
+    view = Columns(Dataset(schema, 2, instances))
+    nodes = []
+    for _ in range(rng.randint(1, 6)):
+        rows = rng.sample(range(len(instances)), rng.randint(1, len(instances)))
+        scale = rng.choice((1.0, rng.uniform(1e-3, 1.0)))
+        nodes.append((rows, view.weights[rows] * scale))
+    return view, nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(numeric_levels())
+def test_midpoints_at_a_node_equal_that_node_alone(drawn):
+    view, nodes = drawn
+    level = level_of(view, nodes)
+    fields = ("attributes", "thresholds", "values", "branches", "parent", "known_w", "total_w")
+    for j, node in enumerate(nodes):
+        alone = level_of(view, [node])
+        for i in range(2):
+            got, expected = level.midpoints(i, j), alone.midpoints(i, 0)
+            assert got.nodes.tolist() == [j] * len(got.thresholds)
+            for field in fields:
+                a, b = getattr(got, field), getattr(expected, field)
+                where = f"node {j}, attribute {i}, {field}"
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), where
 
 
 @st.composite
@@ -685,8 +749,8 @@ def screened_level(draw):
     for _ in range(rng.randint(1, 6)):
         rows = sorted(rng.sample(range(len(instances)), rng.randint(1, len(instances))))
         scale = rng.choice((1.0, rng.uniform(1e-3, 1.0)))
-        nodes.append(Node(root.view, root.rows[rows], root.weights[rows] * scale))
-    return Level(nodes).nominal({i: list(range(len(nodes))) for i in range(3)})
+        nodes.append((root.rows[rows], root.weights[rows] * scale))
+    return level_of(root.view, nodes).nominal({i: list(range(len(nodes))) for i in range(3)})
 
 
 @settings(max_examples=300, deadline=None)
@@ -744,9 +808,9 @@ def screened_mixed_level(draw):
     for _ in range(rng.randint(1, 6)):
         rows = sorted(rng.sample(range(len(instances)), rng.randint(1, len(instances))))
         scale = rng.choice((1.0, rng.uniform(1e-3, 1.0)))
-        nodes.append(Node(root.view, root.rows[rows], root.weights[rows] * scale))
+        nodes.append((root.rows[rows], root.weights[rows] * scale))
     at = {i: sorted(rng.sample(range(len(nodes)), rng.randint(1, len(nodes)))) for i in range(4)}
-    return Level(nodes).candidates(at)
+    return level_of(root.view, nodes).candidates(at)
 
 
 @settings(max_examples=300, deadline=None)
@@ -834,7 +898,7 @@ def assert_partition_is_node_by_node(d, nodes, tests):
     agree bit for bit, and so must each child's weight and class counts.
     """
     view = Columns(d)
-    level = Level([Node(view, np.array(rows), np.array(weights, float)) for rows, weights in nodes])
+    level = level_of(view, nodes)
     below, branch_weights = level.partition(tests)
     counts = below.class_counts()
     k = 0  # the children of positive weight are the nodes of ``below``, in order
@@ -844,11 +908,11 @@ def assert_partition_is_node_by_node(d, nodes, tests):
         for b, pairs in enumerate(branches):
             if expected[b] <= 0:
                 continue
-            child = below.node_at(k)
+            child = below.node == k
             where = f"node {j}, attribute {i}, branch {b}"
-            got = list(zip(child.rows.tolist(), map(float.hex, child.weights.tolist())))
+            got = list(zip(below.rows[child].tolist(), map(float.hex, below.weights[child].tolist())))
             assert got == [(row, float(w).hex()) for row, w in pairs], where
-            assert child.weights.tobytes() == np.array([w for _, w in pairs]).tobytes(), where
+            assert below.weights[child].tobytes() == np.array([w for _, w in pairs]).tobytes(), where
             assert float(below.total_w[k]).hex() == expected[b].hex(), where
             rows = [(d.instances[row].values, w) for row, w in pairs]
             assert counts[k].tolist() == class_tally(rows, d.schema, d.class_index), where

@@ -23,9 +23,8 @@ candidate split of a level is one entry of one ``Candidates`` table
 node's bins as a ``bincount`` over that node alone would.  The nodes
 that split are partitioned in one pass (``Level.partition``), which
 repeats each missing row once per branch of positive known weight and
-gives the next Level.  The table's screen in numpy
-(``Candidates.screen``) only sorts candidates out; the scores that
-decide are ``tree._score_splits``'.
+gives the next Level.  This module only tallies: ``tree`` screens the
+table and scores the candidates that decide.
 
 ``classify`` and ``best_rule`` do not import this module, so scoring a
 row never loads numpy through it.
@@ -34,6 +33,7 @@ row never loads numpy through it.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,25 +145,21 @@ class Level:
             if not view.schema[i].is_categorical:
                 value = np.where(np.isnan(value), -1, value > thresholds[test[mine]])
             branch[mine] = value
-        first = np.cumsum(widths) - widths  # each test's first child
-        owner = np.repeat(np.arange(n_tests), widths)  # each child's test
+        width = max(widths)  # child b of test t takes slot t * width + b
         known = np.flatnonzero(branch >= 0)
-        child = first[test[known]] + branch[known]
-        branch_w = np.bincount(child, self.weights[known], len(owner))
-        known_total = np.bincount(owner, branch_w, n_tests)
+        child = test[known] * width + branch[known]
+        branch_w = np.bincount(child, self.weights[known], n_tests * width)
+        known_total = np.bincount(np.arange(n_tests * width) // width, branch_w, n_tests)
         # each missing row once per branch of positive weight, in branch order
         missing = np.flatnonzero((branch < 0) & (test < n_tests))
-        targets = np.flatnonzero(branch_w > 0)
-        per_test = np.bincount(owner[targets], minlength=n_tests)
-        copies = per_test[test[missing]]
-        shift = (np.cumsum(per_test) - per_test)[test[missing]] - (np.cumsum(copies) - copies)
-        to = targets[np.arange(copies.sum()) + np.repeat(shift, copies)]
-        missing = np.repeat(missing, copies)
+        copies, to = np.nonzero(branch_w.reshape(n_tests, width)[test[missing]] > 0)
+        missing = missing[copies]
+        to += test[missing] * width
         child = np.concatenate((child, to))
         rows = np.concatenate((self.rows[known], self.rows[missing]))
-        scaled = self.weights[missing] * branch_w[to] / known_total[owner[to]]
+        scaled = self.weights[missing] * branch_w[to] / known_total[to // width]
         weights = np.concatenate((self.weights[known], scaled))
-        child_w = np.bincount(child, weights, len(owner)).astype(float)  # ints if no row
+        child_w = np.bincount(child, weights, n_tests * width).astype(float)  # ints if no row
         kept = child_w > 0
         keep = kept[child]
         if not keep.all():  # a row whose weight underflowed to 0.0 can be a child alone
@@ -171,8 +167,7 @@ class Level:
         order = np.argsort(child, kind="stable")  # keeps each child's rows in order
         node = (np.cumsum(kept) - 1)[child[order]]
         level = Level(view, rows[order], weights[order], node, child_w[kept])
-        child_w = child_w.tolist()
-        return level, [child_w[f : f + w] for f, w in zip(first.tolist(), widths)]
+        return level, [w[:n] for w, n in zip(child_w.reshape(n_tests, width).tolist(), widths)]
 
     def candidates(self, at):
         """One Candidates table of every attribute at nodes of the level.
@@ -195,15 +190,10 @@ class Level:
             for j in positions
         ]
         width = max(table.branches.shape[1] for table in tables)
-
-        def padded(branches):  # np.pad copies even when it adds nothing
-            pad = width - branches.shape[1]
-            return np.pad(branches, ((0, 0), (0, pad), (0, 0))) if pad else branches
-
-        fields = ("attributes", "nodes", "thresholds", "values", "parent", "known_w", "total_w")
-        stacked = {f: np.concatenate([getattr(table, f) for table in tables]) for f in fields}
-        stacked["branches"] = np.concatenate([padded(table.branches) for table in tables])
-        return Candidates(**stacked)
+        for k, table in enumerate(tables):
+            if pad := width - table.branches.shape[1]:  # np.pad copies even when it adds nothing
+                tables[k] = table._replace(branches=np.pad(table.branches, ((0, 0), (0, pad), (0, 0))))
+        return Candidates(*map(np.concatenate, zip(*tables)))
 
     def midpoints(self, i, j, thresholds=None):
         """The Candidates of numeric attribute ``i`` at node ``j``, one per threshold, sorted once.
@@ -297,7 +287,7 @@ class Level:
         )
 
 
-class Candidates:
+class Candidates(NamedTuple):
     """Candidate splits at nodes of a Level, one entry per candidate.
 
     Candidate c splits the ``nodes[c]``-th node on attribute
@@ -310,47 +300,11 @@ class Candidates:
     branch tallies are summed in sorted order instead, each on its own.
     """
 
-    def __init__(self, attributes, nodes, thresholds, values, branches, parent, known_w, total_w):
-        self.attributes = attributes
-        self.nodes = nodes
-        self.thresholds = thresholds
-        self.values = values
-        self.branches = branches
-        self.parent = parent
-        self.known_w = known_w
-        self.total_w = total_w
-
-    def tallies(self, c):
-        """``tree._score_splits``'s arguments after the attribute index, for candidate ``c``."""
-        threshold = float(self.thresholds[c])
-        threshold = None if math.isnan(threshold) else threshold
-        branches = self.branches[c, : self.values[c]].tolist()
-        known_w, total_w = float(self.known_w[c]), float(self.total_w[c])
-        return [threshold], [branches], self.parent[c].tolist(), known_w, total_w
-
-    def screen(self):
-        """``(gain, intrinsic value, valid)`` arrays, one entry per candidate.
-
-        The gain and the intrinsic value follow ``tree._score_splits``'s
-        formulas in numpy, the parent's entropy included, so they can
-        differ from its scores by rounding; ``tree._screen_error`` bounds
-        the difference.  The zero tallies past ``values[c]`` add only
-        zeros.  ``valid`` is exact: a sum of non-negative weights is
-        positive exactly when one of them is, in any order, and a
-        candidate with no known weight has no branch of positive weight.
-        """
-        parent_w = self.parent.sum(axis=1)
-        h_parent = -_xlog2x(self.parent / np.where(parent_w > 0, parent_w, 1.0)[:, None]).sum(axis=1)
-        weight = self.branches.sum(axis=2)
-        valid = (weight > 0).sum(axis=1) >= 2
-        p = self.branches / np.where(weight > 0, weight, 1.0)[:, :, None]
-        h_branch = -_xlog2x(p).sum(axis=2)
-        share = weight / np.where(self.known_w > 0, self.known_w, 1.0)[:, None]
-        iv = -_xlog2x(share).sum(axis=1)
-        gain = (self.known_w / self.total_w) * (h_parent - (share * h_branch).sum(axis=1))
-        return gain, iv, valid
-
-
-def _xlog2x(x):
-    """``x * log2(x)`` elementwise, 0 where ``x`` is 0."""
-    return x * np.log2(x, out=np.zeros_like(x), where=x > 0)
+    attributes: np.ndarray
+    nodes: np.ndarray
+    thresholds: np.ndarray
+    values: np.ndarray
+    branches: np.ndarray
+    parent: np.ndarray
+    known_w: np.ndarray
+    total_w: np.ndarray

@@ -116,14 +116,17 @@ def load_document(text, fmt, version, build):
     Raises
     ------
     ParseError
-        On undecodable JSON (with its line), a document that is not an
-        object, a foreign format or version, or a body ``build`` cannot
-        read (a missing key or a value of the wrong type or shape).
+        On undecodable JSON (with its line), JSON or a body nested deeper
+        than Python's recursion limit, a document that is not an object, a
+        foreign format or version, or a body ``build`` cannot read (a
+        missing key or a value of the wrong type or shape).
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply to read") from None
     if not isinstance(doc, dict) or doc.get("format") != fmt:
         raise ParseError(f"not a {fmt} document")
     if doc.get("version") != version:
@@ -133,6 +136,8 @@ def load_document(text, fmt, version, build):
     except (KeyError, TypeError, IndexError, ValueError, AttributeError) as exc:
         reason = f"{type(exc).__name__}: {exc}"
         raise ParseError(f"malformed {fmt} document: {reason}") from None
+    except RecursionError:
+        raise ParseError(f"{fmt} document nested too deeply to read") from None
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,14 @@ midpoint threshold being cumulative sums, O(n log n) per attribute per
 node.  Those tallies are summed in sorted order rather than row order,
 so with fractional weights two candidates whose gain ratios tie to
 within rounding may resolve differently from a per-row rescan; unit
-weights sum exactly.  numpy screens the table once per level, and only
-the candidates that can be the best are scored again in Python
-(``_best_candidates``).  The scores that decide stay in Python
-(``math.log2``, which ``np.log2`` does not match bit for bit), and every
-weight written to a model is a left-to-right sum, so model files are the
-same on every supported Python.
+weights sum exactly.  ``columns`` only tallies; this module makes the
+whole split decision.  numpy screens the table once per level
+(``_screen``, within ``_screen_error`` of the exact scores), and only the
+candidates that can be the best are scored again in Python, one
+``_score`` each (``_best_candidates``).  The scores that decide stay in
+Python (``math.log2``, which ``np.log2`` does not match bit for bit),
+and every weight written to a model is a left-to-right sum, so model
+files are the same on every supported Python.
 
 A built model is immutable; concurrent classification is safe.
 """
@@ -268,41 +270,102 @@ def evaluate_split(dataset, attribute_index, threshold=None):
         splits = root.nominal({attribute_index: [0]})
     else:
         splits = root.midpoints(attribute_index, 0, [threshold])
-    return _score_splits(attribute_index, *splits.tallies(0))[0]
+    return _score(splits, 0)
 
 
-def _score_splits(attribute_index, thresholds, branch_tallies, parent, known_w, total_w):
-    """One SplitCandidate per threshold from its per-branch class tallies.
+def _score(splits, c):
+    """The SplitCandidate of candidate ``c`` of the ``columns.Candidates`` table ``splits``.
 
-    ``parent`` is the class tally of the known-valued weight ``known_w``;
-    ``total_w`` also counts the rows whose tested value is missing.
+    Its scores come from its branch tallies, its parent tally of the
+    known-valued weight ``known_w[c]`` and ``total_w[c]``, which also
+    counts the rows whose tested value is missing.  A candidate with no
+    known weight has no branch of positive weight, so it is invalid
+    before the parent's entropy is taken.
     """
-    if known_w <= 0:
-        return [
-            SplitCandidate(attribute_index, t, 0.0, 0.0, 0.0, False) for t in thresholds
-        ]
-    h_parent = entropy(parent)
-    candidates = []
-    for threshold, branch_class in zip(thresholds, branch_tallies):
-        branch_w = [total(bc) for bc in branch_class]
-        if sum(1 for w in branch_w if w > 0) < 2:  # single branch: intrinsic value 0
-            candidates.append(
-                SplitCandidate(attribute_index, threshold, 0.0, 0.0, 0.0, False)
-            )
+    attribute_index = int(splits.attributes[c])
+    threshold = float(splits.thresholds[c])
+    threshold = None if math.isnan(threshold) else threshold
+    branch_class = splits.branches[c, : splits.values[c]].tolist()
+    known_w, total_w = float(splits.known_w[c]), float(splits.total_w[c])
+    branch_w = [total(bc) for bc in branch_class]
+    if sum(1 for w in branch_w if w > 0) < 2:  # single branch: intrinsic value 0
+        return SplitCandidate(attribute_index, threshold, 0.0, 0.0, 0.0, False)
+    h_parent = entropy(splits.parent[c].tolist())
+    h_children = 0.0
+    iv = 0.0
+    for bc, w in zip(branch_class, branch_w):
+        if w <= 0:
             continue
-        h_children = 0.0
-        iv = 0.0
-        for bc, w in zip(branch_class, branch_w):
-            if w <= 0:
-                continue
-            share = w / known_w
-            h_children += share * entropy(bc)
-            iv -= share * math.log2(share)
-        gain = (known_w / total_w) * (h_parent - h_children)
-        candidates.append(
-            SplitCandidate(attribute_index, threshold, gain, iv, gain / iv, True)
-        )
-    return candidates
+        share = w / known_w
+        h_children += share * entropy(bc)
+        iv -= share * math.log2(share)
+    gain = (known_w / total_w) * (h_parent - h_children)
+    return SplitCandidate(attribute_index, threshold, gain, iv, gain / iv, True)
+
+
+def _screen(splits):
+    """``(gain, intrinsic value, valid)`` arrays of the Candidates table ``splits``.
+
+    The gain and the intrinsic value follow ``_score``'s formulas in
+    numpy, the parent's entropy included, so they can differ from its
+    scores by rounding; ``_screen_error`` bounds the difference.  The
+    zero tallies past ``values[c]`` add only zeros.  ``valid`` is exact:
+    a sum of non-negative weights is positive exactly when one of them
+    is, in any order, and a candidate with no known weight has no branch
+    of positive weight.
+    """
+    import numpy as np
+
+    def xlog2x(x):  # 0 where x is 0
+        return x * np.log2(x, out=np.zeros_like(x), where=x > 0)
+
+    parent_w = splits.parent.sum(axis=1)
+    h_parent = -xlog2x(splits.parent / np.where(parent_w > 0, parent_w, 1.0)[:, None]).sum(axis=1)
+    weight = splits.branches.sum(axis=2)
+    valid = (weight > 0).sum(axis=1) >= 2
+    p = splits.branches / np.where(weight > 0, weight, 1.0)[:, :, None]
+    h_branch = -xlog2x(p).sum(axis=2)
+    share = weight / np.where(splits.known_w > 0, splits.known_w, 1.0)[:, None]
+    iv = -xlog2x(share).sum(axis=1)
+    gain = (splits.known_w / splits.total_w) * (h_parent - (share * h_branch).sum(axis=1))
+    return gain, iv, valid
+
+
+def _screen_error(n_classes, branches=2):
+    """E: how far ``_screen``'s gain or intrinsic value may be from ``_score``'s.
+
+    Both sides compute from the same float tallies, so only rounding
+    separates them.  With u = 2**-53, k classes, b branches, and every
+    log2 within 4 ulps (relative error 8u):
+
+    - a branch weight, summed over k classes in any order, and its class
+      shares p = tally / weight carry relative error gamma_k ~ k u;
+    - each term p log2 p is then off by |p log2 p| (gamma_k + 9u) plus
+      p * 1.5 gamma_k (log2 of p (1 + t) moves by at most 1.5 |t|), and
+      adding the k terms costs gamma_{k-1} of their sum; as the entropy
+      is at most log2 k and the shares sum to 1, an entropy of k class
+      weights is off by at most ((2k + 9) log2 k + 2k) u: so is a branch
+      entropy, and so is the parent's, which ``_screen`` computes in numpy;
+    - the children's entropy, b shares w / known_w (relative error
+      gamma_k) times branch entropies, added in any order (gamma_{b-1}),
+      is off by at most ((3k + b + 9) log2 k + 2k) u on each side; the
+      gain, whose factor ``known_w / total_w`` both sides round alike,
+      adds the parent's entropy and two roundings of at most u log2 k:
+      ((5k + b + 20) log2 k + 4k) u on each side, twice that between them;
+    - the intrinsic value, b terms s log2 s of shares s, summing to at
+      most log2 b in magnitude, is off by at most (1.5k + (k + b + 8)
+      log2 b) u on each side, twice that between them.
+
+    E doubles the sum of the two, 2 ((10k + 2b + 40) log2 k + 2 (k + b +
+    8) log2 b + 11k) u.  The doubling covers the second-order terms,
+    shares that sum to 1 only to within 2 gamma_n for n rows, and the
+    rounding of the bounds in ``_best_candidates``: it leaves at least
+    20u of relative slack in each ratio bound, where rounding moves them
+    by at most 4u.
+    """
+    k, b = n_classes, branches
+    log2k, log2b = math.log2(k), math.log2(b)
+    return 2 * ((10 * k + 2 * b + 40) * log2k + 2 * (k + b + 8) * log2b + 11 * k) * 2.0**-53
 
 
 # ---------------------------------------------------------------------------
@@ -390,18 +453,18 @@ def _best_candidates(level, open_nodes, schema, class_index):
     ``open_nodes`` lists ``(position in the level, used nominal
     attributes)``.  Every candidate of the level, nominal or numeric, is
     in one table (``Level.candidates``), and one numpy screen
-    (``Candidates.screen``) gives each an approximate gain g~ and
-    intrinsic value iv~, each within E = ``_screen_error(n_classes,
-    branches)`` of what ``_score_splits`` computes.  A candidate whose
-    screened gain ratio is certainly reached, with g~ - E > ``_GAIN_EPS``
-    and iv~ > E, is useful and scores at least (g~ - E) / (iv~ + E); a
-    node's L is the largest of these, or 0.  Only the valid candidates
-    with g~ + E > ``_GAIN_EPS`` and an upper bound (g~ + E) / (iv~ - E) of
-    at least L (always when iv~ <= E) go to ``_score_splits``.  Every
-    other candidate is useless or scores below L, itself at most the best
-    useful ratio, so the best and every candidate tied with it are scored
-    exactly, and ``first_max`` over generation order (attribute index,
-    then ascending threshold) picks what scoring every candidate would.
+    (``_screen``) gives each an approximate gain g~ and intrinsic value
+    iv~, each within E = ``_screen_error(n_classes, branches)`` of what
+    ``_score`` computes.  A candidate whose screened gain ratio is
+    certainly reached, with g~ - E > ``_GAIN_EPS`` and iv~ > E, is useful
+    and scores at least (g~ - E) / (iv~ + E); a node's L is the largest of
+    these, or 0.  Only the valid candidates with g~ + E > ``_GAIN_EPS``
+    and an upper bound (g~ + E) / (iv~ - E) of at least L (always when
+    iv~ <= E) are scored, one ``_score`` each.  Every other candidate is
+    useless or scores below L, itself at most the best useful ratio, so
+    the best and every candidate tied with it are scored exactly, and
+    ``first_max`` over generation order (attribute index, then ascending
+    threshold) picks what scoring every candidate would.
     """
     import numpy as np
 
@@ -413,7 +476,7 @@ def _best_candidates(level, open_nodes, schema, class_index):
     if not at:  # no open node, or every attribute tested on each one's path
         return [None] * len(open_nodes)
     splits = level.candidates(at)
-    screen = splits.screen()
+    screen = _screen(splits)
     branches, of = np.unique(splits.values, return_inverse=True)
     error = np.array([_screen_error(level.view.n_classes, b) for b in branches.tolist()])[of]
     reached = np.zeros(len(level.total_w))  # every useful ratio is positive, so 0 bounds the best
@@ -422,8 +485,8 @@ def _best_candidates(level, open_nodes, schema, class_index):
     # generation order: node, then attribute; lexsort is stable, so thresholds still ascend
     near = near[np.lexsort((splits.attributes[near], splits.nodes[near]))]
     scored = {j: [] for j, _ in open_nodes}
-    for c, j, i in zip(near.tolist(), splits.nodes[near].tolist(), splits.attributes[near].tolist()):
-        scored[j] += _score_splits(i, *splits.tallies(c))
+    for c, j in zip(near.tolist(), splits.nodes[near].tolist()):
+        scored[j].append(_score(splits, c))
     bests = []
     for j, _ in open_nodes:
         useful = [c for c in scored[j] if c.valid and c.info_gain > _GAIN_EPS]
@@ -441,43 +504,6 @@ def _near(gain, iv, valid, error, reached):
     """Mask of the screened candidates that may be useful and reach ``reached``."""
     # (g~ + E) >= L * (iv~ - E) holds when iv~ <= E, as L >= 0 < g~ + E
     return valid & (gain + error > _GAIN_EPS) & (gain + error >= reached * (iv - error))
-
-
-def _screen_error(n_classes, branches=2):
-    """E: how far a screened gain or intrinsic value may be from ``_score_splits``'s.
-
-    Both sides compute from the same float tallies, so only rounding
-    separates them.  With u = 2**-53, k classes, b branches, and every
-    log2 within 4 ulps (relative error 8u):
-
-    - a branch weight, summed over k classes in any order, and its class
-      shares p = tally / weight carry relative error gamma_k ~ k u;
-    - each term p log2 p is then off by |p log2 p| (gamma_k + 9u) plus
-      p * 1.5 gamma_k (log2 of p (1 + t) moves by at most 1.5 |t|), and
-      adding the k terms costs gamma_{k-1} of their sum; as the entropy
-      is at most log2 k and the shares sum to 1, an entropy of k class
-      weights is off by at most ((2k + 9) log2 k + 2k) u: so is a branch
-      entropy, and so is the parent's, which the screen computes in numpy;
-    - the children's entropy, b shares w / known_w (relative error
-      gamma_k) times branch entropies, added in any order (gamma_{b-1}),
-      is off by at most ((3k + b + 9) log2 k + 2k) u on each side; the
-      gain, whose factor ``known_w / total_w`` both sides round alike,
-      adds the parent's entropy and two roundings of at most u log2 k:
-      ((5k + b + 20) log2 k + 4k) u on each side, twice that between them;
-    - the intrinsic value, b terms s log2 s of shares s, summing to at
-      most log2 b in magnitude, is off by at most (1.5k + (k + b + 8)
-      log2 b) u on each side, twice that between them.
-
-    E doubles the sum of the two, 2 ((10k + 2b + 40) log2 k + 2 (k + b +
-    8) log2 b + 11k) u.  The doubling covers the second-order terms,
-    shares that sum to 1 only to within 2 gamma_n for n rows, and the
-    rounding of the bounds in ``_best_candidates``: it leaves at least
-    20u of relative slack in each ratio bound, where rounding moves them
-    by at most 4u.
-    """
-    k, b = n_classes, branches
-    log2k, log2b = math.log2(k), math.log2(b)
-    return 2 * ((10 * k + 2 * b + 40) * log2k + 2 * (k + b + 8) * log2b + 11 * k) * 2.0**-53
 
 
 # ---------------------------------------------------------------------------

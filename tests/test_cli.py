@@ -77,6 +77,30 @@ def test_no_prune_keeps_at_least_as_many_nodes(arff_125, tmp_path):
     assert m_full.node_count() >= m_pruned.node_count()
 
 
+def run_cli(*args):
+    """``python -m ldscreen.cli *args`` in a child process, for what reaches its stderr."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "ldscreen.cli", *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=120,
+    )
+
+
+def test_tree_deeper_than_the_recursion_limit_exits_1(tmp_path):
+    # alternating classes along x grow a tree about as deep as the rows are many
+    data = tmp_path / "deep.csv"
+    data.write_text("x,c\n" + "".join(f"{i},{'PQ'[i % 2]}\n" for i in range(1000)))
+    result = run_cli("train", "--input", str(data), "--out", str(tmp_path / "m.json"))
+    assert result.returncode == 1
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("ldscreen: error: ")
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_missing_input_exits_2(tmp_path, capsys):
     code = main(["train", "--input", str(tmp_path / "absent.arff")])
     captured = capsys.readouterr()
@@ -593,6 +617,16 @@ def test_checklist_malformed_model_exits_2(model_path, damage, capsys):
     assert captured.out == ""
     assert captured.err.startswith("ldscreen: error: ")
     assert len(captured.err.splitlines()) == 1
+
+
+def test_checklist_deeply_nested_model_exits_2(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    result = run_cli("checklist", "--model", str(path), "--answers", ALL_N)
+    assert result.returncode == 2
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("ldscreen: error: ")
+    assert "Traceback" not in result.stderr
 
 
 @pytest.fixture

@@ -28,7 +28,7 @@ from oracles import (
 import ldscreen
 import ldscreen.tree as tree_module
 from ldscreen.cli import main
-from ldscreen.columns import Candidates, Columns, Level
+from ldscreen.columns import Columns, Level
 from ldscreen.dataset import (
     AttributeSpec,
     Dataset,
@@ -45,6 +45,7 @@ from ldscreen.tree import (
     Decision,
     DecisionTreeModel,
     Leaf,
+    SplitCandidate,
     TreeConfig,
     branch_conditions,
     build_tree,
@@ -57,7 +58,7 @@ from ldscreen.tree import (
     training_accuracy,
     ucb_error_rate,
 )
-from ldscreen.tree import _UCB_TAU, _score_splits, _screen_error, _screen_ucb
+from ldscreen.tree import _UCB_TAU, _score, _screen, _screen_error, _screen_ucb
 
 
 def binary_dataset(rows, n_attrs, class_values=("N", "Y")):
@@ -205,6 +206,15 @@ def test_split_matches_reference_on_random_data():
             assert cand.info_gain == pytest.approx(ref[0], abs=1e-9)
             assert cand.intrinsic_value == pytest.approx(ref[1], abs=1e-9)
             assert cand.gain_ratio == pytest.approx(ref[2], abs=1e-9)
+
+
+@pytest.mark.parametrize("threshold", [None, 0.5])
+def test_split_on_an_all_missing_attribute_is_invalid(threshold):
+    # no known weight: the single-branch test decides before any entropy is taken
+    spec = AttributeSpec.categorical("a", ("0", "1")) if threshold is None else AttributeSpec.numeric("a")
+    schema = (spec, AttributeSpec.categorical("cls", ("N", "Y")))
+    d = Dataset(schema, 1, (Instance((None, "Y")), Instance((None, "N")), Instance((None, "Y"))))
+    assert evaluate_split(d, 0, threshold) == SplitCandidate(0, threshold, 0.0, 0.0, 0.0, False)
 
 
 def test_split_handles_missing_values():
@@ -590,8 +600,8 @@ def screened_midpoints(draw):
 @given(screened_midpoints())
 def test_screen_is_within_its_error_bound(splits):
     error = _screen_error(splits.parent.shape[1])
-    gain, iv, valid = splits.screen()
-    exact = [_score_splits(0, *splits.tallies(c))[0] for c in range(len(splits.thresholds))]
+    gain, iv, valid = _screen(splits)
+    exact = [_score(splits, c) for c in range(len(splits.thresholds))]
     assert valid.tolist() == [c.valid for c in exact]
     for j, c in enumerate(exact):
         if c.valid:
@@ -640,13 +650,13 @@ def test_screen_scores_few_midpoints_exactly(monkeypatch):
         seen["midpoints"] += len(splits.thresholds)
         return splits
 
-    def count_scored(i, thresholds, *rest):
-        seen["scored"] += len(thresholds)
-        return real_score_splits(i, thresholds, *rest)
+    def count_scored(splits, c):
+        seen["scored"] += 1
+        return real_score(splits, c)
 
-    real_midpoints, real_score_splits = Level.midpoints, tree_module._score_splits
+    real_midpoints, real_score = Level.midpoints, tree_module._score
     monkeypatch.setattr(Level, "midpoints", count_midpoints)
-    monkeypatch.setattr(tree_module, "_score_splits", count_scored)
+    monkeypatch.setattr(tree_module, "_score", count_scored)
     model = build_tree(Dataset(schema, 5, rows), TreeConfig(pruning=False))
     assert model.node_count() > 20
     assert 0 < seen["scored"] < seen["midpoints"] / 100
@@ -718,7 +728,7 @@ def test_midpoints_at_a_node_equal_that_node_alone(drawn):
 
 @st.composite
 def screened_level(draw):
-    """The Nominal candidates of three attributes at 1-6 nodes of one level.
+    """A nominal Candidates table of three attributes at 1-6 nodes of one level.
 
     Each attribute declares 1-5 values, a tenth of its cells are blank,
     and there are 2-4 classes.  Each node takes some rows of one dataset
@@ -756,9 +766,9 @@ def screened_level(draw):
 @settings(max_examples=300, deadline=None)
 @given(screened_level())
 def test_nominal_screen_is_within_its_error_bound(nominal):
-    gain, iv, valid = nominal.screen()
+    gain, iv, valid = _screen(nominal)
     for c, i in enumerate(nominal.attributes.tolist()):
-        exact = _score_splits(i, *nominal.tallies(c))[0]
+        exact = _score(nominal, c)
         error = _screen_error(nominal.parent.shape[1], int(nominal.values[c]))
         assert valid[c] == exact.valid
         if exact.valid:
@@ -818,9 +828,9 @@ def screened_mixed_level(draw):
 def test_mixed_screen_is_within_its_error_bound(splits):
     # numeric candidates padded next to nominal ones, at every node of a level
     assert splits.branches.shape[1:] == (5, splits.parent.shape[1])
-    gain, iv, valid = splits.screen()
+    gain, iv, valid = _screen(splits)
     for c, i in enumerate(splits.attributes.tolist()):
-        exact = _score_splits(i, *splits.tallies(c))[0]
+        exact = _score(splits, c)
         error = _screen_error(splits.parent.shape[1], int(splits.values[c]))
         assert valid[c] == exact.valid
         if exact.valid:
@@ -840,13 +850,13 @@ def test_growth_screens_nominal_candidates_once_per_level(monkeypatch):
         seen["screened"] += len(nominal.nodes)
         return nominal
 
-    def count_scored(i, thresholds, *rest):
-        seen["scored"] += thresholds == [None]
-        return real_score_splits(i, thresholds, *rest)
+    def count_scored(splits, c):
+        seen["scored"] += math.isnan(splits.thresholds[c])
+        return real_score(splits, c)
 
-    real_nominal, real_score_splits = Level.nominal, tree_module._score_splits
+    real_nominal, real_score = Level.nominal, tree_module._score
     monkeypatch.setattr(Level, "nominal", count_nominal)
-    monkeypatch.setattr(tree_module, "_score_splits", count_scored)
+    monkeypatch.setattr(tree_module, "_score", count_scored)
     model = build_tree(d, TreeConfig(pruning=False))
     depth = max(len(conditions) for conditions, _ in tree_module._paths(model.root, d.schema))
     assert model.node_count() > 100
@@ -863,8 +873,8 @@ def test_growth_screens_each_level_once(monkeypatch):
         seen["screens"] += 1
         return real_screen(splits)
 
-    real_screen = Candidates.screen
-    monkeypatch.setattr(Candidates, "screen", count_screen)
+    real_screen = tree_module._screen
+    monkeypatch.setattr(tree_module, "_screen", count_screen)
     model = build_tree(d, TreeConfig(pruning=False))
     depth = max(len(conditions) for conditions, _ in tree_module._paths(model.root, d.schema))
     assert model.node_count() > 100

@@ -1,4 +1,4 @@
-"""The encoded view of a Dataset: one array per column, built once per call.
+"""The encoded view of a Dataset: one array per column, built at most once per call.
 
 This module is the only place that knows the encoding:
 
@@ -11,8 +11,16 @@ Tree growth, rule simplification and K-means read the view.  Every sum
 of weights here is an ``np.cumsum`` or an ``np.bincount``, both of which
 add in array order, so each equals ``dataset.total`` over the same rows
 in the same order, bit for bit.  ``np.sum`` and dot products add pairwise
-and would not.  The view holds floats, which is why ``Dataset`` refuses
-an int that a float cannot hold exactly.
+and would not.  When every weight is 1.0, a mask's weight is its row
+count, which is the same number: a sum of ones below 2**53 is exact.
+The view holds floats, which is why ``Dataset`` refuses an int that a
+float cannot hold exactly.
+
+A cross-validation fold is read through its parent's view (``view_of``):
+the parent is encoded once, on a fold's first call, and the fold's view
+is the parent's with only the fold's rows in play (``all_rows``).  The
+fold's rows keep their order in the parent, so every sum adds the same
+weights in the same order as a view of the fold alone would.
 
 Growth holds one ``Level`` per tree level, from the root's
 (``Columns.root``) down: the rows of its nodes in one array.  Every
@@ -32,6 +40,7 @@ row never loads numpy through it.
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import NamedTuple
 
@@ -53,8 +62,33 @@ def _encode(spec, cells):
     return np.fromiter((math.nan if v is None else v for v in cells), float, len(cells))
 
 
+def view_of(dataset):
+    """The encoded view that growth and rule statistics read for ``dataset``.
+
+    A plain dataset is encoded on its own.  A train fold of
+    ``dataset.stratified_folds`` or ``random_folds`` reads its parent's
+    view, built on first use and kept on the parent, with only the
+    fold's rows in play.
+    """
+    if dataset._fold is None:
+        return Columns(dataset)
+    parent, rows = dataset._fold
+    whole = getattr(parent, "_view", None)
+    if whole is None:
+        whole = Columns(parent)
+        object.__setattr__(parent, "_view", whole)  # Dataset is frozen
+    view = copy.copy(whole)
+    view.all_rows = np.zeros(len(whole.weights), bool)
+    view.all_rows[rows] = True
+    return view
+
+
 class Columns:
-    """One Dataset encoded column by column; ``rows`` arguments index its rows."""
+    """One Dataset encoded column by column; ``rows`` arguments index its rows.
+
+    ``all_rows`` masks the rows in play: every row, unless the view is a
+    fold's (``view_of``).
+    """
 
     def __init__(self, dataset):
         self.schema = dataset.schema
@@ -64,6 +98,7 @@ class Columns:
         self.weights = np.array([inst.weight for inst in dataset.instances], float)
         self.classes = self.columns[dataset.class_index]
         self.n_classes = len(dataset.class_values)
+        self.unit = bool((self.weights == 1.0).all())
         self.all_rows = np.ones(len(dataset), bool)
 
     def missing(self, i):
@@ -86,15 +121,23 @@ class Columns:
 
     def weight(self, mask):
         """Summed weight of the rows in ``mask``, added in row order."""
+        if self.unit:
+            return float(np.count_nonzero(mask))
         return total(self.weights[mask])
 
     def root(self):
-        """The one-node Level of every row at its own weight; ValueError on a missing class."""
-        unlabelled = np.flatnonzero(self.classes < 0)
+        """The one-node Level of the rows in play at their own weights.
+
+        ValueError on a missing class, naming the row by its place among
+        the rows in play.
+        """
+        rows = np.flatnonzero(self.all_rows)
+        unlabelled = np.flatnonzero(self.classes[rows] < 0)
         if len(unlabelled):
             raise ValueError(f"instance {unlabelled[0]} has a missing class value")
-        n, weight = len(self.weights), total(self.weights)
-        return Level(self, np.arange(n), self.weights, np.zeros(n, np.intp), np.array([weight]))
+        weights = self.weights[rows]
+        n = len(rows)
+        return Level(self, rows, weights, np.zeros(n, np.intp), np.array([total(weights)]))
 
 
 class Level:

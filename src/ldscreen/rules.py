@@ -107,12 +107,12 @@ def simplify_rules(ruleset: RuleSet, dataset: Dataset) -> RuleSet:
     ValueError.  Every decision is ucb_error_rate's, most of them taken
     with the screen of ``tree._decide``.
     """
-    from .columns import Columns
+    from .columns import view_of
 
     if (tuple(ruleset.schema), ruleset.class_index) != (dataset.schema, dataset.class_index):
         raise ValueError("the dataset's schema or class differs from the rule set's")
     class_values = ruleset.schema[ruleset.class_index].values
-    view = Columns(dataset)
+    view = view_of(dataset)
     global_majority = class_values[first_max(view.root().class_counts()[0])]
     masks = {}  # Condition -> mask of the rows where it holds, built at first use
 

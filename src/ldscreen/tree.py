@@ -10,8 +10,9 @@ error estimate favors the collapse.  Its bounds come from a pure-Python
 screen of scipy's exact quantile; scipy is loaded only for a comparison
 the screen cannot settle (``_decide``).
 
-Growth reads the encoded view of ``columns``, built once per call.  The
-tree grows level by level from the root's (``columns.Columns.root``):
+Growth reads the encoded view of ``columns`` (``columns.view_of``),
+built at most once per call: a cross-validation fold reads its parent's.
+The tree grows level by level from the root's (``columns.Columns.root``):
 each level is one ``columns.Level``, the row positions and weights of
 its nodes in one array, and the nodes of a level that split are
 partitioned in one pass (``columns.Level.partition``).  Every candidate
@@ -253,7 +254,7 @@ def evaluate_split(dataset, attribute_index, threshold=None):
     threshold for a categorical attribute, and on a numeric one without a
     finite threshold.
     """
-    from .columns import Columns
+    from .columns import view_of
 
     if not 0 <= attribute_index < len(dataset.schema):
         raise ValueError(f"attribute index {attribute_index} out of range")
@@ -265,7 +266,7 @@ def evaluate_split(dataset, attribute_index, threshold=None):
             raise ValueError(f"threshold given for categorical attribute {spec.name}")
     elif not is_finite_number(threshold):
         raise ValueError(f"numeric attribute {spec.name} needs a finite threshold")
-    root = Columns(dataset).root()
+    root = view_of(dataset).root()
     if spec.is_categorical:
         splits = root.nominal({attribute_index: [0]})
     else:
@@ -383,14 +384,14 @@ def build_tree(dataset, config=None):
     may recur with new midpoint thresholds.  With ``config.pruning`` the
     grown tree is pessimistically pruned before being returned.
     """
-    from .columns import Columns
+    from .columns import view_of
 
     config = config or TreeConfig()
     if len(dataset) == 0:
         raise ValueError("cannot build a tree from an empty dataset")
     if not dataset.feature_indices:
         raise ValueError("dataset has no non-class attributes")
-    root = _grow(Columns(dataset).root(), dataset.schema, dataset.class_index, config)
+    root = _grow(view_of(dataset).root(), dataset.schema, dataset.class_index, config)
     model = DecisionTreeModel(dataset.schema, dataset.class_index, root, config)
     if config.pruning:
         model = prune_tree(model)

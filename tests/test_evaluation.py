@@ -5,8 +5,20 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import random_mixed_dataset
 
-from ldscreen.dataset import AttributeSpec, Dataset, Instance, synthetic_checklist
+import ldscreen.columns as columns_module
+from ldscreen.cluster import encode_dataset
+from ldscreen.columns import view_of
+from ldscreen.dataset import (
+    AttributeSpec,
+    Dataset,
+    Instance,
+    impute_missing,
+    random_folds,
+    stratified_folds,
+    synthetic_checklist,
+)
 from ldscreen.evaluation import (
     ClassMetrics,
     ConfusionMatrix,
@@ -21,8 +33,8 @@ from ldscreen.evaluation import (
     rules_learner,
     tree_learner,
 )
-from ldscreen.rules import extract_rules, simplify_rules
-from ldscreen.tree import TreeConfig, build_tree
+from ldscreen.rules import extract_rules, ruleset_to_json, simplify_rules
+from ldscreen.tree import TreeConfig, build_tree, model_to_json
 
 MATRIX_125 = ConfusionMatrix(("N", "Y"), ((79, 15), (13, 18)))
 
@@ -265,6 +277,95 @@ def test_unstratified_still_partitions():
         d, k=3, seed=2, learner=majority_learner(), stratify=False
     )
     assert report.matrix.total == 60
+
+
+def _gappy(seed, n_rows, fractional):
+    """A random dataset with 15 % blanks, at unit or fractional weights."""
+    rng = random.Random(seed)
+    d = random_mixed_dataset(rng, n_rows, 2, 3, missing_rate=0.15)
+    if fractional:
+        d = Dataset(d.schema, d.class_index, [Instance(i.values, rng.uniform(0.05, 3.0)) for i in d.instances])
+    return d
+
+
+def _fresh(d):
+    """A copy of ``d`` that links to no parent and keeps no view."""
+    return Dataset(d.schema, d.class_index, d.instances)
+
+
+def _models(train):
+    """The JSON of the tree and of the simplified rules fitted on ``train``."""
+    model = build_tree(train)
+    return model_to_json(model), ruleset_to_json(simplify_rules(extract_rules(model), train))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.booleans(), st.booleans())
+def test_fitting_a_fold_equals_fitting_a_fresh_dataset(seed, k, fractional, stratify):
+    # a fold reads its parent's view through a row mask; a fresh copy is encoded alone
+    d = _gappy(seed, random.Random(seed).randint(20, 90), fractional)
+    folds = (stratified_folds if stratify else random_folds)(d, k, seed)
+    for train, _ in folds:
+        assert _models(train) == _models(_fresh(train))
+    for learner in (tree_learner, rules_learner):
+        oracle = learner()
+
+        def fit_fresh(train):
+            return oracle(_fresh(train))
+
+        got = cross_validate(d, k, seed, learner(), stratify)
+        assert report_to_json(got) == report_to_json(cross_validate(d, k, seed, fit_fresh, stratify))
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_cross_validation_encodes_once(monkeypatch, k):
+    # encoding each fold again would fail this, with no timing
+    seen = {"views": 0}
+
+    def count_view(view, dataset):
+        seen["views"] += 1
+        real_init(view, dataset)
+
+    real_init = columns_module.Columns.__init__
+    monkeypatch.setattr(columns_module.Columns, "__init__", count_view)
+    for learner in (tree_learner(), rules_learner()):
+        seen["views"] = 0
+        cross_validate(_gappy(k, 200, False), k, 0, learner)
+        assert seen["views"] == 1
+
+
+def test_copies_of_folds_see_only_their_own_rows(monkeypatch):
+    d = _gappy(5, 120, False)
+    train, test = stratified_folds(d, 3, 1)[0]
+    build_tree(train)  # the parent now keeps its view
+    assert view_of(train).root().rows.tolist() != list(range(len(train)))  # rows of the parent
+    assert view_of(test).root().rows.tolist() == list(range(len(test)))
+    # a nested fold reads the first parent's view through its own rows
+    nested_folds = stratified_folds(train, 2, 2)
+    encoded = []
+
+    def record_view(view, dataset):
+        encoded.append(dataset)
+        real_init(view, dataset)
+
+    real_init = columns_module.Columns.__init__
+    monkeypatch.setattr(columns_module.Columns, "__init__", record_view)
+    for nested, nested_test in nested_folds:
+        encoded.clear()
+        assert [*map(len, view_of(nested_test).columns)] == [len(nested_test)] * len(d.schema)
+        assert len(view_of(nested).root().rows) == len(nested)
+        assert encoded == [nested_test]  # and nothing for the nested train fold
+        assert _models(nested) == _models(_fresh(nested))
+    # imputed copies of a fold and of its parent link to neither view
+    imputed = impute_missing(train)
+    assert imputed.instances == impute_missing(_fresh(train)).instances
+    assert view_of(imputed).root().rows.tolist() == list(range(len(train)))
+    assert _models(imputed) == _models(_fresh(imputed))
+    whole = impute_missing(d)
+    for fold, _ in stratified_folds(whole, 3, 1):
+        assert _models(fold) == _models(_fresh(fold))
+        got, fresh = encode_dataset(fold), encode_dataset(_fresh(fold))
+        assert got[0].tobytes() == fresh[0].tobytes() and got[1] == fresh[1]
 
 
 def _unlabelled_at(data, index):

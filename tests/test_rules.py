@@ -4,13 +4,14 @@ import dataclasses
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import best_rule_oracle, weighted_mixed_datasets
 
 from ldscreen.columns import Columns
-from ldscreen.dataset import AttributeSpec, Dataset, Instance, first_max, synthetic_checklist
+from ldscreen.dataset import AttributeSpec, Dataset, Instance, first_max, synthetic_checklist, total
 from ldscreen.rules import (
     Condition,
     Rule,
@@ -257,6 +258,28 @@ def test_view_mask_equals_condition_holds(d):
     for c in conditions:
         mask = view.holds(c.attribute_index, c.relation, c.value)
         assert mask.tolist() == [c.holds(inst.values) for inst in d.instances]
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_mixed_datasets(), st.booleans(), st.data())
+def test_view_weight_is_the_row_order_sum(d, unit, data):
+    # with every weight 1.0 the view counts rows; the count must be the sum
+    if unit:
+        d = Dataset(d.schema, d.class_index, [Instance(inst.values) for inst in d.instances])
+    view = Columns(d)
+    assert view.unit == all(inst.weight == 1.0 for inst in d.instances)
+    for _ in range(3):
+        mask = data.draw(st.lists(st.booleans(), min_size=len(d), max_size=len(d)))
+        expected = total(inst.weight for inst, m in zip(d.instances, mask) if m)
+        assert view.weight(np.array(mask, bool)).hex() == expected.hex()
+
+
+def test_view_weight_with_one_fractional_weight_is_the_ordered_sum():
+    d = random_binary_dataset(random.Random(4), 20, 2)
+    d = Dataset(d.schema, d.class_index, [Instance(d.instances[0].values, 0.5)] + list(d.instances[1:]))
+    view = Columns(d)
+    assert not view.unit
+    assert view.weight(view.all_rows) == 19.5  # a row count would say 20.0
 
 
 def _checklist_variant(d, variant):

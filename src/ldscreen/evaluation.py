@@ -9,10 +9,16 @@ ROC area is the probability that a random instance of the class
 outscores a random non-member under the model's score for that class;
 ties count one half.  Scores come from the tree's leaf distributions or,
 for rule sets, from the matched rule's accuracy.
+
+``cross_validate`` can fit the folds in forked worker processes; the
+pooled predictions, and so the report, are the same as in one process.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
+import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, replace
 
@@ -215,13 +221,25 @@ def majority_learner():
     return fit
 
 
-def cross_validate(dataset, k, seed, learner, stratify=True) -> EvaluationReport:
+def cross_validate(
+    dataset, k, seed, learner, stratify=True, workers=1
+) -> EvaluationReport:
     """k-fold cross-validation with pooled scoring.
 
     Each instance is predicted exactly once, by the model trained on the
     folds it does not belong to; the pooled predictions produce a single
     report.  ROC areas use the pooled per-class scores.
+
+    ``workers`` (an int, at least 1) is the number of processes that fit
+    and predict the folds: this one and up to ``workers - 1`` forked from
+    it, at most one per fold (see ``_fold_predictions``).  The report is
+    the same whatever the count.  What ``learner`` or its predict function
+    changes in a forked worker, such as a list it appends to, stays in
+    that worker, so the default is 1.  Where ``os.fork`` does not exist,
+    every fold runs in this process.
     """
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be an int of at least 1, got {workers!r}")
     folds = (
         stratified_folds(dataset, k, seed)
         if stratify
@@ -231,11 +249,9 @@ def cross_validate(dataset, k, seed, learner, stratify=True) -> EvaluationReport
     actual = []
     predicted = []
     scores = []
-    for train, test in folds:
-        predict = learner(train)
-        for inst in test.instances:
-            label, dist = predict(inst)
-            actual.append(inst.values[dataset.class_index])
+    for fold in _fold_predictions(folds, learner, dataset.class_index, workers):
+        for a, label, dist in fold:
+            actual.append(a)
             predicted.append(label)
             scores.append(dist)
     report = per_class_metrics(confusion(actual, predicted, class_values))
@@ -246,6 +262,113 @@ def cross_validate(dataset, k, seed, learner, stratify=True) -> EvaluationReport
             metrics = replace(metrics, roc_area=area)
         per_class.append((label, metrics))
     return replace(report, per_class=tuple(per_class))
+
+
+def _predict_fold(fold, learner, class_index):
+    """``(actual, label, scores)`` of each held-out row of one (train, test) fold."""
+    train, test = fold
+    predict = learner(train)
+    rows = []
+    for inst in test.instances:
+        label, dist = predict(inst)
+        rows.append((inst.values[class_index], label, dist))
+    return rows
+
+
+def _fold_predictions(folds, learner, class_index, workers):
+    """The ``_predict_fold`` list of every fold, in fold order.
+
+    With p = min(workers, k) > 1 processes, worker w fits folds w, w + p,
+    and so on.  This process is worker 0: it encodes the parent's view
+    once, then forks the others, which inherit that view and numpy.  A
+    forked worker sends its lists down a pipe with ``marshal``, which
+    keeps every float exact, and ends with ``os._exit``, so it never
+    returns into the caller nor flushes the output buffers it inherited.
+    Each worker stops at its first failing fold.  Here a fold that no
+    worker delivered is fitted again, in fold order, so the exception
+    raised is the lowest failing fold's, as with one worker.
+    """
+
+    def run(f):
+        return _predict_fold(folds[f], learner, class_index)
+
+    p = min(workers, len(folds))
+    if p == 1 or not hasattr(os, "fork"):
+        return [run(f) for f in range(len(folds))]
+    import signal  # here, not at module level: most commands never fork
+
+    from .columns import view_of
+
+    view_of(folds[0][0])  # kept on the parent dataset, for every worker
+    pipes, pids = [], []  # one read end per worker; the pids not yet reaped
+    try:
+        for w in range(1, p):
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            with open(write_fd, "wb") as out:
+                pid = _fork()
+                if pid == 0:
+                    _work(out, run, range(w, len(folds), p))
+            pids.append(pid)
+        done, failure = _share(run, range(0, len(folds), p))
+        for pipe in pipes:
+            with pipe:
+                sent = pipe.read()
+            if os.waitpid(pids[0], 0)[1] == 0:
+                done.update(marshal.loads(sent))
+            del pids[0]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    pooled = []
+    for f in range(len(folds)):
+        if f not in done:
+            if failure is not None and failure[0] == f:
+                raise failure[1]
+            done[f] = run(f)  # a forked worker's failing fold fails again here
+        pooled.append(done[f])
+    return pooled
+
+
+def _share(run, folds):
+    """``{f: run(f)}`` over ``folds`` up to the first that raises, and that
+    fold with its exception (None if none raised)."""
+    done = {}
+    for f in folds:
+        try:
+            done[f] = run(f)
+        except Exception as exc:
+            return done, (f, exc)
+    return done, None
+
+
+def _work(out, run, folds):
+    """A forked worker: send the ``_share`` of ``folds`` to ``out``, then exit."""
+    code = 1
+    try:
+        out.write(marshal.dumps(_share(run, folds)[0]))
+        out.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fork():
+    # Python 3.12 and later warn when a process with other threads forks,
+    # since a lock one of them held stays locked in the child.  After
+    # numpy loads, its BLAS keeps such a pool of threads; a worker calls
+    # no BLAS routine, so it takes none of their locks.
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore",
+            r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) "
+            r"may lead to deadlocks in the child\.",
+            DeprecationWarning,
+        )
+        return os.fork()
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from ldscreen.dataset import (
     serialize_csv,
     synthetic_checklist,
 )
-from ldscreen.evaluation import report_from_json
+from ldscreen.evaluation import cross_validate, report_from_json
 from ldscreen.tree import build_tree, model_from_json, model_to_json
 
 ALL_N = ",".join(["N"] * 16)
@@ -99,6 +99,20 @@ def test_tree_deeper_than_the_recursion_limit_exits_1(tmp_path):
     assert result.stderr.startswith("ldscreen: error: ")
     assert "Traceback" not in result.stderr
     assert not (tmp_path / "m.json").exists()
+
+
+def test_fold_deeper_than_the_recursion_limit_exits_1(tmp_path):
+    # With two CPUs each fold fails in its own process.  run_cli reads
+    # stdout and stderr to their end, which a forked worker holds open
+    # until it exits, so a worker left running would time the call out.
+    data = tmp_path / "deep.csv"
+    data.write_text("x,c\n" + "".join(f"{i},{'PQ'[i % 2]}\n" for i in range(2000)))
+    result = run_cli("evaluate", "--folds", "2", "--input", str(data))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("ldscreen: error: ")
+    assert "Traceback" not in result.stderr
 
 
 def test_missing_input_exits_2(tmp_path, capsys):
@@ -275,6 +289,24 @@ def test_evaluate_unstratified_flag(arff_125, capsys):
     code = main(["evaluate", "--input", arff_125, "--no-stratify", "--folds", "5"])
     assert code == 0
     assert "Correctly Classified" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("learner", ["tree", "rules", "majority"])
+def test_evaluate_forks_one_worker_per_usable_cpu(arff_125, monkeypatch, capsys, learner):
+    seen = []
+
+    def record(*args, workers, **kwargs):
+        seen.append(workers)
+        return cross_validate(*args, workers=workers, **kwargs)
+
+    monkeypatch.setattr("ldscreen.cli.cross_validate", record)
+    assert main(["evaluate", "--input", arff_125, "--learner", learner]) == 0
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    # majority fits in microseconds and loads no numpy: one process
+    assert seen == [1 if learner == "majority" else cpus]
 
 
 # --- rules ---------------------------------------------------------------------
@@ -833,6 +865,27 @@ def test_pruning_and_simplification_leave_scipy_unloaded(arff_125):
     src = str(Path(ldscreen.__file__).resolve().parent.parent)
     done = subprocess.run(
         [sys.executable, "-c", BOUND_PROBE, arff_125],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+        timeout=120,
+    )
+    assert json.loads(done.stdout) == [
+        ["train", 0, False],
+        ["evaluate --learner tree", 0, False],
+        ["evaluate --learner rules", 0, False],
+        ["rules --simplify", 0, False],
+    ]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_pruning_and_simplification_leave_scipy_unloaded_on_one_cpu(arff_125):
+    # on one CPU `evaluate` forks no worker, so the probe sees every fold
+    pin = "import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+    src = str(Path(ldscreen.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", pin + BOUND_PROBE, arff_125],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},

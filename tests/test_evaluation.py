@@ -1,6 +1,10 @@
 """Confusion metrics, ROC, cross-validation, and report formats."""
 
+import os
 import random
+import sys
+import threading
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +26,8 @@ from ldscreen.dataset import (
 from ldscreen.evaluation import (
     ClassMetrics,
     ConfusionMatrix,
+    _fold_predictions,
+    _fork,
     confusion,
     cross_validate,
     majority_learner,
@@ -366,6 +372,111 @@ def test_copies_of_folds_see_only_their_own_rows(monkeypatch):
         assert _models(fold) == _models(_fresh(fold))
         got, fresh = encode_dataset(fold), encode_dataset(_fresh(fold))
         assert got[0].tobytes() == fresh[0].tobytes() and got[1] == fresh[1]
+
+
+def _no_child_left():
+    # waitpid reaps a finished child or returns (0, 0) for a running one
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2, 3, 5]),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([2, 3, "k + 1"]),
+)
+def test_forked_folds_give_the_serial_report(seed, k, fractional, stratify, workers):
+    d = _gappy(seed, random.Random(seed).randint(20, 90), fractional)
+    workers = k + 1 if workers == "k + 1" else workers
+    folds = (stratified_folds if stratify else random_folds)(d, k, seed)
+    for learner in (tree_learner(), rules_learner()):
+        # the pooled lists, exact floats and fold order included, and so the report
+        serial = _fold_predictions(folds, learner, d.class_index, 1)
+        assert _fold_predictions(folds, learner, d.class_index, workers) == serial
+        _no_child_left()
+        forked = cross_validate(d, k, seed, learner, stratify, workers=workers)
+        assert report_to_json(forked) == report_to_json(cross_validate(d, k, seed, learner, stratify))
+        _no_child_left()
+
+
+def _failing_learner(d, k, failing):
+    """``tree_learner()`` that raises ValueError on the stratified folds ``failing``."""
+    trains = [train.instances for train, _ in stratified_folds(d, k, 0)]
+    fit = tree_learner()
+
+    def learner(train):
+        f = trains.index(train.instances)
+        if f in failing:
+            raise ValueError(f"fold {f} fails")
+        return fit(train)
+
+    return learner
+
+
+@pytest.mark.parametrize(
+    "failing",
+    [{2}, {3}, {2, 3}, {1, 4}],
+    ids=["this_process", "forked", "this_process_first", "forked_first"],
+)
+def test_a_failing_fold_raises_as_with_one_worker(failing):
+    # 5 folds, 2 workers: this process fits folds 0, 2 and 4, the forked one 1 and 3
+    d = _gappy(7, 60, False)
+    raised = []
+    for workers in (1, 2):
+        with pytest.raises(ValueError) as caught:
+            cross_validate(d, 5, 0, _failing_learner(d, 5, failing), workers=workers)
+        raised.append((type(caught.value), str(caught.value)))
+        _no_child_left()
+    assert raised == [(ValueError, f"fold {min(failing)} fails")] * 2
+
+
+def test_folds_of_a_worker_that_dies_are_fitted_here():
+    d = _gappy(8, 60, False)
+    fit, here = tree_learner(), os.getpid()
+
+    def learner(train):
+        if os.getpid() != here:
+            os._exit(3)  # as if killed: nothing is sent
+        return fit(train)
+
+    forked = cross_validate(d, 5, 0, learner, workers=3)
+    assert report_to_json(forked) == report_to_json(cross_validate(d, 5, 0, fit))
+    _no_child_left()
+
+
+@pytest.mark.parametrize("workers", [0, -1, True, 1.5])
+def test_workers_must_be_an_int_of_at_least_one(workers):
+    with pytest.raises(ValueError, match="workers must be an int of at least 1"):
+        cross_validate(_gappy(1, 30, False), 2, 0, majority_learner(), workers=workers)
+
+
+def _forks_warned(fork):
+    """The warnings that ``fork()`` gives while a second thread runs."""
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pid = fork()
+            if pid == 0:
+                os._exit(0)
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert os.waitpid(pid, 0)[1] == 0
+    return [str(w.message) for w in caught]
+
+
+def test_forking_a_worker_gives_no_thread_warning():
+    # Python 3.12+ warns on os.fork with threads; an "error" filter would not
+    # show it, because CPython clears the error the warning raises
+    assert _forks_warned(_fork) == []
+    if sys.version_info >= (3, 12):
+        assert len(_forks_warned(os.fork)) == 1
 
 
 def _unlabelled_at(data, index):

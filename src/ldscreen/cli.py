@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .dataset import ParseError, finite_float, impute_missing, parse_arff, parse_csv
+from .dataset import ParseError, finite_float, parse_arff, parse_csv
 from .evaluation import (
     cross_validate,
     majority_learner,
@@ -240,24 +240,21 @@ def cmd_rules(args):
 def cmd_cluster(args):
     # imported here, not at module level: cluster loads numpy, which
     # `--help` and `checklist` never need
-    from .cluster import (
-        cluster_model_to_json,
-        cluster_profile_csv,
-        cluster_report_text,
-        kmeans_fit,
-    )
+    from .cluster import cluster_model_to_json, fit_imputed, profile_csv, profile_report_text
 
     _require_at_least(1, "--clusters", args.clusters)
     _require_at_least(1, "--max-iter", args.max_iter)
-    dataset = impute_missing(_load_dataset(args))
-    model = kmeans_fit(
+    # the gaps are filled in the encoded matrix; the report's class counts
+    # read the parsed rows, whose class gaps imputation leaves unfilled
+    dataset = _load_dataset(args)
+    model, profile = fit_imputed(
         dataset, k=args.clusters, seed=args.seed, max_iter=args.max_iter
     )
-    print(cluster_report_text(model, dataset))
+    print(profile_report_text(model, dataset, profile))
     if args.out:
         Path(args.out).write_text(cluster_model_to_json(model) + "\n")
     if args.profile_csv:
-        Path(args.profile_csv).write_text(cluster_profile_csv(model, dataset))
+        Path(args.profile_csv).write_text(profile_csv(model, profile))
     return 0
 
 

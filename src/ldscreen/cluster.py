@@ -8,8 +8,15 @@ never encoded.  Centroids are therefore always means and the within-
 cluster sum of squared errors (WCSS) is well-defined.
 
 Fitting runs Lloyd iterations from k randomly chosen distinct instances
-until assignments stop changing.  Callers must impute gaps first; the
-encoder refuses missing values.
+until assignments stop changing.  ``encode_dataset`` refuses missing
+values, so callers of ``kmeans_fit`` and ``cluster_profile`` impute gaps
+first.  The ``cluster`` command does not: ``fit_imputed`` reads the parsed
+dataset, gaps included, into one encoded view, fills each gap in its
+columns with the value ``impute_missing`` would fill (``gap_fills``) and
+builds the matrix once; the fit and the profile that both reports print
+read that matrix, and no imputed Dataset is built.  The public functions
+wrap the same matrix-level code: one encoder, one Lloyd loop, one
+profile.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import numpy as np
 
 from .columns import Columns
 from .dataset import BINARY, EQ, NUMERIC, Dataset, align_columns, dump_document
-from .dataset import first_max, load_document
+from .dataset import first_max, gap_fills, load_document
 
 CLUSTER_FORMAT = "ldscreen-cluster"
 CLUSTER_VERSION = 1
@@ -57,7 +64,25 @@ def encode_dataset(dataset: Dataset):
 
     A missing value anywhere is an error; run impute_missing first.
     """
+    return _encode(dataset, [None] * len(dataset.schema))
+
+
+def encode_imputed(dataset: Dataset):
+    """``encode_dataset(impute_missing(dataset))`` from one encoded view of ``dataset``.
+
+    Each gap is filled in the view's columns with ``impute_missing``'s
+    fill, and ``impute_missing``'s errors are raised.
+    """
+    return _encode(dataset, gap_fills(dataset))
+
+
+def _encode(dataset, fills):
     view = Columns(dataset)
+    for i, fill in enumerate(fills):
+        if fill is not None:
+            spec = dataset.schema[i]
+            code = spec.values.index(fill) if spec.is_categorical else fill
+            view.columns[i] = np.where(view.missing(i), code, view.columns[i])
     missing = {i: view.missing(i) for i in dataset.feature_indices}
     gaps = [(int(m.argmax()), i) for i, m in missing.items() if m.any()]
     if gaps:
@@ -84,6 +109,20 @@ def encode_dataset(dataset: Dataset):
     for c, column in enumerate(columns):
         rows[:, c] = column
     return rows, tuple(labels)
+
+
+def distinct_rows(rows):
+    """The distinct rows of a 2-d array as ``np.unique(rows, axis=0)`` gives them.
+
+    One stable ``np.lexsort`` orders the rows by their first column, then
+    their second and so on; the first row of each run of equal rows is kept.
+    """
+    if not rows.shape[1]:  # np.lexsort needs a key, and rows without columns are equal
+        return rows[:1]
+    ordered = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(ordered), bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=keep[1:])
+    return ordered[keep]
 
 
 def _assign(rows, centroids):
@@ -140,14 +179,34 @@ def kmeans_fit(dataset, k=2, seed=0, max_iter=100, initial_centroids=None):
         Assignments, centroids, final WCSS, and the per-iteration WCSS
         history (non-increasing).  Deterministic for fixed inputs.
     """
+    _check_fit(len(dataset), k, max_iter)
+    rows, labels = encode_dataset(dataset)
+    return _lloyd(rows, labels, k, seed, max_iter, initial_centroids)
+
+
+def fit_imputed(dataset: Dataset, k=2, seed=0, max_iter=100):
+    """``kmeans_fit`` of ``impute_missing(dataset)`` and that fit's ``cluster_profile``.
+
+    Both read one matrix (``encode_imputed``).  The errors are
+    ``impute_missing``'s, then ``kmeans_fit``'s, in that order.
+    """
+    rows, labels = encode_imputed(dataset)
+    _check_fit(len(rows), k, max_iter)
+    model = _lloyd(rows, labels, k, seed, max_iter)
+    return model, _profile(rows, labels, model)
+
+
+def _check_fit(n, k, max_iter):
     for name, value in (("k", k), ("max_iter", max_iter)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-    if len(dataset) == 0:
+    if n == 0:
         raise ValueError("cannot cluster an empty dataset")
-    rows, labels = encode_dataset(dataset)
+
+
+def _lloyd(rows, labels, k, seed, max_iter, initial_centroids=None):
     if initial_centroids is None:
-        distinct = np.unique(rows, axis=0)
+        distinct = distinct_rows(rows)
         if k > len(distinct):
             raise ValueError(
                 f"k={k} exceeds the {len(distinct)} distinct instances"
@@ -210,15 +269,16 @@ def cluster_profile(model: ClusterModel, dataset: Dataset):
     -------
     list of (label, full_mean, tuple of per-cluster means)
     """
-    rows, labels = encode_dataset(dataset)
+    return _profile(*encode_dataset(dataset), model)
+
+
+def _profile(rows, labels, model):
     assign = np.asarray(model.assignments)
+    members = [assign == j for j in range(model.k)]
     out = []
     for c, label in enumerate(labels):
         col = rows[:, c]
-        per = tuple(
-            float(col[assign == j].mean()) if (assign == j).any() else float("nan")
-            for j in range(model.k)
-        )
+        per = tuple(float(col[m].mean()) if m.any() else float("nan") for m in members)
         out.append((label, float(col.mean()), per))
     return out
 
@@ -252,8 +312,12 @@ def clustered_instances_text(model: ClusterModel, dataset: Dataset) -> str:
 
 def cluster_report_text(model: ClusterModel, dataset: Dataset) -> str:
     """Aligned clustering report: run stats, per-column means, sizes."""
+    return profile_report_text(model, dataset, cluster_profile(model, dataset))
+
+
+def profile_report_text(model: ClusterModel, dataset: Dataset, profile) -> str:
+    """``cluster_report_text`` with ``profile`` as the model's ``cluster_profile``."""
     sizes = model.cluster_sizes()
-    profile = cluster_profile(model, dataset)
     header = ["Attribute", f"Full Data ({len(dataset)})"]
     header += [f"Cluster {j} ({sizes[j]})" for j in range(model.k)]
     rows = [header]
@@ -273,8 +337,13 @@ def cluster_report_text(model: ClusterModel, dataset: Dataset) -> str:
 
 def cluster_profile_csv(model: ClusterModel, dataset: Dataset) -> str:
     """CSV mirror of the profile table (full precision, no alignment)."""
+    return profile_csv(model, cluster_profile(model, dataset))
+
+
+def profile_csv(model: ClusterModel, profile) -> str:
+    """``cluster_profile_csv`` with ``profile`` as the model's ``cluster_profile``."""
     out = ["attribute,full_data," + ",".join(f"cluster_{j}" for j in range(model.k))]
-    for label, full, per in cluster_profile(model, dataset):
+    for label, full, per in profile:
         cells = [label, repr(full)] + [repr(m) for m in per]
         out.append(",".join(cells))
     return "\n".join(out) + "\n"

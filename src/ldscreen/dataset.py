@@ -638,6 +638,20 @@ def impute_missing(dataset):
     ValueError
         If some column is entirely missing (names the column).
     """
+    fills = gap_fills(dataset)
+    if all(f is None for f in fills):
+        return dataset
+    instances = []
+    for inst in dataset.instances:
+        values = tuple(
+            fills[i] if v is None else v for i, v in enumerate(inst.values)
+        )
+        instances.append(Instance(values, inst.weight))
+    return dataset._with_checked(instances)
+
+
+def gap_fills(dataset):
+    """``impute_missing``'s fill for each attribute (None where it fills none) or its ValueError."""
     fills = []
     for i, spec in enumerate(dataset.schema):
         column = dataset.column(i)
@@ -652,19 +666,11 @@ def impute_missing(dataset):
             fills.append(spec.values[first_max([counts[v] for v in spec.values])])
         else:
             fills.append(total(known) / len(known))
-    if all(f is None for f in fills):
-        return dataset
     try:
         _check_instance(dataset.schema, fills)  # a mean can overflow to inf
     except ValueError as exc:
         raise ValueError(f"imputation failed: {exc}") from None
-    instances = []
-    for inst in dataset.instances:
-        values = tuple(
-            fills[i] if v is None else v for i, v in enumerate(inst.values)
-        )
-        instances.append(Instance(values, inst.weight))
-    return dataset._with_checked(instances)
+    return fills
 
 
 # ---------------------------------------------------------------------------

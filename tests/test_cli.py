@@ -14,10 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ldscreen
+import ldscreen.cli as cli_module
+import ldscreen.columns as columns_module
+import ldscreen.dataset as dataset_module
 from ldscreen.cli import main
 from ldscreen.cluster import cluster_model_from_json
 from ldscreen.dataset import (
     ParseError,
+    impute_missing,
     parse_arff,
     parse_csv,
     serialize_arff,
@@ -407,6 +411,85 @@ def test_cluster_too_many_clusters_exits_1(arff_125, capsys):
     assert code == 1
     assert captured.out == ""
     assert "error" in captured.err
+
+
+@pytest.fixture(scope="module")
+def arff_4k_gappy(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cohort") / "gappy_4k.arff"
+    path.write_text(
+        serialize_arff(synthetic_checklist(3000, 1000, seed=1, missing_rate=0.1))
+    )
+    return str(path)
+
+
+def _cluster_diagnostic(argv, capsys):
+    code = main(["cluster"] + argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert len(captured.err.splitlines()) == 1
+    return captured.err
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        (
+            "blank.arff",
+            "@relation r\n@attribute a {N,Y}\n@attribute b {N,Y}\n@attribute c {P,Q}\n"
+            "@data\nN,?,P\nY,?,Q\n?,?,P\n",
+            "attribute b is entirely missing",
+        ),
+        (
+            "empty.arff",
+            "@relation r\n@attribute a {N,Y}\n@attribute c {P,Q}\n@data\n",
+            "cannot cluster an empty dataset",
+        ),
+        (
+            "overflow.csv",
+            "a,c\n1e308,P\n1e308,Q\n,P\n",
+            "imputation failed: inf in numeric attribute a is not a finite number",
+        ),
+    ],
+)
+def test_cluster_refusals_exit_1_with_one_line(tmp_path, name, text, message, capsys):
+    path = tmp_path / name
+    path.write_text(text)
+    err = _cluster_diagnostic(["--input", str(path)], capsys)
+    assert err == f"ldscreen: error: {message}\n"
+
+
+def test_cluster_more_clusters_than_distinct_rows_exits_1(arff_4k_gappy, capsys):
+    imputed = impute_missing(parse_arff(Path(arff_4k_gappy).read_text()))
+    assert len({inst.values[:-1] for inst in imputed.instances}) == 2017
+    err = _cluster_diagnostic(["--input", arff_4k_gappy, "--clusters", "5000"], capsys)
+    assert err == "ldscreen: error: k=5000 exceeds the 2017 distinct instances\n"
+
+
+def test_cluster_encodes_once_and_builds_no_imputed_copy(arff_4k_gappy, tmp_path, monkeypatch, capsys):
+    # an imputed copy, or an encode per report, would fail this, with no timing
+    seen = {"views": 0, "datasets": 0}
+
+    def count_view(view, dataset):
+        seen["views"] += 1
+        real_init(view, dataset)
+
+    def count_dataset(dataset, *args):
+        seen["datasets"] += 1
+        return real_with_checked(dataset, *args)
+
+    def refuse(dataset):
+        raise AssertionError("cluster called impute_missing")
+
+    real_init = columns_module.Columns.__init__
+    real_with_checked = dataset_module.Dataset._with_checked
+    monkeypatch.setattr(columns_module.Columns, "__init__", count_view)
+    monkeypatch.setattr(dataset_module.Dataset, "_with_checked", count_dataset)
+    for module in (dataset_module, cli_module):
+        monkeypatch.setattr(module, "impute_missing", refuse, raising=False)
+    argv = ["--out", str(tmp_path / "c.json"), "--profile-csv", str(tmp_path / "p.csv")]
+    assert main(["cluster", "--input", arff_4k_gappy] + argv) == 0
+    assert "Clustered Instances" in capsys.readouterr().out
+    assert seen == {"views": 1, "datasets": 1}  # the parsed dataset's
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ldscreen.cluster import (
     ClusterModel,
@@ -14,10 +16,15 @@ from ldscreen.cluster import (
     cluster_profile_csv,
     cluster_report_text,
     clustered_instances_text,
+    distinct_rows,
     encode_dataset,
+    encode_imputed,
+    fit_imputed,
     kmeans_fit,
     map_clusters_to_classes,
     percentage,
+    profile_csv,
+    profile_report_text,
 )
 from ldscreen.dataset import (
     AttributeSpec,
@@ -104,6 +111,140 @@ def test_missing_value_refused():
     d = synthetic_checklist(10, 5, seed=1, missing_rate=0.5)
     with pytest.raises(ValueError, match="impute"):
         encode_dataset(d)
+
+
+# --- the imputed matrix of one encoded view -----------------------------------
+
+#: negative numbers, both zeros and repeats, so that means and modes can tie
+NUMBERS = st.sampled_from((-0.0, 0.0, -1.5, 2.0)) | st.floats(-1e6, 1e6)
+
+
+@st.composite
+def gappy_datasets(draw, numbers=NUMBERS):
+    """Rows over binary, nominal (3 or 4 values) and numeric columns and a class.
+
+    Each column, the class included, has gaps or none at random.
+    """
+    kinds = draw(st.lists(st.sampled_from(("binary", "nominal", "numeric")), min_size=1, max_size=4))
+    schema = [
+        AttributeSpec.numeric(f"x{i}")
+        if kind == "numeric"
+        else AttributeSpec.categorical(f"s{i}", "ABCD"[: 2 if kind == "binary" else draw(st.integers(3, 4))])
+        for i, kind in enumerate(kinds)
+    ]
+    class_at = draw(st.integers(0, len(schema)))
+    schema.insert(class_at, AttributeSpec.categorical("cls", ("P", "Q")))
+    cells = []
+    for spec in schema:
+        value = st.sampled_from(spec.values) if spec.is_categorical else numbers
+        cells.append(st.none() | value if draw(st.booleans()) else value)
+    rows = draw(st.lists(st.tuples(*cells), max_size=8))
+    return Dataset(tuple(schema), class_at, tuple(Instance(r) for r in rows))
+
+
+#: tied modes (N and Y, B and C), a -0.0 in a mean, a gapless column, a class gap
+TIED = Dataset(
+    (
+        AttributeSpec.categorical("b", ("N", "Y")),
+        AttributeSpec.categorical("n", ("A", "B", "C")),
+        AttributeSpec.numeric("x"),
+        AttributeSpec.numeric("g"),
+        AttributeSpec.categorical("cls", ("P", "Q")),
+    ),
+    4,
+    (
+        Instance(("Y", "B", -0.0, 1.0, "P")),
+        Instance(("N", "C", -2.5, -0.0, None)),
+        Instance((None, None, None, 2.0, "Q")),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example(TIED)
+@given(gappy_datasets(NUMBERS | st.floats(allow_nan=False, allow_infinity=False)))  # a mean can overflow
+def test_imputed_matrix_is_the_encoded_imputed_dataset(d):
+    try:
+        imputed = impute_missing(d)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            encode_imputed(d)
+        assert str(err.value) == str(exc)
+        return
+    want, want_labels = encode_dataset(imputed)
+    rows, labels = encode_imputed(d)
+    assert labels == want_labels
+    assert (rows.shape, rows.dtype) == (want.shape, want.dtype)
+    assert rows.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@example(TIED, 2, 0)
+@given(gappy_datasets(), st.integers(1, 3), st.integers(0, 3))
+def test_fit_imputed_is_kmeans_fit_of_the_imputed_dataset(d, k, seed):
+    try:
+        imputed = impute_missing(d)
+        want = kmeans_fit(imputed, k=k, seed=seed)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            fit_imputed(d, k=k, seed=seed)
+        assert str(err.value) == str(exc)
+        return
+    model, profile = fit_imputed(d, k=k, seed=seed)
+    assert cluster_model_to_json(model) == cluster_model_to_json(want)
+    # the reports read the class of d itself, whose gaps imputation leaves
+    assert profile_report_text(model, d, profile) == cluster_report_text(want, imputed)
+    assert profile_csv(model, profile) == cluster_profile_csv(want, imputed)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([(None, None, "P"), (1.0, None, "Q")], "attribute b is entirely missing"),
+        (
+            [(1e308, "N", "P"), (1e308, "Y", "Q"), (None, "N", "P")],
+            "imputation failed: inf in numeric attribute x is not a finite number",
+        ),
+        # every attribute's blanks are refused before any fill is checked
+        ([(1e308, None, "P"), (1e308, None, "Q"), (None, None, "P")], "attribute b is entirely missing"),
+    ],
+)
+def test_imputed_encoding_raises_what_impute_missing_raises(rows, message):
+    schema = (
+        AttributeSpec.numeric("x"),
+        AttributeSpec.categorical("b", ("N", "Y")),
+        AttributeSpec.categorical("cls", ("P", "Q")),
+    )
+    d = Dataset(schema, 2, tuple(Instance(r) for r in rows))
+    for refuses in (impute_missing, encode_imputed, fit_imputed):
+        with pytest.raises(ValueError) as err:
+            refuses(d)
+        assert str(err.value) == message
+
+
+@st.composite
+def matrices_with_repeats(draw):
+    """Rows drawn with repeats from a few, over negative numbers and both zeros."""
+    width = draw(st.integers(1, 4))
+    value = st.sampled_from((-2.0, -1.0, -0.0, 0.0, 0.5)) | st.floats(-1e6, 1e6)
+    pool = draw(st.lists(st.lists(value, min_size=width, max_size=width), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=20))
+    return np.array([pool[p] for p in picks], float).reshape(len(picks), width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices_with_repeats())
+def test_distinct_rows_are_np_uniques(rows):
+    want = np.unique(rows, axis=0)
+    got = distinct_rows(rows)
+    assert got.shape == want.shape
+    assert (got == want).all()
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_distinct_rows_without_columns(n):
+    rows = np.zeros((n, 0))
+    assert distinct_rows(rows).shape == np.unique(rows, axis=0).shape
 
 
 # --- kmeans_fit --------------------------------------------------------------

@@ -11,12 +11,12 @@ Fitting runs Lloyd iterations from k randomly chosen distinct instances
 until assignments stop changing.  ``encode_dataset`` refuses missing
 values, so callers of ``kmeans_fit`` and ``cluster_profile`` impute gaps
 first.  The ``cluster`` command does not: ``fit_imputed`` reads the parsed
-dataset, gaps included, into one encoded view, fills each gap in its
-columns with the value ``impute_missing`` would fill (``gap_fills``) and
-builds the matrix once; the fit and the profile that both reports print
-read that matrix, and no imputed Dataset is built.  The public functions
-wrap the same matrix-level code: one encoder, one Lloyd loop, one
-profile.
+dataset, gaps included, into one encoded view and builds the matrix
+once, each gap filled in the matrix, not in the view, with the value
+``impute_missing`` would fill (``gap_fills``); the fit and the profile
+that both reports print read that matrix, and no imputed Dataset is
+built.  The public functions wrap the same matrix-level code: one
+encoder, one Lloyd loop, one profile.
 """
 
 from __future__ import annotations
@@ -70,41 +70,42 @@ def encode_dataset(dataset: Dataset):
 def encode_imputed(dataset: Dataset):
     """``encode_dataset(impute_missing(dataset))`` from one encoded view of ``dataset``.
 
-    Each gap is filled in the view's columns with ``impute_missing``'s
-    fill, and ``impute_missing``'s errors are raised.
+    Each gap is filled in the matrix with ``impute_missing``'s fill, and
+    ``impute_missing``'s errors are raised.
     """
     return _encode(dataset, gap_fills(dataset))
 
 
 def _encode(dataset, fills):
     view = Columns(dataset)
-    for i, fill in enumerate(fills):
-        if fill is not None:
-            spec = dataset.schema[i]
-            code = spec.values.index(fill) if spec.is_categorical else fill
-            view.columns[i] = np.where(view.missing(i), code, view.columns[i])
     missing = {i: view.missing(i) for i in dataset.feature_indices}
-    gaps = [(int(m.argmax()), i) for i, m in missing.items() if m.any()]
+    gaps = [(int(m.argmax()), i) for i, m in missing.items() if fills[i] is None and m.any()]
     if gaps:
         r, i = min(gaps)  # the first gap in row order
         raise ValueError(
             f"instance {r} has a missing value in attribute "
             f"{dataset.schema[i].name}; impute before clustering"
         )
+
+    def indicator(i, v):  # every test fails at a gap; its fill's indicator is set
+        holds = view.holds(i, EQ, v)
+        return holds | missing[i] if v == fills[i] else holds
+
     columns = []
     labels = []
     for i in dataset.feature_indices:
         spec = dataset.schema[i]
         if spec.kind == NUMERIC:
             labels.append(spec.name)
-            columns.append(view.columns[i])
+            column = view.columns[i]
+            columns.append(column if fills[i] is None else np.where(missing[i], fills[i], column))
         elif spec.kind == BINARY:
             labels.append(spec.name)
-            columns.append(view.holds(i, EQ, spec.values[1]))
+            columns.append(indicator(i, spec.values[1]))
         else:
             for v in spec.values:
                 labels.append(f"{spec.name}={v}")
-                columns.append(view.holds(i, EQ, v))
+                columns.append(indicator(i, v))
     rows = np.empty((len(dataset), len(columns)))
     for c, column in enumerate(columns):
         rows[:, c] = column

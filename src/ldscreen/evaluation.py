@@ -10,8 +10,9 @@ outscores a random non-member under the model's score for that class;
 ties count one half.  Scores come from the tree's leaf distributions or,
 for rule sets, from the matched rule's accuracy.
 
-``cross_validate`` can fit the folds in forked worker processes; the
-pooled predictions, and so the report, are the same as in one process.
+``cross_validate`` can fit the folds in forked worker processes and fits
+here any fold that no worker sent, so the pooled predictions, and so the
+report, are the same as in one process.
 """
 
 from __future__ import annotations
@@ -236,7 +237,8 @@ def cross_validate(
     the same whatever the count.  What ``learner`` or its predict function
     changes in a forked worker, such as a list it appends to, stays in
     that worker, so the default is 1.  Where ``os.fork`` does not exist,
-    every fold runs in this process.
+    every fold runs in this process, and where a pipe or a fork is
+    refused, the folds of the workers not forked do.
     """
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be an int of at least 1, got {workers!r}")
@@ -278,82 +280,75 @@ def _predict_fold(fold, learner, class_index):
 def _fold_predictions(folds, learner, class_index, workers):
     """The ``_predict_fold`` list of every fold, in fold order.
 
-    With p = min(workers, k) > 1 processes, worker w fits folds w, w + p,
-    and so on.  This process is worker 0: it encodes the parent's view
-    once, then forks the others, which inherit that view and numpy.  A
-    forked worker sends its lists down a pipe with ``marshal``, which
-    keeps every float exact, and ends with ``os._exit``, so it never
-    returns into the caller nor flushes the output buffers it inherited.
-    Each worker stops at its first failing fold.  Here a fold that no
-    worker delivered is fitted again, in fold order, so the exception
-    raised is the lowest failing fold's, as with one worker.
+    With p = min(workers, k) processes, worker w fits folds w, w + p, and
+    so on.  This process is worker 0: it encodes the parent's view once,
+    then forks the others, which inherit that view and numpy.  One loop
+    then takes the folds in order: the next frame (``_work``) from the
+    fold's worker, or a fit here if the fold is this process's or its
+    worker sent no more.  So the exception raised is the lowest failing
+    fold's, as with one worker, and the folds of a worker that died, or
+    was never forked because a pipe or a fork was refused, are fitted here.
     """
 
     def run(f):
         return _predict_fold(folds[f], learner, class_index)
 
-    p = min(workers, len(folds))
-    if p == 1 or not hasattr(os, "fork"):
-        return [run(f) for f in range(len(folds))]
-    import signal  # here, not at module level: most commands never fork
+    p = min(workers, len(folds)) if hasattr(os, "fork") else 1
+    if p > 1:
+        import signal  # here, not at module level: most commands never fork
 
-    from .columns import view_of
+        from .columns import view_of
 
-    view_of(folds[0][0])  # kept on the parent dataset, for every worker
-    pipes, pids = [], []  # one read end per worker; the pids not yet reaped
+        view_of(folds[0][0])  # kept on the parent dataset, for every worker
+    pipes, pids = [], []  # pipes[w - 1] is the read end from worker w
     try:
         for w in range(1, p):
-            read_fd, write_fd = os.pipe()
-            pipes.append(open(read_fd, "rb"))
-            with open(write_fd, "wb") as out:
-                pid = _fork()
-                if pid == 0:
-                    _work(out, run, range(w, len(folds), p))
+            try:
+                read_fd, write_fd = os.pipe()
+                pipes.append(open(read_fd, "rb"))
+                with open(write_fd, "wb") as out:
+                    pid = _fork()
+                    if pid == 0:
+                        _work(out, run, range(w, len(folds), p))
+            except OSError:
+                break  # a refused pipe or fork: the rest are fitted here
             pids.append(pid)
-        done, failure = _share(run, range(0, len(folds), p))
-        for pipe in pipes:
-            with pipe:
-                sent = pipe.read()
-            if os.waitpid(pids[0], 0)[1] == 0:
-                done.update(marshal.loads(sent))
-            del pids[0]
+        pooled = []
+        for f in range(len(folds)):
+            sent = _receive(pipes[f % p - 1]) if 0 < f % p <= len(pipes) else None
+            pooled.append(run(f) if sent is None else sent)
+        return pooled
     finally:
         for pipe in pipes:
             pipe.close()
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    pooled = []
-    for f in range(len(folds)):
-        if f not in done:
-            if failure is not None and failure[0] == f:
-                raise failure[1]
-            done[f] = run(f)  # a forked worker's failing fold fails again here
-        pooled.append(done[f])
-    return pooled
-
-
-def _share(run, folds):
-    """``{f: run(f)}`` over ``folds`` up to the first that raises, and that
-    fold with its exception (None if none raised)."""
-    done = {}
-    for f in folds:
-        try:
-            done[f] = run(f)
-        except Exception as exc:
-            return done, (f, exc)
-    return done, None
 
 
 def _work(out, run, folds):
-    """A forked worker: send the ``_share`` of ``folds`` to ``out``, then exit."""
-    code = 1
+    """A forked worker: send a frame for each of ``folds`` up to the first that fails.
+
+    A frame is the 8-byte length of the fold's list in ``marshal``, which
+    keeps every float exact, then those bytes.  The worker ends with
+    ``os._exit``, so it never returns into the caller nor flushes the
+    output buffers it inherited.
+    """
     try:
-        out.write(marshal.dumps(_share(run, folds)[0]))
-        out.flush()
-        code = 0
+        for f in folds:
+            sent = marshal.dumps(run(f))
+            out.write(len(sent).to_bytes(8, "little") + sent)
+            out.flush()
     finally:
-        os._exit(code)
+        os._exit(0)
+
+
+def _receive(pipe):
+    """The list in the next frame on ``pipe``, or None if its worker sent no more."""
+    head = pipe.read(8)
+    size = int.from_bytes(head, "little")
+    sent = pipe.read(size) if len(head) == 8 else b""
+    return marshal.loads(sent) if sent and len(sent) == size else None
 
 
 def _fork():

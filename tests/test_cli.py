@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -311,6 +312,22 @@ def test_evaluate_forks_one_worker_per_usable_cpu(arff_125, monkeypatch, capsys,
         cpus = os.cpu_count() or 1
     # majority fits in microseconds and loads no numpy: one process
     assert seen == [1 if learner == "majority" else cpus]
+
+
+@pytest.mark.parametrize("learner", ["tree", "rules"])
+def test_evaluate_with_a_refused_fork_prints_the_one_cpu_report(arff_125, monkeypatch, capsys, learner):
+    argv = ["evaluate", "--input", arff_125, "--learner", learner, "--folds", "5"]
+    monkeypatch.setattr(cli_module, "_cpus", lambda: 1)
+    assert main(argv) == 0
+    one_cpu = capsys.readouterr()
+
+    def refuse():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(cli_module, "_cpus", lambda: 2)
+    monkeypatch.setattr("ldscreen.evaluation._fork", refuse)
+    assert main(argv) == 0
+    assert capsys.readouterr() == one_cpu
 
 
 # --- rules ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Confusion metrics, ROC, cross-validation, and report formats."""
 
+import errno
 import os
 import random
 import sys
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import random_mixed_dataset
 
 import ldscreen.columns as columns_module
+import ldscreen.evaluation as evaluation_module
 from ldscreen.cluster import encode_dataset
 from ldscreen.columns import view_of
 from ldscreen.dataset import (
@@ -444,6 +446,62 @@ def test_folds_of_a_worker_that_dies_are_fitted_here():
 
     forked = cross_validate(d, 5, 0, learner, workers=3)
     assert report_to_json(forked) == report_to_json(cross_validate(d, 5, 0, fit))
+    _no_child_left()
+
+
+def test_folds_a_worker_sent_are_not_fitted_here():
+    # 5 folds, 2 workers: this process fits folds 0, 2 and 4 and takes 1 and 3 as sent
+    d = _gappy(9, 60, False)
+    trains = [train.instances for train, _ in stratified_folds(d, 5, 0)]
+    fit, here, fitted = tree_learner(), os.getpid(), []
+
+    def learner(train):
+        if os.getpid() == here:
+            fitted.append(trains.index(train.instances))
+        return fit(train)
+
+    forked = cross_validate(d, 5, 0, learner, workers=2)
+    assert fitted == [0, 2, 4]
+    assert report_to_json(forked) == report_to_json(cross_validate(d, 5, 0, fit))
+    _no_child_left()
+
+
+def test_folds_of_a_worker_that_dies_after_sending_one_are_fitted_here():
+    # 5 folds, 2 workers: the forked one sends fold 1, then dies fitting fold 3
+    d = _gappy(10, 60, False)
+    trains = [train.instances for train, _ in stratified_folds(d, 5, 0)]
+    fit, here, fitted = tree_learner(), os.getpid(), []
+
+    def learner(train):
+        fitted.append(trains.index(train.instances))  # a worker appends to its own copy
+        if os.getpid() != here and len(fitted) == 2:
+            os._exit(3)
+        return fit(train)
+
+    forked = cross_validate(d, 5, 0, learner, workers=2)
+    assert fitted == [0, 2, 3, 4]
+    assert report_to_json(forked) == report_to_json(cross_validate(d, 5, 0, fit))
+    _no_child_left()
+
+
+@pytest.mark.parametrize("refused", ["pipe", "fork", "second_fork"])
+def test_a_refused_fork_leaves_the_folds_to_this_process(monkeypatch, refused):
+    d = _gappy(11, 60, False)
+    serial = report_to_json(cross_validate(d, 5, 0, tree_learner()))
+    forks = []
+
+    def refuse():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    def fork_once():
+        forks.append(1)
+        return refuse() if len(forks) > 1 else _fork()
+
+    if refused == "pipe":
+        monkeypatch.setattr(os, "pipe", refuse)
+    else:
+        monkeypatch.setattr(evaluation_module, "_fork", fork_once if refused == "second_fork" else refuse)
+    assert report_to_json(cross_validate(d, 5, 0, tree_learner(), workers=3)) == serial
     _no_child_left()
 
 

@@ -17,10 +17,11 @@ The view holds floats, which is why ``Dataset`` refuses an int that a
 float cannot hold exactly.
 
 A cross-validation fold is read through its parent's view (``view_of``):
-the parent is encoded once, on a fold's first call, and the fold's view
-is the parent's with only the fold's rows in play (``all_rows``).  The
-fold's rows keep their order in the parent, so every sum adds the same
-weights in the same order as a view of the fold alone would.
+the parent is encoded once per deal of folds, on a fold's first call, and
+the view is kept with that deal's folds, not on the parent.  The fold's
+view is the parent's with only the fold's rows in play (``all_rows``).
+The fold's rows keep their order in the parent, so every sum adds the
+same weights in the same order as a view of the fold alone would.
 
 Growth holds one ``Level`` per tree level, from the root's
 (``Columns.root``) down: the rows of its nodes in one array.  Every
@@ -67,18 +68,17 @@ def view_of(dataset):
 
     A plain dataset is encoded on its own.  A train fold of
     ``dataset.stratified_folds`` or ``random_folds`` reads its parent's
-    view, built on first use and kept on the parent, with only the
-    fold's rows in play.
+    view with only the fold's rows in play.  The view is built on first
+    use and kept in the list the folds of one deal share, in place of
+    the parent (see ``dataset._deal_folds``).
     """
     if dataset._fold is None:
         return Columns(dataset)
-    parent, rows = dataset._fold
-    whole = getattr(parent, "_view", None)
-    if whole is None:
-        whole = Columns(parent)
-        object.__setattr__(parent, "_view", whole)  # Dataset is frozen
-    view = copy.copy(whole)
-    view.all_rows = np.zeros(len(whole.weights), bool)
+    deal, rows = dataset._fold
+    if not isinstance(deal[0], Columns):
+        deal[0] = Columns(deal[0])
+    view = copy.copy(deal[0])
+    view.all_rows = np.zeros(len(view.weights), bool)
     view.all_rows[rows] = True
     return view
 

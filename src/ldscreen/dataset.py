@@ -5,9 +5,7 @@ instances whose values are aligned to the schema order.  Missing values are
 represented in memory by ``None``; the on-disk token is ``'?'`` (ARFF and
 CSV) or an empty CSV cell.  Datasets are immutable after construction and
 every operation here is a pure function of its inputs (plus a seed), so
-they are safe to share across threads.  A dataset that train folds were
-dealt from keeps the encoded view they read (``columns.view_of``): a
-cache of its own rows, which changes no result.
+they are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -239,7 +237,7 @@ class Dataset:
     class_index: int
     instances: tuple = ()
     name: str = "dataset"
-    _fold = None  # (parent, rows) of a train fold, not a field: see _with_checked
+    _fold = None  # (deal, rows) of a train fold, not a field: see _with_checked
 
     def __post_init__(self):
         object.__setattr__(self, "schema", tuple(self.schema))
@@ -280,15 +278,13 @@ class Dataset:
     def _with_checked(self, instances, fold=None):
         """This dataset over ``instances`` that were checked against its schema.
 
-        ``fold`` is ``(parent, rows)`` for a train fold: the Dataset whose
-        rows ``instances`` are, and their ascending positions in it.
-        ``columns.view_of`` reads the fold through the parent's view,
-        which it keeps on the parent as ``_view``.  The copy takes
-        neither this dataset's link nor its view.
+        ``fold`` is ``(deal, rows)`` for a train fold: ``deal`` is the list
+        that every train fold of one deal shares (see ``_deal_folds``), and
+        ``rows`` are the ascending positions of ``instances`` in the Dataset
+        the deal started from.  The copy does not take this dataset's link.
         """
         dataset = copy.copy(self)
         object.__setattr__(dataset, "instances", tuple(instances))
-        vars(dataset).pop("_view", None)
         object.__setattr__(dataset, "_fold", fold)
         return dataset
 
@@ -710,8 +706,10 @@ def _deal_folds(dataset, k, seed, groups):
     """Shuffle each group of row indices in turn, then deal them round-robin.
 
     The deal runs on across groups, so no fold is starved when k is near n.
-    Each train fold links to the Dataset it was dealt from, or to that
-    one's own parent if it is a fold itself, with its row positions there.
+    Each train fold links to one list, ``[parent]``, with its row positions
+    in ``parent``: the Dataset dealt from, or the one its own deal started
+    from if it is a train fold itself, whose list its folds then share.
+    ``columns.view_of`` puts the parent's view in its place there.
     """
     rng = random.Random(seed)
     for indices in groups:
@@ -720,11 +718,11 @@ def _deal_folds(dataset, k, seed, groups):
     for cursor, idx in enumerate(chain.from_iterable(groups)):
         fold_of[idx] = cursor % k
     # one list, so that the folds' row lists share its int objects
-    parent, rows = dataset._fold or (dataset, list(range(len(dataset))))
+    deal, rows = dataset._fold or ([dataset], list(range(len(dataset))))
     folds = []
     for f in range(k):
         test = [inst for inst, g in zip(dataset.instances, fold_of) if g == f]
         train = [inst for inst, g in zip(dataset.instances, fold_of) if g != f]
         train_rows = [row for row, g in zip(rows, fold_of) if g != f]
-        folds.append((dataset._with_checked(train, (parent, train_rows)), dataset._with_checked(test)))
+        folds.append((dataset._with_checked(train, (deal, train_rows)), dataset._with_checked(test)))
     return folds

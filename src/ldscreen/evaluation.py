@@ -299,7 +299,7 @@ def _fold_predictions(folds, learner, class_index, workers):
 
         from .columns import view_of
 
-        view_of(folds[0][0])  # kept on the parent dataset, for every worker
+        view_of(folds[0][0])  # kept with the deal's folds, for every worker
     pipes, pids = [], []  # pipes[w - 1] is the read end from worker w
     try:
         for w in range(1, p):

@@ -60,27 +60,23 @@ def extract_rules(model: DecisionTreeModel) -> RuleSet:
     not depend on it except as a final tie-break.
     """
     default = model.class_values[first_max(model.root.class_counts)]
-    return RuleSet(model.schema, model.class_index, tuple(_leaf_rules(model)), default)
+    rules = []
+    for conditions, node in _paths(model.root, model.schema):
+        if isinstance(node, Leaf):
+            i = node.predicted_index
+            accuracy = node.class_counts[i] / total(node.class_counts)
+            rules.append(Rule(conditions, model.class_values[i], node.weight, accuracy))
+    return RuleSet(model.schema, model.class_index, tuple(rules), default)
 
 
 def reached_rule(model: DecisionTreeModel, instance) -> Rule | None:
     """The rule of the leaf ``instance`` reaches; None if a tested value is missing.
 
-    Walks only the branches whose test holds.  A tree's rules partition the
-    rows they match, so this is ``best_rule(extract_rules(model), instance)``.
-    Raises ValueError if the instance does not fit the schema (see Dataset).
+    A tree's rules partition the rows they match, so this is the best rule
+    of the tree's rule set.  Raises ValueError if the instance does not
+    fit the schema (see Dataset).
     """
-    values = _check_instance(model.schema, instance)
-    return next(_leaf_rules(model, lambda cond: cond.holds(values)), None)
-
-
-def _leaf_rules(model, passes=None):
-    """The rule of each leaf the walk of ``_paths`` reaches, in its order."""
-    for conditions, node in _paths(model.root, model.schema, passes):
-        if isinstance(node, Leaf):
-            i = node.predicted_index
-            accuracy = node.class_counts[i] / total(node.class_counts)
-            yield Rule(conditions, model.class_values[i], node.weight, accuracy)
+    return best_rule(extract_rules(model), instance)
 
 
 #: Confidence factor of the pessimistic accuracy estimate in simplify_rules;

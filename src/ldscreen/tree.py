@@ -191,18 +191,16 @@ class DecisionTreeModel:
         return sum(isinstance(node, Leaf) for _, node in _paths(self.root, self.schema))
 
 
-def _paths(node, schema, passes=None, conditions=()):
+def _paths(node, schema, conditions=()):
     """``(conditions, node)`` for ``node`` and each node below, depth first.
 
-    ``conditions`` adds the ``branch_conditions`` taken to the prefix given;
-    only branches whose Condition ``passes`` accepts (all if None) are entered.
+    ``conditions`` adds the ``branch_conditions`` taken to the prefix given.
     """
     yield conditions, node
     if isinstance(node, Decision):
         tests = branch_conditions(schema, node.attribute_index, node.threshold)
         for cond, child in zip(tests, node.children):
-            if passes is None or passes(cond):
-                yield from _paths(child, schema, passes, conditions + (cond,))
+            yield from _paths(child, schema, conditions + (cond,))
 
 
 # ---------------------------------------------------------------------------

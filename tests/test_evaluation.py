@@ -342,6 +342,17 @@ def test_cross_validation_encodes_once(monkeypatch, k):
         assert seen["views"] == 1
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cross_validation_leaves_its_dataset_as_it_found_it(workers):
+    # a view kept on the dataset the folds were dealt from would fail this
+    d = _gappy(3, 200, False)
+    before = dict(vars(d))
+    cross_validate(d, 5, 0, tree_learner(), workers=workers)
+    assert vars(d) == before
+    build_tree(stratified_folds(d, 5, 0)[0][0])
+    assert vars(d) == before
+
+
 def test_copies_of_folds_see_only_their_own_rows(monkeypatch):
     d = _gappy(5, 120, False)
     train, test = stratified_folds(d, 3, 1)[0]

@@ -16,13 +16,15 @@ once, each gap filled in the matrix, not in the view, with the value
 ``impute_missing`` would fill (``gap_fills``); the fit and the profile
 that both reports print read that matrix, and no imputed Dataset is
 built.  The public functions wrap the same matrix-level code: one
-encoder, one Lloyd loop, one profile.
+encoder, one Lloyd loop, one profile, the last two refusing values
+whose arithmetic overflows (``_in_range``).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import wraps
 
 import numpy as np
 
@@ -205,6 +207,28 @@ def _check_fit(n, k, max_iter):
         raise ValueError("cannot cluster an empty dataset")
 
 
+def _in_range(compute):
+    """``compute`` refusing with ValueError where its float arithmetic overflows.
+
+    A squared distance overflows once a difference passes about 1.3e154,
+    and a mean's sum near the float maximum: the fit and the profile
+    would otherwise go on with infinities.
+    """
+
+    @wraps(compute)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(over="raise"):
+                return compute(*args, **kwargs)
+        except FloatingPointError:
+            raise ValueError(
+                "values too large to cluster: a squared distance or a sum overflows"
+            ) from None
+
+    return checked
+
+
+@_in_range
 def _lloyd(rows, labels, k, seed, max_iter, initial_centroids=None):
     if initial_centroids is None:
         distinct = distinct_rows(rows)
@@ -273,6 +297,7 @@ def cluster_profile(model: ClusterModel, dataset: Dataset):
     return _profile(*encode_dataset(dataset), model)
 
 
+@_in_range
 def _profile(rows, labels, model):
     assign = np.asarray(model.assignments)
     members = [assign == j for j in range(model.k)]

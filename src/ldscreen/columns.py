@@ -255,7 +255,10 @@ class Level:
         if thresholds is None:
             # the first of each run of equal values, as -0.0 and 0.0 compare equal
             distinct = np.concatenate((column[:1], column[1:][column[1:] != column[:-1]]))
-            thresholds = (distinct[:-1] + distinct[1:]) / 2
+            low, high = distinct[:-1], distinct[1:]
+            with np.errstate(over="ignore"):  # a sum past the float range is halved first
+                sums = low + high
+            thresholds = np.where(np.isinf(sums), low / 2 + high / 2, sums / 2)
         thresholds = np.asarray(thresholds, float)
         by_class = np.zeros((len(column) + 1, n))
         by_class[np.arange(1, len(column) + 1), classes[order]] = weights[order]

@@ -211,7 +211,11 @@ class Instance:
     """One row; ``values`` aligned to schema order, ``weight`` > 0.
 
     Fractional weights arise from missing-value routing during tree
-    induction; parsed data always starts at weight 1.
+    induction; parsed data always starts at weight 1.  Tree growth,
+    pruning, rule statistics and the majority learner weigh instances.
+    Imputation, K-means and its profiles and cluster-to-class map, fold
+    stratification, confusion counts, ROC areas and training accuracy
+    count them, one per instance whatever its weight.
     """
 
     values: tuple
@@ -231,6 +235,9 @@ class Dataset:
     Construction validates every instance against the schema (see
     _check_instance).  Missing values (``None``) are allowed anywhere;
     training entry points reject datasets whose class column has gaps.
+    Folds and imputed copies reuse checked rows (``_with_checked``); a
+    held-out row is checked again when ``classify`` or ``best_rule``
+    predicts it, as a learner cannot tell a checked row from another.
     """
 
     schema: tuple

@@ -82,16 +82,33 @@ def test_no_prune_keeps_at_least_as_many_nodes(arff_125, tmp_path):
     assert m_full.node_count() >= m_pruned.node_count()
 
 
-def run_cli(*args):
-    """``python -m ldscreen.cli *args`` in a child process, for what reaches its stderr."""
+def run_cli(*args, options=()):
+    """``python *options -m ldscreen.cli *args`` in a child process, for what reaches its stderr."""
     src = Path(__file__).resolve().parent.parent / "src"
     return subprocess.run(
-        [sys.executable, "-m", "ldscreen.cli", *args],
+        [sys.executable, *options, "-m", "ldscreen.cli", *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=str(src)),
         timeout=120,
     )
+
+
+def run_strict(tmp_path, csv, *args):
+    """``run_cli`` with warnings as errors, on ``csv`` written to ``tmp_path`` as ``--input``."""
+    data = tmp_path / "data.csv"
+    data.write_text(csv)
+    return run_cli(*args, "--input", str(data), options=("-W", "error"))
+
+
+def test_train_splits_between_values_whose_sum_overflows(tmp_path):
+    rows = "".join(f"{x}e308,P\n" for x in ("1.0", "1.5", "1.6"))
+    rows += "".join(f"{x}e308,Q\n" for x in ("1.7", "1.75", "1.79"))
+    result = run_strict(tmp_path, "x,c\n" + rows, "train", "--out", str(tmp_path / "m.json"))
+    assert (result.returncode, result.stderr) == (0, "")
+    assert "Nodes: 3\n" in result.stdout and "Training accuracy: 100.0 %\n" in result.stdout
+    model = model_from_json((tmp_path / "m.json").read_text())
+    assert model.root.threshold == 1.6499999999999999e308
 
 
 def test_tree_deeper_than_the_recursion_limit_exits_1(tmp_path):
@@ -356,6 +373,23 @@ def test_rules_simplify_and_json(arff_125, tmp_path, capsys):
 
 
 # --- cluster -------------------------------------------------------------------
+
+
+OVERFLOW = "ldscreen: error: values too large to cluster: a squared distance or a sum overflows\n"
+
+
+def test_cluster_refuses_distances_that_overflow(tmp_path):
+    result = run_strict(tmp_path, "x,c\n1e200,P\n-1e200,Q\n5,P\n", "cluster")
+    assert (result.returncode, result.stdout, result.stderr) == (1, "", OVERFLOW)
+
+
+def test_cluster_refuses_a_profile_mean_that_overflows(tmp_path):
+    # the fit stays in range: each cluster holds one row
+    profile = tmp_path / "profile.csv"
+    csv = "x,y,c\n1e308,0,P\n1e308,1,Q\n"
+    result = run_strict(tmp_path, csv, "cluster", "--clusters", "2", "--profile-csv", str(profile))
+    assert (result.returncode, result.stdout, result.stderr) == (1, "", OVERFLOW)
+    assert not profile.exists()
 
 
 def test_cluster_report_and_percentages(arff_125, capsys):

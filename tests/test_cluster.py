@@ -31,6 +31,7 @@ from ldscreen.dataset import (
     Dataset,
     Instance,
     impute_missing,
+    parse_csv,
     synthetic_checklist,
 )
 
@@ -358,6 +359,20 @@ def test_empty_dataset_rejected():
     d = Dataset(schema, 1)
     with pytest.raises(ValueError):
         kmeans_fit(d, k=1, seed=0)
+
+
+def test_arithmetic_that_overflows_is_refused():
+    far = parse_csv("x,c\n1e200,P\n-1e200,Q\n5,P\n")  # squared distances overflow
+    wide = parse_csv("x,y,c\n1e308,0,P\n1e308,1,Q\n")  # only the full-data mean overflows
+    model = kmeans_fit(wide, k=2, seed=0)
+    for call in (
+        lambda: kmeans_fit(far, k=2, seed=0),
+        lambda: fit_imputed(far, k=2, seed=0),
+        lambda: cluster_profile(model, wide),
+        lambda: fit_imputed(wide, k=2, seed=0),
+    ):
+        with pytest.raises(ValueError, match="^values too large to cluster"):
+            call()
 
 
 # --- cluster -> class mapping -------------------------------------------------

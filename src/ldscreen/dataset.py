@@ -79,6 +79,11 @@ def is_finite_number(value):
         return False
 
 
+def is_weight(value):
+    """True for a finite number >= 0, as is_finite_number counts numbers."""
+    return is_finite_number(value) and value >= 0
+
+
 def _breaks_line(text):
     """True when ``text`` holds a character that ``str.splitlines`` splits on."""
     return "".join(text.splitlines()) != text
@@ -208,10 +213,10 @@ class AttributeSpec:
 
 @dataclass(frozen=True)
 class Instance:
-    """One row; ``values`` aligned to schema order, ``weight`` > 0.
+    """One row; ``values`` aligned to schema order.
 
-    Fractional weights arise from missing-value routing during tree
-    induction; parsed data always starts at weight 1.  Tree growth,
+    ``weight`` must pass ``is_weight`` (a finite number >= 0) and be > 0,
+    else ValueError; parsed data always has weight 1.  Tree growth,
     pruning, rule statistics and the majority learner weigh instances.
     Imputation, K-means and its profiles and cluster-to-class map, fold
     stratification, confusion counts, ROC areas and training accuracy
@@ -223,8 +228,10 @@ class Instance:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
-        if not self.weight > 0:
-            raise ValueError(f"instance weight must be > 0, got {self.weight}")
+        w = self.weight
+        # plain floats, the common case, skip the slower general check
+        if not (type(w) is float and 0.0 < w < math.inf) and not (is_weight(w) and w > 0):
+            raise ValueError(f"instance weight must be a finite number > 0, got {w!r}")
 
 
 @dataclass(frozen=True)
@@ -235,9 +242,13 @@ class Dataset:
     Construction validates every instance against the schema (see
     _check_instance).  Missing values (``None``) are allowed anywhere;
     training entry points reject datasets whose class column has gaps.
-    Folds and imputed copies reuse checked rows (``_with_checked``); a
-    held-out row is checked again when ``classify`` or ``best_rule``
-    predicts it, as a learner cannot tell a checked row from another.
+    The instance weights, added left to right (``total``), must have a
+    finite sum.  Parsed rows, folds and imputed copies reuse checked rows
+    (``_with_checked``) and skip these checks: each holds weight-1 rows,
+    or rows of a checked dataset at their weights, so its sum is finite
+    too.  A held-out
+    row is checked again when ``classify`` or ``best_rule`` predicts it,
+    as a learner cannot tell a checked row from another.
     """
 
     schema: tuple
@@ -258,6 +269,9 @@ class Dataset:
             raise ValueError("class attribute must be nominal with two or more values")
         for row, inst in enumerate(self.instances):
             _check_instance(self.schema, inst.values, row)
+        weight = total(inst.weight for inst in self.instances)
+        if not math.isfinite(weight):
+            raise ValueError(f"instance weights sum to {weight}, beyond the float range")
 
     @property
     def class_attribute(self):

@@ -51,6 +51,7 @@ from .dataset import (
     dump_document,
     first_max,
     is_finite_number,
+    is_weight,
     load_document,
     total,
 )
@@ -76,7 +77,7 @@ class TreeConfig:
 
     def __post_init__(self):
         # NaN or out-of-range values would grow or prune a different tree silently
-        if not (is_finite_number(self.min_leaf_weight) and self.min_leaf_weight >= 0):
+        if not is_weight(self.min_leaf_weight):
             raise ValueError(
                 f"min_leaf_weight must be a finite number >= 0, got {self.min_leaf_weight!r}"
             )
@@ -922,14 +923,10 @@ def _node_to_json(node, schema):
     }
 
 
-def _is_weight(value):
-    return is_finite_number(value) and value >= 0
-
-
 def _weights(items, n, what):
     """``items`` as a tuple of ``n`` finite non-negative numbers."""
     weights = tuple(items)
-    if len(weights) != n or not all(map(_is_weight, weights)):
+    if len(weights) != n or not all(map(is_weight, weights)):
         raise ValueError(f"{what} must be {n} non-negative numbers, got {items!r}")
     return weights
 
@@ -938,7 +935,7 @@ def _node_from_json(doc, schema, name_to_index, class_index):
     # refuses every value that would break classify or the rules of the tree
     counts = _weights(doc["class_counts"], len(schema[class_index].values), "class_counts")
     if doc["type"] == "leaf":
-        if not _is_weight(doc["weight"]) or sum(counts) <= 0:
+        if not is_weight(doc["weight"]) or sum(counts) <= 0:
             raise ValueError("a leaf needs a weight and class_counts summing above 0")
         return Leaf(counts, doc["weight"])
     index = name_to_index[doc["attribute"]]

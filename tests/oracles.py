@@ -8,6 +8,7 @@ library is a real check rather than the same code running twice.
 import itertools
 import math
 import random
+import sys
 from functools import reduce
 from itertools import groupby
 from operator import add, itemgetter
@@ -19,9 +20,10 @@ from ldscreen.dataset import AttributeSpec, Dataset, Instance, class_tally, firs
 from ldscreen.tree import _GAIN_EPS, Decision, Leaf, SplitCandidate, entropy
 
 
-def binary_dataset(rows, n_attrs, class_values=("N", "Y")):
+def binary_dataset(rows, n_attrs, class_values=("N", "Y"), names=None):
+    names = names or [f"a{i}" for i in range(n_attrs)]
     schema = tuple(
-        AttributeSpec.categorical(f"a{i}", ("0", "1")) for i in range(n_attrs)
+        AttributeSpec.categorical(n, ("0", "1")) for n in names
     ) + (AttributeSpec.categorical("cls", class_values),)
     return Dataset(schema, n_attrs, tuple(Instance(tuple(r)) for r in rows))
 
@@ -57,9 +59,21 @@ def random_mixed_dataset(rng, n_rows, n_numeric, n_nominal, missing_rate=0.0):
     return Dataset(schema, len(schema) - 1, tuple(rows))
 
 
+#: Numbers at the edges of the float range, drawn by ``extremes=True``.
+EXTREME_NUMBERS = (
+    sys.float_info.max, -sys.float_info.max, 1e308, -1e308, 1e154, -1e154, 1e300,
+    5e-324, -5e-324, 2.2250738585072014e-308, 0.0, -0.0, 1.0,
+)
+
+
 @st.composite
-def weighted_mixed_datasets(draw):
-    """Random mixed schemas with blanks, repeated numbers and fractional weights."""
+def weighted_mixed_datasets(draw, extremes=False):
+    """Random mixed schemas with blanks, repeated numbers and fractional weights.
+
+    With ``extremes``, a numeric cell is one of EXTREME_NUMBERS 60 % of
+    the time and otherwise uniform over (-1e308, 1e308), so that midpoints
+    overflow, underflow and meet signed zeros.
+    """
     kinds = draw(st.lists(st.sampled_from(["numeric", 1, 2, 3]), min_size=1, max_size=4))
     classes = "PQR"[: draw(st.integers(2, 3))]
     schema = tuple(
@@ -74,6 +88,10 @@ def weighted_mixed_datasets(draw):
     def cell(spec):
         if rng.random() < missing_rate:
             return None
+        if spec.kind == "numeric" and extremes:
+            if rng.random() < 0.6:
+                return rng.choice(EXTREME_NUMBERS)
+            return rng.uniform(-1, 1) * 1e308
         if spec.kind == "numeric":
             return rng.choice((rng.randint(-6, 6) / 4, round(rng.uniform(-3, 3), 3)))
         return rng.choice(spec.values)
@@ -86,6 +104,15 @@ def weighted_mixed_datasets(draw):
         for _ in range(rng.randint(2, 40))
     ]
     return Dataset(schema, len(schema) - 1, rows)
+
+
+def midpoint(a, b):
+    """The threshold between ``a`` and ``b`` as ``Level.midpoints`` takes it.
+
+    That is ``(a + b) / 2``, or ``a / 2 + b / 2`` where the sum overflows.
+    """
+    both = a + b
+    return a / 2 + b / 2 if math.isinf(both) else both / 2
 
 
 def reference_split_score(dataset, attribute_index, threshold=None):
@@ -320,7 +347,7 @@ def _numeric_splits(rows, schema, class_index, attribute_index, thresholds=None)
     known.sort(key=itemgetter(0))  # stable: equal values keep row order
     if thresholds is None:
         distinct = [v for v, _ in groupby(v for v, _, _ in known)]
-        thresholds = [(a + b) / 2 for a, b in zip(distinct, distinct[1:])]
+        thresholds = [midpoint(a, b) for a, b in zip(distinct, distinct[1:])]
 
     # the right tally is summed on its own, never taken as parent - left:
     # with fractional weights the difference can round below zero

@@ -1,12 +1,12 @@
 """Encoding, Lloyd fitting, cluster labeling, and report formats."""
 
-import itertools
 import random
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import enumeration_min_wcss
 
 from ldscreen.cluster import (
     ClusterModel,
@@ -60,23 +60,6 @@ def partition_of(model):
     for i, a in enumerate(model.assignments):
         groups.setdefault(a, set()).add(i)
     return sorted(groups.values(), key=min)
-
-
-def enumeration_min_wcss(rows):
-    """Exhaustive WCSS minimum over all 2-partitions (point 0 pinned)."""
-    rows = np.asarray(rows, dtype=float)
-    n = len(rows)
-    best = None
-    for bits in range(1, 2 ** (n - 1)):
-        mask = np.array([True] + [(bits >> i) & 1 == 0 for i in range(n - 1)])
-        if mask.all():
-            continue
-        w = 0.0
-        for grp in (rows[mask], rows[~mask]):
-            w += ((grp - grp.mean(axis=0)) ** 2).sum()
-        if best is None or w < best:
-            best = w
-    return best
 
 
 # --- encoding ----------------------------------------------------------------

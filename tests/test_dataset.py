@@ -92,6 +92,20 @@ def test_instance_weight_positive():
         Instance(("Y",), weight=0.0)
 
 
+@pytest.mark.parametrize("weight", [float("inf"), True, "a"], ids=["inf", "bool", "text"])
+def test_instance_refuses_a_weight_that_is_not_a_finite_number(weight):
+    with pytest.raises(ValueError, match="instance weight must be a finite number > 0"):
+        Instance(("Y",), weight)
+
+
+def test_dataset_refuses_weights_whose_sum_overflows():
+    # each weight is finite, but growth would sum them to inf
+    rows = [Instance((float(i), "PQ"[i % 2]), 1e308) for i in range(4)]
+    schema = (AttributeSpec.numeric("x"), AttributeSpec.categorical("c", ("P", "Q")))
+    with pytest.raises(ValueError, match="instance weights sum to inf"):
+        Dataset(schema, 1, rows)
+
+
 def test_undeclared_symbol_rejected():
     with pytest.raises(ValueError):
         Dataset(tiny_schema(), 2, (Instance(("Z", 1.0, "P")),))
@@ -547,7 +561,7 @@ def test_impute_overflowing_mean_names_the_attribute_not_a_row():
     assert "instance" not in message
 
 
-def random_mixed_dataset(rng, n_rows, n_numeric, n_nominal, missing_rate):
+def gappy_mixed_dataset(rng, n_rows, n_numeric, n_nominal, missing_rate):
     schema = []
     for i in range(n_numeric):
         schema.append(AttributeSpec.numeric(f"x{i}"))
@@ -573,7 +587,7 @@ def random_mixed_dataset(rng, n_rows, n_numeric, n_nominal, missing_rate):
 def test_impute_matches_brute_force_oracle():
     rng = random.Random(11)
     for _ in range(30):
-        d = random_mixed_dataset(rng, rng.randint(5, 40), 2, 2, 0.1)
+        d = gappy_mixed_dataset(rng, rng.randint(5, 40), 2, 2, 0.1)
         cols = range(len(d.schema))
         known = {i: [v for v in d.column(i) if v is not None] for i in cols}
         if any(not k for k in known.values()):

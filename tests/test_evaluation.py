@@ -10,7 +10,7 @@ import warnings
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import random_mixed_dataset
+from oracles import random_mixed_dataset, roc_pairwise_oracle
 
 import ldscreen.columns as columns_module
 import ldscreen.evaluation as evaluation_module
@@ -26,7 +26,6 @@ from ldscreen.dataset import (
     synthetic_checklist,
 )
 from ldscreen.evaluation import (
-    ClassMetrics,
     ConfusionMatrix,
     _fold_predictions,
     _fork,
@@ -154,19 +153,6 @@ def test_f_measure_identity_on_random_matrices():
 
 
 # --- roc area -------------------------------------------------------------------
-
-
-def roc_pairwise_oracle(scores, actual, positive):
-    pos = [s for s, a in zip(scores, actual) if a == positive]
-    neg = [s for s, a in zip(scores, actual) if a != positive]
-    wins = 0.0
-    for p in pos:
-        for n in neg:
-            if p > n:
-                wins += 1.0
-            elif p == n:
-                wins += 0.5
-    return wins / (len(pos) * len(neg))
 
 
 def test_roc_perfectly_separated():

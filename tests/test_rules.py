@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import best_rule_oracle, weighted_mixed_datasets
+from oracles import (
+    best_rule_oracle,
+    binary_dataset,
+    random_binary_dataset,
+    weighted_mixed_datasets,
+)
 
 from ldscreen.columns import Columns
 from ldscreen.dataset import AttributeSpec, Dataset, Instance, first_max, synthetic_checklist, total
@@ -27,22 +32,6 @@ from ldscreen.rules import (
 )
 import ldscreen.tree as tree_module
 from ldscreen.tree import TreeConfig, build_tree, classify
-
-
-def binary_dataset(rows, n_attrs, names=None, class_values=("N", "Y")):
-    names = names or [f"a{i}" for i in range(n_attrs)]
-    schema = tuple(
-        AttributeSpec.categorical(n, ("0", "1")) for n in names
-    ) + (AttributeSpec.categorical("cls", class_values),)
-    return Dataset(schema, n_attrs, tuple(Instance(tuple(r)) for r in rows))
-
-
-def random_binary_dataset(rng, n_rows, n_attrs):
-    rows = [
-        [rng.choice("01") for _ in range(n_attrs)] + [rng.choice("NY")]
-        for _ in range(n_rows)
-    ]
-    return binary_dataset(rows, n_attrs)
 
 
 # --- extraction --------------------------------------------------------------

@@ -18,7 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from model_digest import digest
 from oracles import (
+    apply_hidden,
+    binary_dataset,
+    hidden_tree,
+    midpoint,
     partition_node_by_node,
+    random_binary_dataset,
     random_mixed_dataset,
     reference_split_score,
     row_loop_tree,
@@ -28,6 +33,7 @@ from oracles import (
 import ldscreen
 import ldscreen.tree as tree_module
 from ldscreen.cli import main
+from ldscreen.cluster import kmeans_fit
 from ldscreen.columns import Columns, Level
 from ldscreen.dataset import (
     AttributeSpec,
@@ -35,6 +41,7 @@ from ldscreen.dataset import (
     Instance,
     class_tally,
     first_max,
+    impute_missing,
     serialize_arff,
     synthetic_checklist,
     total,
@@ -59,21 +66,6 @@ from ldscreen.tree import (
     ucb_error_rate,
 )
 from ldscreen.tree import _UCB_TAU, _score, _screen, _screen_error, _screen_ucb
-
-
-def binary_dataset(rows, n_attrs, class_values=("N", "Y")):
-    schema = tuple(
-        AttributeSpec.categorical(f"a{i}", ("0", "1")) for i in range(n_attrs)
-    ) + (AttributeSpec.categorical("cls", class_values),)
-    return Dataset(schema, n_attrs, tuple(Instance(tuple(r)) for r in rows))
-
-
-def random_binary_dataset(rng, n_rows, n_attrs):
-    rows = [
-        [rng.choice("01") for _ in range(n_attrs)] + [rng.choice("NY")]
-        for _ in range(n_rows)
-    ]
-    return binary_dataset(rows, n_attrs)
 
 
 # --- entropy -----------------------------------------------------------------
@@ -146,51 +138,6 @@ def test_numeric_split_needs_finite_threshold(threshold):
     d = Dataset(schema, 1, (Instance((1.0, "A")), Instance((2.0, "B"))))
     with pytest.raises(ValueError, match="finite threshold"):
         evaluate_split(d, 0, threshold)
-
-
-def reference_split_score(d, attribute_index, threshold):
-    """Direct recomputation of IG/IV from the definitions, written
-    independently of the production code (dict tallies, natural log)."""
-    spec = d.schema[attribute_index]
-
-    def branch(v):
-        if spec.is_categorical:
-            return v
-        return "le" if v <= threshold else "gt"
-
-    def h(counter):
-        tot = sum(counter.values())
-        s = 0.0
-        for c in counter.values():
-            if c > 0:
-                p = c / tot
-                s -= p * math.log(p) / math.log(2)
-        return s
-
-    parent, per_branch = {}, {}
-    known = 0.0
-    total = 0.0
-    for inst in d.instances:
-        total += inst.weight
-        v = inst.values[attribute_index]
-        if v is None:
-            continue
-        known += inst.weight
-        label = inst.values[d.class_index]
-        parent[label] = parent.get(label, 0.0) + inst.weight
-        grp = per_branch.setdefault(branch(v), {})
-        grp[label] = grp.get(label, 0.0) + inst.weight
-    nonempty = [g for g in per_branch.values() if sum(g.values()) > 0]
-    if known == 0 or len(nonempty) < 2:
-        return None  # invalid candidate
-    ig = h(parent)
-    iv = 0.0
-    for grp in nonempty:
-        share = sum(grp.values()) / known
-        ig -= share * h(grp)
-        iv -= share * math.log(share) / math.log(2)
-    ig *= known / total
-    return ig, iv, ig / iv
 
 
 def test_split_matches_reference_on_random_data():
@@ -421,21 +368,6 @@ def test_fractional_branch_tally_never_negative():
     assert m.root.threshold == 3.5
 
 
-def hidden_tree(rng, attrs, depth):
-    if depth == 0 or (depth < 3 and rng.random() < 0.25) or not attrs:
-        return rng.choice("NY")
-    a = rng.choice(attrs)
-    rest = [x for x in attrs if x != a]
-    return (a, hidden_tree(rng, rest, depth - 1), hidden_tree(rng, rest, depth - 1))
-
-
-def apply_hidden(node, vals):
-    while not isinstance(node, str):
-        a, lo, hi = node
-        node = lo if vals[a] == "0" else hi
-    return node
-
-
 def test_depth3_rule_learned_exactly():
     rng = random.Random(0)
     rule = hidden_tree(rng, list(range(8)), 3)
@@ -493,11 +425,13 @@ def test_split_choice_invariant_to_instance_order():
         assert m1.root.attribute_index == m2.root.attribute_index
 
 
+@pytest.mark.parametrize("extremes", [False, True])
 @settings(max_examples=200, deadline=None)
-@given(weighted_mixed_datasets())
-def test_root_is_first_max_over_evaluate_split(d):
+@given(data=st.data())
+def test_root_is_first_max_over_evaluate_split(extremes, data):
     # growth scores candidates as evaluate_split does, bit for bit, in
     # generation order: attribute index, then ascending midpoint
+    d = data.draw(weighted_mixed_datasets(extremes))
     config = TreeConfig(pruning=False)
     root = build_tree(d, config).root
     candidates = []
@@ -506,7 +440,7 @@ def test_root_is_first_max_over_evaluate_split(d):
             candidates.append(evaluate_split(d, i))
         else:
             known = sorted({v for v in d.column(i) if v is not None})
-            midpoints = [(a + b) / 2 for a, b in zip(known, known[1:])]
+            midpoints = [midpoint(a, b) for a, b in zip(known, known[1:])]
             candidates += [evaluate_split(d, i, t) for t in midpoints]
     useful = [c for c in candidates if c.valid and c.info_gain > 1e-12]
     counts = class_tally(d.rows, d.schema, d.class_index)
@@ -533,15 +467,17 @@ def _with_signed_zeros(d):
     return Dataset(d.schema, d.class_index, instances, d.name)
 
 
+@pytest.mark.parametrize("extremes", [False, True])
 @settings(max_examples=200, deadline=None)
 @given(
-    weighted_mixed_datasets(),
+    st.data(),
     st.sampled_from([0.5, 1.0, 2.0]),
     st.booleans(),
     st.booleans(),
 )
-def test_growth_equals_row_loop_oracle(d, min_leaf_weight, unit_weights, signed_zeros):
+def test_growth_equals_row_loop_oracle(extremes, data, min_leaf_weight, unit_weights, signed_zeros):
     # the whole unpruned tree, every number included, not only the root
+    d = data.draw(weighted_mixed_datasets(extremes))
     if unit_weights:
         unit = [Instance(inst.values, 1.0) for inst in d.instances]
         d = Dataset(d.schema, d.class_index, unit, d.name)
@@ -551,6 +487,21 @@ def test_growth_equals_row_loop_oracle(d, min_leaf_weight, unit_weights, signed_
     model = build_tree(d, config)
     oracle = DecisionTreeModel(d.schema, d.class_index, row_loop_tree(d, config), config)
     assert model_to_json(model) == model_to_json(oracle)
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_mixed_datasets(extremes=True))
+def test_whole_range_values_pass_every_stage(d):
+    # numbers from the edges of the float range, with warnings as errors:
+    # only imputation and K-means may refuse them, each with one line
+    model = prune_tree(build_tree(d, TreeConfig(pruning=False)))
+    text = model_to_json(model)
+    assert model_to_json(model_from_json(text)) == text
+    simplify_rules(extract_rules(model), d)
+    try:
+        kmeans_fit(impute_missing(d))
+    except ValueError as err:
+        assert str(err) and "\n" not in str(err)
 
 
 def test_model_digest_is_the_same_on_every_run():

@@ -330,9 +330,6 @@ def main(argv=None):
     except (ValueError, OSError) as e:
         print(f"ldscreen: error: {e}", file=sys.stderr)
         return 1
-    except RecursionError as e:  # a tree deeper than Python's recursion limit
-        print(f"ldscreen: error: the tree is too deep to process ({e})", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -111,8 +111,14 @@ def class_tally(rows, schema, class_index):
 
 
 def dump_document(fmt, version, body):
-    """JSON text of a versioned document: ``format``, ``version``, then ``body``."""
-    return json.dumps({"format": fmt, "version": version, **body}, indent=2)
+    """JSON text of a versioned document: ``format``, ``version``, then ``body``.
+
+    ValueError where ``json.dumps`` nests too deep, never deeper than load_document reads.
+    """
+    try:
+        return json.dumps({"format": fmt, "version": version, **body}, indent=2)
+    except RecursionError:
+        raise ValueError(f"{fmt} document nested too deeply to write") from None
 
 
 def load_document(text, fmt, version, build):
@@ -121,10 +127,10 @@ def load_document(text, fmt, version, build):
     Raises
     ------
     ParseError
-        On undecodable JSON (with its line), JSON or a body nested deeper
-        than Python's recursion limit, a document that is not an object, a
-        foreign format or version, or a body ``build`` cannot read (a
-        missing key or a value of the wrong type or shape).
+        On undecodable JSON (with its line), JSON nested too deeply for
+        ``json.loads``, a document that is not an object, a foreign format
+        or version, or a body ``build`` cannot read (a missing key or a
+        value of the wrong type or shape).
     """
     try:
         doc = json.loads(text)
@@ -141,8 +147,6 @@ def load_document(text, fmt, version, build):
     except (KeyError, TypeError, IndexError, ValueError, AttributeError) as exc:
         reason = f"{type(exc).__name__}: {exc}"
         raise ParseError(f"malformed {fmt} document: {reason}") from None
-    except RecursionError:
-        raise ParseError(f"{fmt} document nested too deeply to read") from None
 
 
 @dataclass(frozen=True)

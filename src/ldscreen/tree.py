@@ -33,6 +33,9 @@ Python (``math.log2``, which ``np.log2`` does not match bit for bit),
 and every weight written to a model is a left-to-right sum, so model
 files are the same on every supported Python.
 
+No pass over a tree recurses: growth, pruning and the model file build a
+tree from its deepest level up (``_bottom_up``), and the other walks loop.
+
 A built model is immutable; concurrent classification is safe.
 """
 
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 from .dataset import (
     EQ,
@@ -192,16 +196,36 @@ class DecisionTreeModel:
         return sum(isinstance(node, Leaf) for _, node in _paths(self.root, self.schema))
 
 
-def _paths(node, schema, conditions=()):
-    """``(conditions, node)`` for ``node`` and each node below, depth first.
+def _paths(root, schema):
+    """``(branch_conditions taken to node, node)`` for ``root`` and each node below, depth first."""
+    stack = [((), root)]
+    while stack:
+        conditions, node = stack.pop()
+        yield conditions, node
+        if isinstance(node, Decision):
+            pairs = zip(branch_conditions(schema, node.attribute_index, node.threshold), node.children)
+            stack += reversed([(conditions + (cond,), child) for cond, child in pairs])
 
-    ``conditions`` adds the ``branch_conditions`` taken to the prefix given.
-    """
-    yield conditions, node
-    if isinstance(node, Decision):
-        tests = branch_conditions(schema, node.attribute_index, node.threshold)
-        for cond, child in zip(tests, node.children):
-            yield from _paths(child, schema, conditions + (cond,))
+
+def _children(node):
+    return node.children if isinstance(node, Decision) else ()
+
+
+def _levels(root, children):
+    """The nodes of the tree at ``root``, level by level; ``children(node)`` lists a node's."""
+    levels = [[root]]
+    while below := [child for node in levels[-1] for child in children(node)]:
+        levels.append(below)
+    return levels
+
+
+def _bottom_up(levels, make):
+    """``make(node, below)`` of the root, deepest level first: ``below`` yields the next level's."""
+    made = []
+    for level in reversed(levels):
+        below = iter(made)
+        made = [make(node, below) for node in level]
+    return made[0]
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +428,8 @@ def _grow(root, schema, class_index, config):
     together (``_best_candidates``), each as it would be decided alone, and
     the nodes that split are partitioned in one pass (``Level.partition``),
     which gives the next Level.  A split waits in ``levels`` as ``(best,
-    counts, branch weights)`` until the levels below are built.
+    counts, branch weights)``, and ``_bottom_up`` makes it a Decision once
+    the levels below are built.
     """
     levels = []
     level, used = root, [frozenset()]  # used: per node, its tested nominal attributes
@@ -428,15 +453,14 @@ def _grow(root, schema, class_index, config):
             if schema[best.attribute_index].is_categorical:
                 u = u | {best.attribute_index}
             used += [u for w in weights if w > 0]
-    below = []
-    for splits in reversed(levels):
-        grown = iter(below)
-        below = [split if isinstance(split, Leaf) else _decision(*split, grown) for split in splits]
-    return below[0]
+    return _bottom_up(levels, _decision)
 
 
-def _decision(best, counts, branch_weights, grown):
-    """The Decision of a split whose non-empty branches are the next of ``grown``."""
+def _decision(split, grown):
+    """``split`` if a Leaf, else its Decision, whose non-empty branches are the next of ``grown``."""
+    if isinstance(split, Leaf):
+        return split
+    best, counts, branch_weights = split
     return Decision(
         best.attribute_index,
         best.threshold,
@@ -793,15 +817,16 @@ def prune_tree(model):
     pruned tree is a prefix of an original path.  Idempotent.  Every
     decision is ucb_error_rate's, most of them taken with the screen.
     """
-    cf = model.config.confidence_factor
-    return replace(model, root=_decide(lambda bound: _prune(model.root, cf, bound)[0]))
+    levels, cf = _levels(model.root, _children), model.config.confidence_factor
+    root, _ = _decide(lambda bound: _bottom_up(levels, partial(_prune, cf, bound)))
+    return replace(model, root=root)
 
 
-def _prune(node, cf, bound):
-    """The pruned ``node`` and its summed UCB error estimate."""
+def _prune(cf, bound, node, below):
+    """The pruned ``node`` and its summed UCB error estimate; ``below`` gives its children's."""
     if isinstance(node, Leaf):
         return node, _leaf_ucb_errors(node.class_counts, node.weight, cf, bound)
-    pruned = [_prune(c, cf, bound) for c in node.children]
+    pruned = [next(below) for _ in node.children]
     weight = total(node.class_counts)
     leaf_est = _leaf_ucb_errors(node.class_counts, weight, cf, bound)
     subtree_est = total(est for _, est in pruned)
@@ -835,31 +860,27 @@ def classify(model, instance):
 
 def _distribution(model, values):
     """The class distribution of the checked row ``values``, in declared class order."""
-    merged = [0.0] * len(model.class_values)
-    _accumulate(model.root, model.schema, values, 1.0, merged)
-    merged_total = total(merged)
-    return [c / merged_total for c in merged]
-
-
-def _accumulate(node, schema, values, weight, merged):
-    if isinstance(node, Leaf):
+    schema, merged = model.schema, [0.0] * len(model.class_values)
+    later = [(model.root, 1.0)]  # a missing value's other branches: leaves add depth first
+    while later:
+        node, weight = later.pop()
+        while isinstance(node, Decision):
+            v, spec = values[node.attribute_index], schema[node.attribute_index]
+            if v is None:
+                total_bw = total(node.branch_weights)
+                branches = zip(node.children, node.branch_weights)
+                shares = [(child, weight * bw / total_bw) for child, bw in branches if bw > 0]
+                later += reversed(shares[1:])
+                node, weight = shares[0]
+            elif spec.is_categorical:
+                node = node.children[spec.values.index(v)]
+            else:
+                node = node.children[0 if v <= node.threshold else 1]
         leaf_total = total(node.class_counts)
         for i, c in enumerate(node.class_counts):
             merged[i] += weight * c / leaf_total
-        return
-    v = values[node.attribute_index]
-    if v is None:
-        total_bw = total(node.branch_weights)
-        for child, bw in zip(node.children, node.branch_weights):
-            if bw > 0:
-                _accumulate(child, schema, values, weight * bw / total_bw, merged)
-        return
-    spec = schema[node.attribute_index]
-    if spec.is_categorical:
-        b = spec.values.index(v)
-    else:
-        b = 0 if v <= node.threshold else 1
-    _accumulate(node.children[b], schema, values, weight, merged)
+    merged_total = total(merged)
+    return [c / merged_total for c in merged]
 
 
 def training_accuracy(model, dataset):
@@ -890,7 +911,7 @@ def model_to_json(model):
         "schema": _schema_to_json(model.schema),
         "class_index": model.class_index,
         "config": asdict(model.config),
-        "root": _node_to_json(model.root, model.schema),
+        "root": _bottom_up(_levels(model.root, _children), partial(_node_to_json, model.schema)),
     }
     return dump_document(MODEL_FORMAT, MODEL_VERSION, body)
 
@@ -906,7 +927,7 @@ def _schema_from_json(items):
     return tuple(AttributeSpec(a["name"], a["kind"], tuple(a["values"])) for a in items)
 
 
-def _node_to_json(node, schema):
+def _node_to_json(schema, node, below):
     if isinstance(node, Leaf):
         return {
             "type": "leaf",
@@ -919,7 +940,7 @@ def _node_to_json(node, schema):
         "threshold": node.threshold,
         "branch_weights": list(node.branch_weights),
         "class_counts": list(node.class_counts),
-        "children": [_node_to_json(c, schema) for c in node.children],
+        "children": [next(below) for _ in node.children],
     }
 
 
@@ -931,7 +952,7 @@ def _weights(items, n, what):
     return weights
 
 
-def _node_from_json(doc, schema, name_to_index, class_index):
+def _node_from_json(schema, name_to_index, class_index, doc, below):
     # refuses every value that would break classify or the rules of the tree
     counts = _weights(doc["class_counts"], len(schema[class_index].values), "class_counts")
     if doc["type"] == "leaf":
@@ -945,9 +966,7 @@ def _node_from_json(doc, schema, name_to_index, class_index):
     if not spec.is_categorical and not is_finite_number(doc["threshold"]):
         raise ValueError(f"numeric test on {spec.name} needs a numeric threshold")
     n_branches = len(branch_conditions(schema, index, doc["threshold"]))
-    children = tuple(
-        _node_from_json(c, schema, name_to_index, class_index) for c in doc["children"]
-    )
+    children = tuple(next(below) for _ in doc["children"])
     if len(children) != n_branches:
         raise ValueError(f"test on {spec.name} needs {n_branches} children")
     branch_weights = _weights(doc["branch_weights"], n_branches, "branch_weights")
@@ -968,6 +987,7 @@ def _model_from_doc(doc):
         raise ValueError(f"class_index {class_index!r} is not an integer")
     Dataset(schema, class_index)  # distinct names and a nominal class of 2+ values
     name_to_index = {a.name: i for i, a in enumerate(schema)}
-    root = _node_from_json(doc["root"], schema, name_to_index, class_index)
+    levels = _levels(doc["root"], lambda node: () if node["type"] == "leaf" else node["children"])
+    root = _bottom_up(levels, partial(_node_from_json, schema, name_to_index, class_index))
     config = TreeConfig(**doc["config"])
     return DecisionTreeModel(schema, class_index, root, config)

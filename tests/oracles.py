@@ -179,6 +179,40 @@ def apply_hidden(node, vals):
     return node
 
 
+def recursive_distribution(model, values):
+    """The class distribution of the checked row ``values``, one call per node reached.
+
+    A missing tested value sends the row down every branch of positive
+    training weight, in branch order, its weight scaled by the branch's
+    share; each leaf it reaches adds its class shares, depth first.
+    """
+    merged = [0.0] * len(model.class_values)
+
+    def accumulate(node, weight):
+        if isinstance(node, Leaf):
+            leaf_total = total(node.class_counts)
+            for i, c in enumerate(node.class_counts):
+                merged[i] += weight * c / leaf_total
+            return
+        v = values[node.attribute_index]
+        if v is None:
+            total_bw = total(node.branch_weights)
+            for child, bw in zip(node.children, node.branch_weights):
+                if bw > 0:
+                    accumulate(child, weight * bw / total_bw)
+            return
+        spec = model.schema[node.attribute_index]
+        if spec.is_categorical:
+            b = spec.values.index(v)
+        else:
+            b = 0 if v <= node.threshold else 1
+        accumulate(node.children[b], weight)
+
+    accumulate(model.root, 1.0)
+    merged_total = total(merged)
+    return [c / merged_total for c in merged]
+
+
 def roc_pairwise_oracle(scores, actual, positive):
     """O(n^2) pair counting; ties worth one half."""
     pos = [s for s, a in zip(scores, actual) if a == positive]

@@ -14,7 +14,12 @@ on.  The fixtures are small:
   blanks, and ``sums.json``, a hand-made tree over its schema whose
   class counts and branch weights include ``[1.0, 1e-16, 1e-16]``: added
   left to right they make 1.0, compensated 1.0000000000000002, so a
-  builtin ``sum`` on this path changes the digest on 3.12 and later.
+  builtin ``sum`` on this path changes the digest on 3.12 and later;
+- ``chain(600)``, a tree 600 levels deep built in code, walked by the
+  node and leaf counts, ``classify``, rule extraction and pruning.  The
+  interpreters' recursion and JSON limits differ, and no walk may meet
+  them.  Its unpruned model file is left out: only 3.13's ``json.dumps``
+  writes one that deep (``dump_document``).
 
 The script prints the interpreter's major.minor version, then the digest,
 and fails if numpy or scipy was loaded on the way:
@@ -40,6 +45,26 @@ ANSWERS = {
 def _blanked(values, i):
     """``values`` with attribute ``i`` missing."""
     return values[:i] + (None,) + values[i + 1 :]
+
+
+def chain(depth):
+    """A model ``depth`` levels deep over one numeric ``x`` and a class P or Q.
+
+    Its rows are x = 0..depth, P where x is even.  Level i tests
+    ``x <= i + 0.5``: row i takes a pure leaf and the rows above it go on
+    down, so row ``depth`` alone reaches the deepest leaf.
+    """
+    from ldscreen.dataset import AttributeSpec
+    from ldscreen.tree import Decision, DecisionTreeModel, Leaf, TreeConfig
+
+    pure = ((1.0, 0.0), (0.0, 1.0))
+    node = Leaf(pure[depth % 2], 1.0)
+    for i in reversed(range(depth)):
+        leaf = Leaf(pure[i % 2], 1.0)
+        counts = tuple(a + b for a, b in zip(leaf.class_counts, node.class_counts))
+        node = Decision(0, i + 0.5, (leaf, node), (1.0, float(depth - i)), counts)
+    schema = (AttributeSpec.numeric("x"), AttributeSpec.categorical("c", ("P", "Q")))
+    return DecisionTreeModel(schema, 1, node, TreeConfig())
 
 
 def outputs():
@@ -95,6 +120,12 @@ def outputs():
     report = report_from_json((FIXTURES / "paper_report.json").read_text())
     yield report_text(report)
     yield report_text(per_class_metrics(report.matrix))
+
+    deep = chain(600)
+    yield f"{deep.node_count()} {deep.leaf_count()}"
+    yield "\n".join(repr(classify(deep, row)) for row in ((600.0, None), (None, None)))
+    yield ruleset_text(extract_rules(deep))
+    yield model_to_json(prune_tree(deep))
 
 
 def digest():

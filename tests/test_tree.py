@@ -25,10 +25,12 @@ from oracles import (
     partition_node_by_node,
     random_binary_dataset,
     random_mixed_dataset,
+    recursive_distribution,
     reference_split_score,
     row_loop_tree,
     weighted_mixed_datasets,
 )
+from portable_digest import chain
 
 import ldscreen
 import ldscreen.tree as tree_module
@@ -1502,6 +1504,48 @@ def test_distribution_sums_to_one_with_missing_values():
     for inst in d.instances:  # original rows still carry gaps
         _, dist = classify(m, inst)
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("pruning", [False, True])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_distribution_equals_recursive_oracle(pruning, data):
+    # the loop adds the same leaves in the same order, so the floats are equal
+    d = data.draw(weighted_mixed_datasets())
+    model = build_tree(d, TreeConfig(min_leaf_weight=0.5, pruning=pruning))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    for inst in d.instances:
+        values = tuple(None if rng.random() < 0.3 else v for v in inst.values)
+        assert tree_module._distribution(model, values) == recursive_distribution(model, values)
+
+
+# --- trees deeper than the recursion limit -----------------------------------
+
+
+def test_every_walk_runs_on_a_tree_deeper_than_the_recursion_limit():
+    # trees are compared by their JSON text: dataclass ==, repr and hash recurse
+    deep = chain(2000)
+    assert (deep.node_count(), deep.leaf_count()) == (4001, 2001)
+    rows = [Instance((float(x), "PQ"[x % 2])) for x in (0, 1, 1999, 2000)]
+    assert training_accuracy(deep, Dataset(deep.schema, deep.class_index, rows)) == 1.0
+    rules = extract_rules(deep).rules
+    assert len(rules) == 2001
+    assert len(rules[-1].antecedent) == 2000
+    assert classify(deep, (2000.0, None)) == ("P", {"P": 1.0, "Q": 0.0})
+    label, dist = classify(deep, (None, None))  # every leaf, each with one row's weight
+    assert label == "P" and dist["P"] == pytest.approx(1001 / 2001)
+    pruned = prune_tree(deep)
+    assert model_to_json(prune_tree(pruned)) == model_to_json(pruned)
+
+
+def test_model_file_of_a_deep_tree_is_read_back_or_refused():
+    # json.dumps gives up at no greater depth than json.loads
+    try:
+        text = model_to_json(chain(600))
+    except ValueError as exc:
+        assert str(exc) == "ldscreen-tree document nested too deeply to write"
+    else:
+        assert model_to_json(model_from_json(text)) == text
 
 
 # --- persistence -------------------------------------------------------------

@@ -22,8 +22,8 @@ from .evaluation import (
     tree_learner,
 )
 from .rules import (
+    best_rule,
     extract_rules,
-    reached_rule,
     rule_text,
     ruleset_text,
     ruleset_to_json,
@@ -306,7 +306,7 @@ def cmd_checklist(args):
     print(f"Prediction: {class_name}={label}")
     dist_text = ", ".join(f"{v}={dist[v]:.3f}" for v in model.class_values)
     print(f"Distribution: {dist_text}")
-    rule = reached_rule(model, values)
+    rule = best_rule(extract_rules(model), values)
     print("Matched rule: " + rule_text(rule, model.schema, class_name))
     return 0
 

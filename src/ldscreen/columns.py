@@ -168,11 +168,12 @@ class Level:
         node order.  A child takes, in the node's order, the rows whose value
         is its branch's (its declared position, or ``value > threshold``),
         then each row missing the value at weight ``w * branch_w /
-        known_total`` if its branch_w is positive.  Each sum is a
-        ``bincount`` in array order, so it equals ``dataset.total``: branch_w
-        over its rows, ``known_total`` over the node's branches, a child's
-        weight over its rows.  The children of positive weight make the
-        Level, in (node, branch) order.
+        known_total`` if its branch_w is positive, divided first only where
+        the product would overflow.  Each sum is a ``bincount`` in array
+        order, so it equals ``dataset.total``: branch_w over its rows,
+        ``known_total`` over the node's branches, a child's weight over its
+        rows.  The children of positive weight make the Level, in (node,
+        branch) order.
         """
         view, n_tests = self.view, len(tests)
         widths = [len(view.schema[i].values) if view.schema[i].is_categorical else 2 for _, i, _ in tests]
@@ -200,7 +201,10 @@ class Level:
         to += test[missing] * width
         child = np.concatenate((child, to))
         rows = np.concatenate((self.rows[known], self.rows[missing]))
-        scaled = self.weights[missing] * branch_w[to] / known_total[to // width]
+        w, bw, known_w = self.weights[missing], branch_w[to], known_total[to // width]
+        with np.errstate(over="ignore"):  # a product past the float range is divided first
+            product = w * bw
+        scaled = np.where(np.isinf(product), w / known_w * bw, product / known_w)
         weights = np.concatenate((self.weights[known], scaled))
         child_w = np.bincount(child, weights, n_tests * width).astype(float)  # ints if no row
         kept = child_w > 0
@@ -272,7 +276,6 @@ class Level:
             np.full(size, i),
             np.full(size, j),
             thresholds,
-            np.full(size, 2),
             np.stack((left[cuts], right[len(column) - cuts]), axis=1),
             np.tile(np.bincount(classes, weights, n), (size, 1)),
             np.full(size, total(weights)),
@@ -292,8 +295,7 @@ class Level:
         """
         view = self.view
         n, m = view.n_classes, len(self.total_w)
-        values = [len(view.schema[i].values) for i in at]
-        width = max(values) + 1  # bin 0 of each node takes its missing values
+        width = max(len(view.schema[i].values) for i in at) + 1  # bin 0: missing values
         node, rows, weights = self.node, self.rows, self.weights
         named = np.zeros(m, bool)
         for positions in at.values():
@@ -325,7 +327,6 @@ class Level:
             np.repeat(list(at), sizes),
             nodes,
             np.full(len(nodes), math.nan),
-            np.repeat(values, sizes),
             branches,
             parent,
             known_w,
@@ -337,10 +338,11 @@ class Candidates(NamedTuple):
     """Candidate splits at nodes of a Level, one entry per candidate.
 
     Candidate c splits the ``nodes[c]``-th node on attribute
-    ``attributes[c]`` into ``values[c]`` branches: on its declared values
-    when ``thresholds[c]`` is NaN, else ``<=`` and ``>`` the threshold.
+    ``attributes[c]``: on its declared values when ``thresholds[c]`` is
+    NaN, else ``<=`` and ``>`` the threshold (``tree.branch_conditions``).
     ``branches[c, v]`` is the class tally of that node's known rows in
-    branch v (zero past ``values[c]``), ``parent[c]`` that of all its
+    branch v, zero past the candidate's last branch, so a reader takes the
+    whole row and skips its empty branches; ``parent[c]`` is that of all its
     known rows, ``known_w[c]`` their weight and ``total_w[c]`` the weight
     of all its rows, each added in row order; a numeric candidate's two
     branch tallies are summed in sorted order instead, each on its own.
@@ -349,7 +351,6 @@ class Candidates(NamedTuple):
     attributes: np.ndarray
     nodes: np.ndarray
     thresholds: np.ndarray
-    values: np.ndarray
     branches: np.ndarray
     parent: np.ndarray
     known_w: np.ndarray

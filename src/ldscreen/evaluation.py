@@ -283,7 +283,7 @@ def _fold_predictions(folds, learner, class_index, workers):
     With p = min(workers, k) processes, worker w fits folds w, w + p, and
     so on.  This process is worker 0: it encodes the parent's view once,
     then forks the others, which inherit that view and numpy.  One loop
-    then takes the folds in order: the next frame (``_work``) from the
+    then takes the folds in order: the next list (``_work``) from the
     fold's worker, or a fit here if the fold is this process's or its
     worker sent no more.  So the exception raised is the lowest failing
     fold's, as with one worker, and the folds of a worker that died, or
@@ -327,28 +327,29 @@ def _fold_predictions(folds, learner, class_index, workers):
 
 
 def _work(out, run, folds):
-    """A forked worker: send a frame for each of ``folds`` up to the first that fails.
+    """A forked worker: send the list of each of ``folds`` up to the first that fails.
 
-    A frame is the 8-byte length of the fold's list in ``marshal``, which
-    keeps every float exact, then those bytes.  The worker ends with
-    ``os._exit``, so it never returns into the caller nor flushes the
-    output buffers it inherited.
+    Each list goes out as one ``marshal.dump`` of its ``marshal`` bytes:
+    marshal keeps every float exact and marks where the bytes end, and
+    ``marshal.load`` takes one bytes object from the pipe in one read,
+    where it would take a list in one read per item, about five times
+    slower.  The worker ends with ``os._exit``, so it never returns into
+    the caller nor flushes the output buffers it inherited.
     """
     try:
         for f in folds:
-            sent = marshal.dumps(run(f))
-            out.write(len(sent).to_bytes(8, "little") + sent)
+            marshal.dump(marshal.dumps(run(f)), out)
             out.flush()
     finally:
         os._exit(0)
 
 
 def _receive(pipe):
-    """The list in the next frame on ``pipe``, or None if its worker sent no more."""
-    head = pipe.read(8)
-    size = int.from_bytes(head, "little")
-    sent = pipe.read(size) if len(head) == 8 else b""
-    return marshal.loads(sent) if sent and len(sent) == size else None
+    """The next list ``_work`` sent on ``pipe``, or None if its worker sent no more."""
+    try:
+        return marshal.loads(marshal.load(pipe))
+    except EOFError:  # the pipe ended before, or within, a list
+        return None
 
 
 def _fork():

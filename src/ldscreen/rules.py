@@ -69,16 +69,6 @@ def extract_rules(model: DecisionTreeModel) -> RuleSet:
     return RuleSet(model.schema, model.class_index, tuple(rules), default)
 
 
-def reached_rule(model: DecisionTreeModel, instance) -> Rule | None:
-    """The rule of the leaf ``instance`` reaches; None if a tested value is missing.
-
-    A tree's rules partition the rows they match, so this is the best rule
-    of the tree's rule set.  Raises ValueError if the instance does not
-    fit the schema (see Dataset).
-    """
-    return best_rule(extract_rules(model), instance)
-
-
 #: Confidence factor of the pessimistic accuracy estimate in simplify_rules;
 #: fixed, whatever the tree was pruned with.
 SIMPLIFY_CONFIDENCE = 0.25

@@ -177,6 +177,44 @@ class Decision:
     branch_weights: tuple
     class_counts: tuple
 
+    # The dataclass's own ==, hash and repr recurse once per tree level; these loop.
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _listing(self) == _listing(other)
+
+    def __hash__(self):
+        return hash(_fields(self))
+
+    def __repr__(self):
+        return _bottom_up(_levels(self, _children), _repr)
+
+
+def _fields(node):
+    """``node``'s fields other than its children, or the Leaf itself."""
+    if not isinstance(node, Decision):
+        return node
+    return node.attribute_index, node.threshold, node.branch_weights, node.class_counts
+
+
+def _listing(root):
+    """The tree at ``root`` level by level: each node's ``_fields`` and child count."""
+    levels = _levels(root, _children)
+    return [[(_fields(node), len(_children(node))) for node in level] for level in levels]
+
+
+def _repr(node, below):
+    """The dataclass repr of ``node``, its children's taken from ``below``."""
+    if not isinstance(node, Decision):
+        return repr(node)
+    children = [next(below) for _ in node.children]
+    return (
+        f"Decision(attribute_index={node.attribute_index!r}, threshold={node.threshold!r}, "
+        f"children=({', '.join(children)}{',' * (len(children) == 1)}), "
+        f"branch_weights={node.branch_weights!r}, class_counts={node.class_counts!r})"
+    )
+
 
 @dataclass(frozen=True)
 class DecisionTreeModel:
@@ -244,7 +282,8 @@ def entropy(class_weights):
     Returns
     -------
     float
-        -sum(p * log2 p) with the 0*log0 = 0 convention; lies in
+        -sum(p * log2 p) with the 0*log0 = 0 convention, which also takes
+        a share p too small beside the total for a float to hold; lies in
         [0, log2(number of classes)].
     """
     total = 0.0
@@ -256,8 +295,8 @@ def entropy(class_weights):
         raise ValueError("entropy of an all-zero weight vector is undefined")
     h = 0.0
     for w in class_weights:
-        if w > 0:
-            p = w / total
+        p = w / total
+        if p > 0:
             h -= p * math.log2(p)
     return h
 
@@ -300,27 +339,27 @@ def evaluate_split(dataset, attribute_index, threshold=None):
 def _score(splits, c):
     """The SplitCandidate of candidate ``c`` of the ``columns.Candidates`` table ``splits``.
 
-    Its scores come from its branch tallies, its parent tally of the
-    known-valued weight ``known_w[c]`` and ``total_w[c]``, which also
-    counts the rows whose tested value is missing.  A candidate with no
-    known weight has no branch of positive weight, so it is invalid
-    before the parent's entropy is taken.
+    Its scores come from its row of branch tallies, its parent tally of
+    the known-valued weight ``known_w[c]`` and ``total_w[c]``, which also
+    counts the rows whose tested value is missing.  A branch counts when
+    its share of ``known_w[c]`` is positive: not an empty one, the
+    padding past the candidate's last branch included, nor one too light
+    beside the others for a float to hold its share.  A candidate with
+    fewer than two such branches, or with no known weight, has intrinsic
+    value 0 and is invalid before the parent's entropy is taken.
     """
     attribute_index = int(splits.attributes[c])
     threshold = float(splits.thresholds[c])
     threshold = None if math.isnan(threshold) else threshold
-    branch_class = splits.branches[c, : splits.values[c]].tolist()
     known_w, total_w = float(splits.known_w[c]), float(splits.total_w[c])
-    branch_w = [total(bc) for bc in branch_class]
-    if sum(1 for w in branch_w if w > 0) < 2:  # single branch: intrinsic value 0
+    branch_class = splits.branches[c].tolist() if known_w > 0 else []
+    shares = [(share, bc) for bc in branch_class if (share := total(bc) / known_w) > 0]
+    if len(shares) < 2:  # intrinsic value 0
         return SplitCandidate(attribute_index, threshold, 0.0, 0.0, 0.0, False)
     h_parent = entropy(splits.parent[c].tolist())
     h_children = 0.0
     iv = 0.0
-    for bc, w in zip(branch_class, branch_w):
-        if w <= 0:
-            continue
-        share = w / known_w
+    for share, bc in shares:
         h_children += share * entropy(bc)
         iv -= share * math.log2(share)
     gain = (known_w / total_w) * (h_parent - h_children)
@@ -333,10 +372,10 @@ def _screen(splits):
     The gain and the intrinsic value follow ``_score``'s formulas in
     numpy, the parent's entropy included, so they can differ from its
     scores by rounding; ``_screen_error`` bounds the difference.  The
-    zero tallies past ``values[c]`` add only zeros.  ``valid`` is exact:
-    a sum of non-negative weights is positive exactly when one of them
-    is, in any order, and a candidate with no known weight has no branch
-    of positive weight.
+    zero tallies past a candidate's last branch add only zeros.
+    ``valid`` is exact: each branch weight is added left to right, as
+    ``_score`` adds it, so both divide the same floats into the same
+    shares and count the same branches of positive share.
     """
     import numpy as np
 
@@ -345,11 +384,11 @@ def _screen(splits):
 
     parent_w = splits.parent.sum(axis=1)
     h_parent = -xlog2x(splits.parent / np.where(parent_w > 0, parent_w, 1.0)[:, None]).sum(axis=1)
-    weight = splits.branches.sum(axis=2)
-    valid = (weight > 0).sum(axis=1) >= 2
+    weight = np.cumsum(splits.branches, axis=2)[:, :, -1]
     p = splits.branches / np.where(weight > 0, weight, 1.0)[:, :, None]
     h_branch = -xlog2x(p).sum(axis=2)
     share = weight / np.where(splits.known_w > 0, splits.known_w, 1.0)[:, None]
+    valid = (share > 0).sum(axis=1) >= 2
     iv = -xlog2x(share).sum(axis=1)
     gain = (splits.known_w / splits.total_w) * (h_parent - (share * h_branch).sum(axis=1))
     return gain, iv, valid
@@ -385,7 +424,8 @@ def _screen_error(n_classes, branches=2):
     shares that sum to 1 only to within 2 gamma_n for n rows, and the
     rounding of the bounds in ``_best_candidates``: it leaves at least
     20u of relative slack in each ratio bound, where rounding moves them
-    by at most 4u.
+    by at most 4u.  E grows with b, so the E of a table's width bounds
+    every candidate in it, however few of the columns its branches fill.
     """
     k, b = n_classes, branches
     log2k, log2b = math.log2(k), math.log2(b)
@@ -478,17 +518,19 @@ def _best_candidates(level, open_nodes, schema, class_index):
     attributes)``.  Every candidate of the level, nominal or numeric, is
     in one table (``Level.candidates``), and one numpy screen
     (``_screen``) gives each an approximate gain g~ and intrinsic value
-    iv~, each within E = ``_screen_error(n_classes, branches)`` of what
-    ``_score`` computes.  A candidate whose screened gain ratio is
-    certainly reached, with g~ - E > ``_GAIN_EPS`` and iv~ > E, is useful
-    and scores at least (g~ - E) / (iv~ + E); a node's L is the largest of
-    these, or 0.  Only the valid candidates with g~ + E > ``_GAIN_EPS``
-    and an upper bound (g~ + E) / (iv~ - E) of at least L (always when
-    iv~ <= E) are scored, one ``_score`` each.  Every other candidate is
-    useless or scores below L, itself at most the best useful ratio, so
-    the best and every candidate tied with it are scored exactly, and
-    ``first_max`` over generation order (attribute index, then ascending
-    threshold) picks what scoring every candidate would.
+    iv~, each within E = ``_screen_error(n_classes, b)`` of what
+    ``_score`` computes, b being the table's width: E grows with the
+    branch count, and no candidate has more branches than the table is
+    wide, so one E per level covers them all.  A candidate whose screened
+    gain ratio is certainly reached, with g~ - E > ``_GAIN_EPS`` and
+    iv~ > E, is useful and scores at least (g~ - E) / (iv~ + E); a node's
+    L is the largest of these, or 0.  Only the valid candidates with
+    g~ + E > ``_GAIN_EPS`` and an upper bound (g~ + E) / (iv~ - E) of at
+    least L (always when iv~ <= E) are scored, one ``_score`` each.  Every
+    other candidate is useless or scores below L, itself at most the best
+    useful ratio, so the best and every candidate tied with it are scored
+    exactly, and ``first_max`` over generation order (attribute index,
+    then ascending threshold) picks what scoring every candidate would.
     """
     import numpy as np
 
@@ -501,8 +543,7 @@ def _best_candidates(level, open_nodes, schema, class_index):
         return [None] * len(open_nodes)
     splits = level.candidates(at)
     screen = _screen(splits)
-    branches, of = np.unique(splits.values, return_inverse=True)
-    error = np.array([_screen_error(level.view.n_classes, b) for b in branches.tolist()])[of]
+    error = _screen_error(level.view.n_classes, splits.branches.shape[1])
     reached = np.zeros(len(level.total_w))  # every useful ratio is positive, so 0 bounds the best
     np.maximum.at(reached, splits.nodes, _reached(*screen, error))
     near = np.flatnonzero(_near(*screen, error, reached[splits.nodes]))
@@ -858,8 +899,14 @@ def classify(model, instance):
     return class_values[first_max(dist)], dict(zip(class_values, dist))
 
 
-def _distribution(model, values):
-    """The class distribution of the checked row ``values``, in declared class order."""
+def _distribution(model, values, share_first=False):
+    """The class distribution of the checked row ``values``, in declared class order.
+
+    A missing value sends ``weight * bw / total_bw`` down each branch, and
+    a leaf adds ``weight * count / leaf_total`` to each class.  If every
+    leaf's part underflows to 0, as weights of an extreme ratio can make
+    it, the walk is taken again with each share divided out first.
+    """
     schema, merged = model.schema, [0.0] * len(model.class_values)
     later = [(model.root, 1.0)]  # a missing value's other branches: leaves add depth first
     while later:
@@ -869,7 +916,11 @@ def _distribution(model, values):
             if v is None:
                 total_bw = total(node.branch_weights)
                 branches = zip(node.children, node.branch_weights)
-                shares = [(child, weight * bw / total_bw) for child, bw in branches if bw > 0]
+                shares = [
+                    (child, weight * (bw / total_bw) if share_first else weight * bw / total_bw)
+                    for child, bw in branches
+                    if bw > 0
+                ]
                 later += reversed(shares[1:])
                 node, weight = shares[0]
             elif spec.is_categorical:
@@ -878,8 +929,10 @@ def _distribution(model, values):
                 node = node.children[0 if v <= node.threshold else 1]
         leaf_total = total(node.class_counts)
         for i, c in enumerate(node.class_counts):
-            merged[i] += weight * c / leaf_total
+            merged[i] += weight * (c / leaf_total) if share_first else weight * c / leaf_total
     merged_total = total(merged)
+    if merged_total == 0 and not share_first:
+        return _distribution(model, values, True)
     return [c / merged_total for c in merged]
 
 

@@ -420,18 +420,17 @@ def _score_splits(attribute_index, thresholds, branch_tallies, parent, known_w, 
     h_parent = entropy(parent)
     candidates = []
     for threshold, branch_class in zip(thresholds, branch_tallies):
-        branch_w = [total(bc) for bc in branch_class]
-        if sum(1 for w in branch_w if w > 0) < 2:  # single branch: intrinsic value 0
+        shares = [total(bc) / known_w for bc in branch_class]
+        if sum(1 for share in shares if share > 0) < 2:  # intrinsic value 0
             candidates.append(
                 SplitCandidate(attribute_index, threshold, 0.0, 0.0, 0.0, False)
             )
             continue
         h_children = 0.0
         iv = 0.0
-        for bc, w in zip(branch_class, branch_w):
-            if w <= 0:
+        for bc, share in zip(branch_class, shares):
+            if share <= 0:  # empty, or too light beside the others for a float
                 continue
-            share = w / known_w
             h_children += share * entropy(bc)
             iv -= share * math.log2(share)
         gain = (known_w / total_w) * (h_parent - h_children)
@@ -471,7 +470,9 @@ def _grow(rows, schema, class_index, used_nominal, config):
     for values, w in missing:
         for b in range(n_branches):
             if known_w[b] > 0:
-                branch_rows[b].append((values, w * known_w[b] / known_total))
+                scaled = w * known_w[b]  # divided first only where it overflows
+                scaled = w / known_total * known_w[b] if math.isinf(scaled) else scaled / known_total
+                branch_rows[b].append((values, scaled))
 
     child_used = (
         used_nominal | {best.attribute_index} if spec.is_categorical else used_nominal

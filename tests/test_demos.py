@@ -1,4 +1,4 @@
-"""The demo scripts run to completion against the source tree."""
+"""The demo scripts run to completion against the source tree, warning-free."""
 
 import os
 import subprocess
@@ -17,8 +17,8 @@ def test_four_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_0(demo):
+    # with warnings as errors, and nothing on stderr: a numpy warning fails it
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert result.returncode == 0, result.stderr
+    command = [sys.executable, "-W", "error", str(demo)]
+    result = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "")

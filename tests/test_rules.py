@@ -23,7 +23,6 @@ from ldscreen.rules import (
     RuleSet,
     best_rule,
     extract_rules,
-    reached_rule,
     rule_text,
     rules_classify,
     ruleset_text,
@@ -105,7 +104,9 @@ def _answer(rng, spec):
 
 @settings(max_examples=150, deadline=None)
 @given(weighted_mixed_datasets(), st.booleans(), st.integers(0, 2**32 - 1))
-def test_reached_rule_is_the_best_rule_of_the_tree(d, pruning, seed):
+def test_a_row_matches_at_most_the_rule_of_the_leaf_it_reaches(d, pruning, seed):
+    # a tree's rules partition the rows they match: a complete row matches the
+    # rule of the leaf it reaches, and a row missing a value tested on the way none
     model = build_tree(d, TreeConfig(min_leaf_weight=0.5, pruning=pruning))
     ruleset = extract_rules(model)
     rng = random.Random(seed)
@@ -115,13 +116,14 @@ def test_reached_rule_is_the_best_rule_of_the_tree(d, pruning, seed):
             _answer(rng, spec) if v is None and i in features else v
             for i, (spec, v) in enumerate(zip(d.schema, inst.values))
         ]
-        rule = reached_rule(model, complete)
-        assert rule is not None
-        assert rule == best_rule(ruleset, complete)
         blanked = list(complete)
         blanked[rng.choice(features)] = None
-        for row in (inst.values, blanked):
-            assert reached_rule(model, row) == best_rule(ruleset, row)
+        for row in (complete, blanked):
+            matching = [rule for rule in ruleset.rules if rule.matches(row)]
+            assert len(matching) == 1 or (row is blanked and not matching)
+            assert best_rule(ruleset, row) == (matching[0] if matching else None)
+            if matching:
+                assert matching[0].consequent == classify(model, row)[0]
 
 
 # --- simplification ----------------------------------------------------------

@@ -667,7 +667,7 @@ def numeric_levels(draw):
 def test_midpoints_at_a_node_equal_that_node_alone(drawn):
     view, nodes = drawn
     level = level_of(view, nodes)
-    fields = ("attributes", "thresholds", "values", "branches", "parent", "known_w", "total_w")
+    fields = ("attributes", "thresholds", "branches", "parent", "known_w", "total_w")
     for j, node in enumerate(nodes):
         alone = level_of(view, [node])
         for i in range(2):
@@ -681,7 +681,7 @@ def test_midpoints_at_a_node_equal_that_node_alone(drawn):
 
 @st.composite
 def screened_level(draw):
-    """A nominal Candidates table of three attributes at 1-6 nodes of one level.
+    """The schema and a nominal Candidates table of three attributes at 1-6 nodes of one level.
 
     Each attribute declares 1-5 values, a tenth of its cells are blank,
     and there are 2-4 classes.  Each node takes some rows of one dataset
@@ -713,16 +713,17 @@ def screened_level(draw):
         rows = sorted(rng.sample(range(len(instances)), rng.randint(1, len(instances))))
         scale = rng.choice((1.0, rng.uniform(1e-3, 1.0)))
         nodes.append((root.rows[rows], root.weights[rows] * scale))
-    return level_of(root.view, nodes).nominal({i: list(range(len(nodes))) for i in range(3)})
+    return schema, level_of(root.view, nodes).nominal({i: list(range(len(nodes))) for i in range(3)})
 
 
 @settings(max_examples=300, deadline=None)
 @given(screened_level())
-def test_nominal_screen_is_within_its_error_bound(nominal):
+def test_nominal_screen_is_within_its_error_bound(drawn):
+    schema, nominal = drawn
     gain, iv, valid = _screen(nominal)
     for c, i in enumerate(nominal.attributes.tolist()):
         exact = _score(nominal, c)
-        error = _screen_error(nominal.parent.shape[1], int(nominal.values[c]))
+        error = _screen_error(nominal.parent.shape[1], len(branch_conditions(schema, i, None)))
         assert valid[c] == exact.valid
         if exact.valid:
             assert abs(gain[c] - exact.info_gain) <= error
@@ -731,7 +732,7 @@ def test_nominal_screen_is_within_its_error_bound(nominal):
 
 @st.composite
 def screened_mixed_level(draw):
-    """The Candidates table of nominal and numeric attributes at 1-6 nodes of one level.
+    """The schema and Candidates table of nominal and numeric attributes at 1-6 nodes of one level.
 
     One nominal attribute declares 5 values and one 1-5, so every numeric
     candidate's two branches are padded to 5.  Two numeric attributes
@@ -773,18 +774,19 @@ def screened_mixed_level(draw):
         scale = rng.choice((1.0, rng.uniform(1e-3, 1.0)))
         nodes.append((root.rows[rows], root.weights[rows] * scale))
     at = {i: sorted(rng.sample(range(len(nodes)), rng.randint(1, len(nodes)))) for i in range(4)}
-    return level_of(root.view, nodes).candidates(at)
+    return schema, level_of(root.view, nodes).candidates(at)
 
 
 @settings(max_examples=300, deadline=None)
 @given(screened_mixed_level())
-def test_mixed_screen_is_within_its_error_bound(splits):
+def test_mixed_screen_is_within_its_error_bound(drawn):
     # numeric candidates padded next to nominal ones, at every node of a level
+    schema, splits = drawn
     assert splits.branches.shape[1:] == (5, splits.parent.shape[1])
     gain, iv, valid = _screen(splits)
     for c, i in enumerate(splits.attributes.tolist()):
         exact = _score(splits, c)
-        error = _screen_error(splits.parent.shape[1], int(splits.values[c]))
+        error = _screen_error(splits.parent.shape[1], len(branch_conditions(schema, i, None)))
         assert valid[c] == exact.valid
         if exact.valid:
             assert abs(gain[c] - exact.info_gain) <= error
@@ -1523,7 +1525,6 @@ def test_distribution_equals_recursive_oracle(pruning, data):
 
 
 def test_every_walk_runs_on_a_tree_deeper_than_the_recursion_limit():
-    # trees are compared by their JSON text: dataclass ==, repr and hash recurse
     deep = chain(2000)
     assert (deep.node_count(), deep.leaf_count()) == (4001, 2001)
     rows = [Instance((float(x), "PQ"[x % 2])) for x in (0, 1, 1999, 2000)]
@@ -1546,6 +1547,64 @@ def test_model_file_of_a_deep_tree_is_read_back_or_refused():
         assert str(exc) == "ldscreen-tree document nested too deeply to write"
     else:
         assert model_to_json(model_from_json(text)) == text
+
+
+@pytest.mark.filterwarnings("error")
+def test_deep_trees_compare_hash_and_print_without_recursion():
+    deep, again = chain(2000), chain(2000)
+    assert deep == again and hash(deep) == hash(again)
+    assert deep != chain(1999) and deep.root != again.root.children[1]
+    text = repr(deep)
+    assert text.count("Decision(") == 2000 and text.count("Leaf(") == 2001
+
+
+def test_decision_repr_is_the_dataclass_repr():
+    one = Decision(1, None, (Leaf((1.0, 0.0), 1.0),), (1.0,), (1.0, 0.0))
+    assert repr(one) == (
+        "Decision(attribute_index=1, threshold=None, children=(Leaf(class_counts=(1.0, 0.0), "
+        "weight=1.0),), branch_weights=(1.0,), class_counts=(1.0, 0.0))"
+    )
+    model = build_tree(synthetic_checklist(70, 30, seed=6, missing_rate=0.1), TreeConfig(pruning=False))
+    assert eval(repr(model.root), {"Decision": Decision, "Leaf": Leaf}) == model.root
+
+
+# --- weights of any finite ratio ---------------------------------------------
+
+#: Row weights whose ratios reach past the float range.
+EXTREME_WEIGHTS = (1e300, 3e299, 1.0, 1e-200, 5e-324)
+
+
+@pytest.mark.filterwarnings("error")
+def test_weights_of_any_finite_ratio_grow_prune_and_classify():
+    # shares underflow to 0 and a missing row's scaled weight can overflow:
+    # growth must match the oracle and no stage may raise or warn
+    for seed in range(100):
+        rng = random.Random(seed)
+        d = random_mixed_dataset(rng, rng.randint(4, 30), 1, 1, missing_rate=0.3)
+        weighted = [Instance(inst.values, rng.choice(EXTREME_WEIGHTS)) for inst in d.instances]
+        d = Dataset(d.schema, d.class_index, weighted)
+        splits = Columns(d).root().candidates({0: [0], 1: [0]})
+        assert _screen(splits)[2].tolist() == [_score(splits, c).valid for c in range(len(splits.nodes))]
+        config = TreeConfig(min_leaf_weight=0, pruning=False)
+        grown = build_tree(d, config)
+        oracle = DecisionTreeModel(d.schema, d.class_index, row_loop_tree(d, config), config)
+        assert model_to_json(grown) == model_to_json(oracle)
+        for model in (grown, prune_tree(grown)):
+            for inst in d.instances:
+                assert sum(classify(model, inst)[1].values()) == pytest.approx(1.0)
+            assert 0.0 <= training_accuracy(model, d) <= 1.0
+            simplify_rules(extract_rules(model), d)
+            assert model_from_json(model_to_json(model)) == model
+
+
+def test_a_row_whose_every_leaf_part_underflows_is_classified():
+    # 0.5 * 5e-324 rounds to 0 at both leaves, so each share is divided out first
+    tiny = 5e-324
+    schema = (AttributeSpec.numeric("x"), AttributeSpec.categorical("c", ("P", "Q")))
+    leaves = (Leaf((tiny, 0.0), tiny), Leaf((0.0, tiny), tiny))
+    model = DecisionTreeModel(schema, 1, Decision(0, 0.25, leaves, (tiny, tiny), (tiny, tiny)), TreeConfig())
+    assert classify(model, (None, None)) == ("P", {"P": 0.5, "Q": 0.5})
+    assert classify(model, (0.0, None)) == ("P", {"P": 1.0, "Q": 0.0})
 
 
 # --- persistence -------------------------------------------------------------

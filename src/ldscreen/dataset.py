@@ -326,13 +326,12 @@ def _check_instance(schema, instance, row=None):
     if len(values) != len(schema):
         raise ValueError(f"{where}expected {len(schema)} values, got {len(values)}")
     for spec, v in zip(schema, values):
-        if v is None:
+        if v is None or v in spec.values:  # a numeric spec declares no values
             continue
         if spec.is_categorical:
-            if v not in spec.values:
-                raise ValueError(f"{where}{v!r} not declared for attribute {spec.name}")
+            raise ValueError(f"{where}{v!r} not declared for attribute {spec.name}")
         # plain floats, the common case, skip the slower general check
-        elif not (type(v) is float and math.isfinite(v)) and not is_finite_number(v):
+        if not (type(v) is float and math.isfinite(v)) and not is_finite_number(v):
             raise ValueError(
                 f"{where}{v!r} in numeric attribute {spec.name} is not a finite number"
             )

@@ -36,14 +36,15 @@ files are the same on every supported Python.
 No pass over a tree recurses: growth, pruning and the model file build a
 tree from its deepest level up (``_bottom_up``), and the other walks loop.
 
-A built model is immutable; concurrent classification is safe.
+A built model is immutable; concurrent classification is safe (a leaf's
+memo, ``Leaf._memo``, is the same whichever call fills it first).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 
 from .dataset import (
     EQ,
@@ -150,6 +151,11 @@ class Leaf:
     class, aligned to the class declaration order; it always sums > 0.  A
     branch that received no training weight borrows its parent's counts
     for prediction, with ``weight`` recording the true arriving weight 0.
+
+    ``_memo`` is how ``classify`` answers a row that reaches this leaf
+    without meeting a blank: computed on first use and kept on the leaf.
+    It is not a field, so ``==``, ``hash``, ``repr`` and the model file
+    never see it.
     """
 
     class_counts: tuple
@@ -158,6 +164,18 @@ class Leaf:
     @property
     def predicted_index(self):
         return first_max(self.class_counts)
+
+    @cached_property
+    def _memo(self):
+        """``(first_max(dist), dist)``, ``dist`` this leaf's class shares as a tuple.
+
+        A row that meets no blank gets exactly its leaf's class
+        distribution (C4.5), and it reaches the leaf at weight 1.0.  The
+        shares are ``_spread``'s from this leaf at that weight, underflow
+        retry included, so they are the floats a walk from the root adds up.
+        """
+        dist = tuple(_spread((), (), self))
+        return first_max(dist), dist
 
 
 @dataclass(frozen=True)
@@ -617,6 +635,14 @@ _UCB_TAU = 1e-9
 #: Screened estimates closer than this, relative, are compared exactly.
 _UCB_MARGIN = 1e-7
 
+#: Past this a + b the screen declines every quantile but a = 1's closed form:
+#: ``_beta_root``'s rounding test refuses each root.  A sweep of errors from
+#: 1e-4 to total - 1e-4, totals from 1e9 to 1e14 and CFs from 1e-15 to
+#: 1 - 1e-15 found no other answer above a + b = 1.7e12 (at CF 0.25,
+#: none above 1.5e11).  A root declined there can cost 32 continued fractions,
+#: so ``_beta_quantile`` declines at once.
+_UCB_MAX_SIZE = 2.0**42
+
 _HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
 _TINY = 1e-300  # Lentz's stand-in for a zero denominator
 
@@ -643,7 +669,8 @@ def _screen_ucb(errors, total, confidence_factor):
 def _beta_quantile(a, b, p):
     """The p quantile of Beta(a >= 1, b), as betaincinv(a, b, p) gives it, or None.
 
-    a = 1 takes the closed form.  Otherwise ``_beta_root`` solves
+    a = 1 takes the closed form; past a + b = _UCB_MAX_SIZE it is None.
+    Otherwise ``_beta_root`` solves
     I_x(a, b) = p for the regularized incomplete beta I, or, for a
     quantile near 1, I_y(b, a) = 1 - p for y = 1 - x, so that y keeps
     its relative precision.
@@ -651,6 +678,8 @@ def _beta_quantile(a, b, p):
     q = 1.0 - p  # exact: p >= 1/2, or p = 1 - CF exactly
     if a == 1.0:  # I_x(1, b) = 1 - (1 - x)**b
         return -math.expm1(math.log(q) / b)
+    if a + b > _UCB_MAX_SIZE:
+        return None
     x = _beta_guess(a, b, p, q)
     if x <= 0.5:
         return _beta_root(a, b, p, q, x, _log_beta(a, b))
@@ -892,47 +921,78 @@ def classify(model, instance):
         sums to 1.  A missing tested value descends every branch, the
         resulting leaf distributions merged in proportion to the training
         branch weights.  Ties in the distribution resolve to the earlier
-        declared class.
+        declared class.  A row that meets no blank on its path answers
+        from its leaf's memo (``Leaf._memo``), whose floats are the ones
+        the fractional walk would add up for it.
     """
-    dist = _distribution(model, _check_instance(model.schema, instance))
+    index, dist = _answer(model, _check_instance(model.schema, instance))
     class_values = model.class_values
-    return class_values[first_max(dist)], dict(zip(class_values, dist))
+    return class_values[index], dict(zip(class_values, dist))
 
 
-def _distribution(model, values, share_first=False):
-    """The class distribution of the checked row ``values``, in declared class order.
+def _answer(model, values):
+    """``(first_max(dist), dist)`` for the checked row ``values``, ``dist`` in class order.
 
-    A missing value sends ``weight * bw / total_bw`` down each branch, and
-    a leaf adds ``weight * count / leaf_total`` to each class.  If every
-    leaf's part underflows to 0, as weights of an extreme ratio can make
-    it, the walk is taken again with each share divided out first.
+    A row whose known values take it to a leaf gets the leaf's memo.  At
+    its first blank the fractional walk (``_spread``) takes it on from that
+    node at weight 1.0, the weight it has there, so the leaves add in the
+    order and with the floats of a walk from the root.
     """
-    schema, merged = model.schema, [0.0] * len(model.class_values)
-    later = [(model.root, 1.0)]  # a missing value's other branches: leaves add depth first
+    node = _descend(model.schema, values, model.root)
+    if isinstance(node, Leaf):
+        return node._memo
+    dist = _spread(model.schema, values, node)
+    return first_max(dist), dist
+
+
+def _descend(schema, values, node):
+    """The leaf the row ``values`` reaches from ``node``, or the first node that tests a blank."""
+    while isinstance(node, Decision):
+        v, spec = values[node.attribute_index], schema[node.attribute_index]
+        if v is None:
+            return node
+        if spec.is_categorical:
+            node = node.children[spec.values.index(v)]
+        else:
+            node = node.children[0 if v <= node.threshold else 1]
+    return node
+
+
+def _distribution(model, values):
+    """The class distribution of the checked row ``values``, in declared class order."""
+    return _spread(model.schema, values, model.root)
+
+
+def _spread(schema, values, start, share_first=False):
+    """The class distribution of the checked row ``values`` sent down from ``start``.
+
+    The row arrives at ``start`` with weight 1.0.  A missing value sends
+    ``weight * bw / total_bw`` down each branch, and a leaf adds ``weight
+    * count / leaf_total`` to each class.  If every leaf's part underflows
+    to 0, as weights of an extreme ratio can make it, the walk is taken
+    again with each share divided out first.
+    """
+    merged = [0.0] * len(start.class_counts)
+    later = [(start, 1.0)]  # a missing value's branches: leaves add depth first
     while later:
         node, weight = later.pop()
-        while isinstance(node, Decision):
-            v, spec = values[node.attribute_index], schema[node.attribute_index]
-            if v is None:
-                total_bw = total(node.branch_weights)
-                branches = zip(node.children, node.branch_weights)
-                shares = [
-                    (child, weight * (bw / total_bw) if share_first else weight * bw / total_bw)
-                    for child, bw in branches
-                    if bw > 0
-                ]
-                later += reversed(shares[1:])
-                node, weight = shares[0]
-            elif spec.is_categorical:
-                node = node.children[spec.values.index(v)]
-            else:
-                node = node.children[0 if v <= node.threshold else 1]
+        node = _descend(schema, values, node)
+        if isinstance(node, Decision):  # its tested value is missing
+            total_bw = total(node.branch_weights)
+            branches = zip(node.children, node.branch_weights)
+            shares = [
+                (child, weight * (bw / total_bw) if share_first else weight * bw / total_bw)
+                for child, bw in branches
+                if bw > 0
+            ]
+            later += reversed(shares)
+            continue
         leaf_total = total(node.class_counts)
         for i, c in enumerate(node.class_counts):
             merged[i] += weight * (c / leaf_total) if share_first else weight * c / leaf_total
     merged_total = total(merged)
     if merged_total == 0 and not share_first:
-        return _distribution(model, values, True)
+        return _spread(schema, values, start, True)
     return [c / merged_total for c in merged]
 
 
@@ -941,14 +1001,16 @@ def training_accuracy(model, dataset):
 
     ``dataset`` must have the model's schema and class, else ValueError;
     its rows were checked against that schema when it was built, so they
-    are classified without checking them again.
+    are classified without checking them again.  Each row takes
+    ``classify``'s label, from its leaf's memo when it meets no blank on
+    its path: the label its distribution's floats give.
     """
     if (tuple(model.schema), model.class_index) != (dataset.schema, dataset.class_index):
         raise ValueError("the dataset's schema or class differs from the model's")
     class_values = model.class_values
     correct = 0
     for inst in dataset.instances:  # classify's label, without its check
-        label = class_values[first_max(_distribution(model, inst.values))]
+        label = class_values[_answer(model, inst.values)[0]]
         correct += label == inst.values[model.class_index]
     return correct / len(dataset)
 

@@ -179,27 +179,32 @@ def apply_hidden(node, vals):
     return node
 
 
-def recursive_distribution(model, values):
+def recursive_distribution(model, values, share_first=False):
     """The class distribution of the checked row ``values``, one call per node reached.
 
     A missing tested value sends the row down every branch of positive
     training weight, in branch order, its weight scaled by the branch's
-    share; each leaf it reaches adds its class shares, depth first.
+    share; each leaf it reaches adds its class shares, depth first.  If
+    every part is 0, each share is divided out before it scales, and the
+    row is sent down again.
     """
     merged = [0.0] * len(model.class_values)
+
+    def scaled(weight, part, whole):
+        return weight * (part / whole) if share_first else weight * part / whole
 
     def accumulate(node, weight):
         if isinstance(node, Leaf):
             leaf_total = total(node.class_counts)
             for i, c in enumerate(node.class_counts):
-                merged[i] += weight * c / leaf_total
+                merged[i] += scaled(weight, c, leaf_total)
             return
         v = values[node.attribute_index]
         if v is None:
             total_bw = total(node.branch_weights)
             for child, bw in zip(node.children, node.branch_weights):
                 if bw > 0:
-                    accumulate(child, weight * bw / total_bw)
+                    accumulate(child, scaled(weight, bw, total_bw))
             return
         spec = model.schema[node.attribute_index]
         if spec.is_categorical:
@@ -210,6 +215,8 @@ def recursive_distribution(model, values):
 
     accumulate(model.root, 1.0)
     merged_total = total(merged)
+    if merged_total == 0 and not share_first:
+        return recursive_distribution(model, values, True)
     return [c / merged_total for c in merged]
 
 

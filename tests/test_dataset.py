@@ -311,10 +311,11 @@ def test_dataset_refuses_non_finite_numbers(value):
         Dataset(schema, 1, (Instance((1.0, "A")), Instance((value, "B"))))
 
 
-#: bad cells for a numeric column (10**400 is beyond float range, and no
-#: float holds 2**53 + 1) and for a categorical one ("Z" is never declared)
+#: bad cells for a numeric column (10**400 is beyond float range, no float
+#: holds 2**53 + 1, and "A" is a symbol other columns declare) and for a
+#: categorical one ("Z" is never declared)
 BAD_NUMBERS = (
-    "abc", "1.5", float("nan"), float("inf"), -float("inf"), 10**400, 2**53 + 1,
+    "abc", "1.5", "A", float("nan"), float("inf"), -float("inf"), 10**400, 2**53 + 1,
     True, False,
 )
 BAD_SYMBOLS = ("Z", 1.0, True)
@@ -369,12 +370,16 @@ def test_dataset_classify_and_best_rule_share_one_row_check(case):
         lambda: classify(model, probe),
         lambda: best_rule(ruleset, probe),
     )
+    messages = []
     for check in checks:
         if valid:
             check()
         else:
-            with pytest.raises(ValueError):  # a TypeError fails the test
+            with pytest.raises(ValueError) as raised:  # a TypeError fails the test
                 check()
+            messages.append(str(raised.value))
+    if not valid:  # one message for each defect; a Dataset names the row
+        assert messages == ["instance 0: " + messages[1]] + [messages[1]] * 2
 
 
 @st.composite

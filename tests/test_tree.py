@@ -7,9 +7,11 @@ import itertools
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -1211,6 +1213,17 @@ def test_ucb_screen_answers_quantiles_near_1(args):
     assert screen_excess(args) <= 0
 
 
+def test_ucb_screen_declines_large_totals_at_once(monkeypatch):
+    # past a + b = _UCB_MAX_SIZE every root is declined: no continued fraction is taken
+    def no_fraction(*args):
+        raise AssertionError(f"_beta_fraction{args}")
+
+    monkeypatch.setattr(tree_module, "_beta_fraction", no_fraction)
+    assert _screen_ucb(3e299, 1e300, 0.25) is None
+    assert _screen_ucb(1e12, 1e13, 1e-15) is None
+    assert _screen_ucb(0.0, 1e300, 0.25) is not None  # zero errors: the closed form
+
+
 @contextlib.contextmanager
 def exact_decisions():
     """Every comparison of two bounds too close for the screen: all exact."""
@@ -1508,17 +1521,78 @@ def test_distribution_sums_to_one_with_missing_values():
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("pruning", [False, True])
+def edge_rows():
+    """``(model, row)`` pairs that grown trees of random data do not give.
+
+    A blank at a node with one branch of positive weight, a row that
+    reaches that node's empty branch, a row whose every leaf part
+    underflows (the walk's retry) and a row beside it that reaches one leaf.
+    """
+    nominal = (AttributeSpec.categorical("s", "AB"), AttributeSpec.categorical("c", "PQ"))
+    counts = (3.0, 1.0)
+    one_branch = Decision(0, None, (Leaf(counts, 4.0), Leaf(counts, 0.0)), (4.0, 0.0), counts)
+    one_branch = DecisionTreeModel(nominal, 1, one_branch, TreeConfig())
+    tiny = 5e-324
+    numeric = (AttributeSpec.numeric("x"), AttributeSpec.categorical("c", "PQ"))
+    leaves = (Leaf((tiny, 0.0), tiny), Leaf((0.0, tiny), tiny))
+    underflow = Decision(0, 0.25, leaves, (tiny, tiny), (tiny, tiny))
+    underflow = DecisionTreeModel(numeric, 1, underflow, TreeConfig())
+    return [
+        (one_branch, (None, None)),
+        (one_branch, ("B", "Q")),
+        (underflow, (None, None)),
+        (underflow, (0.0, None)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "pruning, extremes",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["False", "True", "False-extremes", "True-extremes"],
+)
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_distribution_equals_recursive_oracle(pruning, data):
-    # the loop adds the same leaves in the same order, so the floats are equal
-    d = data.draw(weighted_mixed_datasets())
+def test_distribution_equals_recursive_oracle(pruning, extremes, data):
+    # the loop adds the same leaves in the same order, and a row with no
+    # blank takes its leaf's memo, the same floats: the results are equal
+    d = data.draw(weighted_mixed_datasets(extremes=extremes))
     model = build_tree(d, TreeConfig(min_leaf_weight=0.5, pruning=pruning))
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    blanked = [tuple(None if rng.random() < 0.3 else v for v in i.values) for i in d.instances]
+    for m, values in [(model, values) for values in blanked] + edge_rows():
+        o = recursive_distribution(m, values)
+        assert tree_module._distribution(m, values) == o
+        class_values = m.class_values
+        assert classify(m, values) == (class_values[first_max(o)], dict(zip(class_values, o)))
+    labels = [model.class_values[first_max(recursive_distribution(model, i.values))] for i in d.instances]
+    right = sum(label == i.values[d.class_index] for label, i in zip(labels, d.instances))
+    assert training_accuracy(model, d) == right / len(d)
+
+
+def test_classified_model_is_unchanged_and_a_replaced_leaf_answers_from_its_counts():
+    # a leaf's memo is not a field: classifying leaves the model as it was read
+    d = synthetic_checklist(3000, 1000, seed=1, missing_rate=0.1)
+    text = model_to_json(build_tree(d))
+    model = model_from_json(text)
     for inst in d.instances:
-        values = tuple(None if rng.random() < 0.3 else v for v in inst.values)
-        assert tree_module._distribution(model, values) == recursive_distribution(model, values)
+        classify(model, inst)
+    fresh = model_from_json(text)
+    assert model == fresh and hash(model) == hash(fresh) and repr(model) == repr(fresh)
+    assert model_to_json(model) == text
+    again = pickle.loads(pickle.dumps(model))
+    assert again == fresh and model_to_json(again) == text
+    leaf = next(
+        node
+        for _, node in tree_module._paths(model.root, model.schema)
+        if isinstance(node, Leaf) and "_memo" in vars(node)
+        and node.class_counts != node.class_counts[::-1]
+    )
+    swapped = replace(leaf, class_counts=leaf.class_counts[::-1])
+    row, class_values = (None,) * len(model.schema), model.class_values
+    for node in (leaf, swapped):
+        one_leaf = replace(model, root=node)
+        o = recursive_distribution(one_leaf, row)
+        assert classify(one_leaf, row) == (class_values[first_max(o)], dict(zip(class_values, o)))
 
 
 # --- trees deeper than the recursion limit -----------------------------------

@@ -576,7 +576,8 @@ def parse_csv(text, schema=None, class_name=None):
     number, else categorical with symbols in first-appearance order.
     Empty cells and ``'?'`` are missing.
     """
-    reader = csv.reader(io.StringIO(text))
+    # strict: an unclosed quote is an error, not a cell that runs to the end
+    reader = csv.reader(io.StringIO(text), strict=True)
     records, start = [], 1  # (line the record starts on, cells); blank lines dropped
     try:
         for cells in reader:
@@ -584,7 +585,7 @@ def parse_csv(text, schema=None, class_name=None):
                 records.append((start, cells))
             start = reader.line_num + 1
     except csv.Error as exc:  # such as a cell over the csv module's field size limit
-        raise ParseError(str(exc), reader.line_num) from None
+        raise ParseError(str(exc), start) from None
     if not records:
         raise ParseError("empty CSV input")
     (header_line, header), records = records[0], records[1:]

@@ -107,13 +107,6 @@ def simplify_rules(ruleset: RuleSet, dataset: Dataset) -> RuleSet:
             masks[c] = view.holds(c.attribute_index, c.relation, c.value)
         return masks[c]
 
-    def matching(conditions):
-        """Mask of the rows where every one of ``conditions`` holds."""
-        mask = view.all_rows
-        for c in conditions:
-            mask = mask & holding(c)
-        return mask
-
     def labelled(label):
         return holding(Condition(ruleset.class_index, EQ, label))
 
@@ -122,7 +115,7 @@ def simplify_rules(ruleset: RuleSet, dataset: Dataset) -> RuleSet:
         return view.weight(matched), view.weight(matched & labelled_right)
 
     def simplified(bound):
-        """The rules kept, each simplified, deciding with ``bound``."""
+        """The rules kept, each simplified, deciding with ``bound``, and the rows they cover."""
         estimates = {}  # (matched, hit) -> pessimistic accuracy
 
         def estimate(stats):
@@ -142,51 +135,51 @@ def simplify_rules(ruleset: RuleSet, dataset: Dataset) -> RuleSet:
             return estimate(stats) < estimate(than)
 
         baseline = rule_stats(view.all_rows, labelled(global_majority))
-        kept = []
+        kept, covered = [], ~view.all_rows  # rows out of play never count as uncovered
         for rule in ruleset.rules:
             conditions = list(rule.antecedent)
+            held = [holding(c) for c in conditions]
+            rows = view.all_rows
+            for mask in held:
+                rows = rows & mask
             right = labelled(rule.consequent)
-            stats = rule_stats(matching(conditions), right)
+            stats = rule_stats(rows, right)
             while conditions:
                 # trial i drops condition i: the AND of the masks before it
                 # and of those after it, one AND a trial
-                held = [holding(c) for c in conditions]
                 before, after = [view.all_rows], [view.all_rows]
                 for mask in held[:-1]:
                     before.append(before[-1] & mask)
                 for mask in held[:0:-1]:
                     after.append(after[-1] & mask)
-                trials = [rule_stats(b & a, right) for b, a in zip(before, reversed(after))]
+                trial_rows = [b & a for b, a in zip(before, reversed(after))]
+                trials = [rule_stats(m, right) for m in trial_rows]
                 best_i = first_max([estimate(t) for t in trials])
                 for t in trials:  # no other trial may tie or beat the best exactly
                     apart(t, trials[best_i])
                 if below(trials[best_i], stats):
                     break
-                del conditions[best_i]
-                stats = trials[best_i]
+                del conditions[best_i], held[best_i]
+                rows, stats = trial_rows[best_i], trials[best_i]
             if below(stats, baseline):
                 continue
             matched, hit = stats
             acc = hit / matched if matched > 0 else 0.0
             kept.append(Rule(tuple(conditions), rule.consequent, matched, acc))
-        return kept
+            covered = covered | rows
+        return kept, covered
 
-    kept = _decide(simplified)
+    kept, covered = _decide(simplified)
 
-    # dedupe: simplification can collapse sibling rules into the same form
+    # dedupe: simplification can collapse sibling rules into the same form,
+    # which match the same rows
     forms = {}
     for r in kept:
         forms.setdefault((frozenset(r.antecedent), r.consequent), r)
     unique = list(forms.values())
 
-    uncovered_rows = view.all_rows
-    for r in unique:
-        uncovered_rows = uncovered_rows & ~matching(r.antecedent)
-    uncovered = [view.weight(uncovered_rows & labelled(v)) for v in class_values]
-    if sum(uncovered) > 0:
-        default = class_values[first_max(uncovered)]
-    else:
-        default = global_majority
+    uncovered = [view.weight(~covered & labelled(v)) for v in class_values]
+    default = class_values[first_max(uncovered)] if sum(uncovered) > 0 else global_majority
     return RuleSet(ruleset.schema, ruleset.class_index, tuple(unique), default)
 
 

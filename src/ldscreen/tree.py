@@ -87,6 +87,8 @@ class TreeConfig:
                 f"min_leaf_weight must be a finite number >= 0, got {self.min_leaf_weight!r}"
             )
         _check_confidence(self.confidence_factor)
+        if not isinstance(self.pruning, bool):  # any truthy value would prune
+            raise ValueError(f"pruning must be True or False, got {self.pruning!r}")
 
 
 def _check_confidence(confidence_factor):
@@ -1078,6 +1080,8 @@ def _node_from_json(schema, name_to_index, class_index, doc, below):
     spec = schema[index]
     if index == class_index:
         raise ValueError(f"a decision tests the class attribute {spec.name}")
+    if spec.is_categorical and doc["threshold"] is not None:
+        raise ValueError(f"categorical test on {spec.name} takes no threshold")
     if not spec.is_categorical and not is_finite_number(doc["threshold"]):
         raise ValueError(f"numeric test on {spec.name} needs a numeric threshold")
     n_branches = len(branch_conditions(schema, index, doc["threshold"]))

@@ -8,7 +8,7 @@ prunes it and simplifies the pruned tree's rules, as ``ldscreen rules
 --simplify`` does.  It prints the sha256 of the model and rule files, in
 order.  Run it on both sides of a change and compare the two lines:
 
-    PYTHONPATH=src python tests/model_digest.py [--datasets 300] [--seed 0] [--predictions]
+    PYTHONPATH=src python tests/model_digest.py [--datasets 300] [--seed 0] [--predictions | --folds]
 
 A change that only makes classification faster must leave every
 prediction the same, to the last bit.  With ``--predictions`` the script
@@ -16,13 +16,18 @@ hashes instead what the unpruned and the pruned tree of each dataset
 predict: ``repr(classify(model, row))`` for every row of the dataset,
 its cells blanked at 30 % by an rng of their own, and each tree's
 ``training_accuracy`` on the dataset.
+
+A train fold is read through its parent's encoded view with only the
+fold's rows in play.  With ``--folds`` the script learns the same files
+from each train fold of ``stratified_folds(d, min(3, len(d)), seed)``
+instead of from each whole dataset.
 """
 
 import argparse
 import hashlib
 import random
 
-from ldscreen.dataset import AttributeSpec, Dataset, Instance
+from ldscreen.dataset import AttributeSpec, Dataset, Instance, stratified_folds
 from ldscreen.rules import extract_rules, ruleset_to_json, simplify_rules
 from ldscreen.tree import (
     TreeConfig,
@@ -64,10 +69,11 @@ def random_dataset(rng):
     return Dataset(schema, len(schema) - 1, rows)
 
 
-def digest(datasets=300, seed=0, predictions=False):
+def digest(datasets=300, seed=0, predictions=False, folds=False):
     """The hex sha256 of every file learned from ``datasets`` random datasets.
 
-    With ``predictions``, of every prediction of the learned trees instead.
+    With ``predictions``, of every prediction of the learned trees instead;
+    with ``folds``, of every file learned from their train folds.
     """
     rng = random.Random(seed)
     blanks = random.Random(f"blank cells {seed}")  # leaves ``rng``'s draws as they are
@@ -79,16 +85,32 @@ def digest(datasets=300, seed=0, predictions=False):
             confidence_factor=rng.choice((0.1, 0.25, 0.5)),
             pruning=False,
         )
-        grown = build_tree(d, config)
-        pruned = prune_tree(grown)
         if predictions:
-            texts = predicted(d, (grown, pruned), blanks)
+            texts = predicted(d, trees(d, config), blanks)
+        elif folds:
+            texts = [
+                text
+                for train, _ in stratified_folds(d, min(3, len(d)), seed)
+                for text in learned(train, config)
+            ]
         else:
-            simplified = simplify_rules(extract_rules(pruned), d)
-            texts = (model_to_json(grown), model_to_json(pruned), ruleset_to_json(simplified))
+            texts = learned(d, config)
         for text in texts:
             sha.update(text.encode() + b"\0")
     return sha.hexdigest()
+
+
+def trees(d, config):
+    """The unpruned tree grown from ``d`` and that tree pruned."""
+    grown = build_tree(d, config)
+    return grown, prune_tree(grown)
+
+
+def learned(d, config):
+    """The model files of both trees of ``d``, and the pruned tree's rules simplified on ``d``."""
+    grown, pruned = trees(d, config)
+    simplified = simplify_rules(extract_rules(pruned), d)
+    return model_to_json(grown), model_to_json(pruned), ruleset_to_json(simplified)
 
 
 def predicted(d, models, blanks):
@@ -104,11 +126,15 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--datasets", type=int, default=300, help="datasets to learn from (default 300)")
     parser.add_argument("--seed", type=int, default=0, help="seed of the datasets (default 0)")
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
         "--predictions", action="store_true", help="hash the trees' predictions, not the files"
     )
+    mode.add_argument(
+        "--folds", action="store_true", help="hash the files learned from each dataset's train folds"
+    )
     args = parser.parse_args()
-    print(digest(args.datasets, args.seed, args.predictions))
+    print(digest(args.datasets, args.seed, args.predictions, args.folds))
 
 
 if __name__ == "__main__":

@@ -17,7 +17,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from ldscreen.dataset import AttributeSpec, Dataset, Instance, class_tally, first_max, total
-from ldscreen.tree import _GAIN_EPS, Decision, Leaf, SplitCandidate, entropy
+from ldscreen.rules import SIMPLIFY_CONFIDENCE, Rule, RuleSet
+from ldscreen.tree import _GAIN_EPS, Decision, Leaf, SplitCandidate, entropy, ucb_error_rate
 
 
 def binary_dataset(rows, n_attrs, class_values=("N", "Y"), names=None):
@@ -247,6 +248,75 @@ def best_rule_oracle(ruleset, values):
         if best is None or (rule.accuracy, rule.coverage) > (best.accuracy, best.coverage):
             best = rule
     return best
+
+
+def simplify_rules_oracle(ruleset, dataset):
+    """C4.5rules simplification of ``ruleset`` on ``dataset``, one trial at a time.
+
+    A trial's rows are found from scratch with ``Condition.holds``, and
+    its weights added in row order; every estimate is one minus
+    ``ucb_error_rate`` at SIMPLIFY_CONFIDENCE (0 for a rule matching no
+    weight).  A rule drops the condition of the first best trial unless
+    that trial's estimate is below the rule's own, and is kept unless its
+    estimate ends below that of the match-everything rule of the majority
+    class.  Of rules of one form the first is kept.  The default class is
+    the first majority among the rows no kept rule matches, or among all
+    rows if those weigh nothing.
+    """
+    rows = [(inst.values, inst.values[dataset.class_index], inst.weight) for inst in dataset.instances]
+    classes = dataset.class_values
+
+    def stats(conditions, consequent):
+        matched = hit = 0.0
+        for values, label, weight in rows:
+            if all(c.holds(values) for c in conditions):
+                matched += weight
+                if label == consequent:
+                    hit += weight
+        return matched, hit
+
+    def estimate(matched, hit):
+        if matched <= 0:
+            return 0.0
+        return 1.0 - ucb_error_rate(matched - hit, matched, SIMPLIFY_CONFIDENCE)
+
+    def tally(of_row):
+        weights = [0.0] * len(classes)
+        for values, label, weight in rows:
+            if of_row(values):
+                weights[classes.index(label)] += weight
+        return weights
+
+    overall = tally(lambda values: True)
+    majority = classes[overall.index(max(overall))]
+    baseline = estimate(*stats((), majority))
+    kept = {}
+    for rule in ruleset.rules:
+        conditions = list(rule.antecedent)
+        current = stats(conditions, rule.consequent)
+        while conditions:
+            trials = [
+                stats(conditions[:i] + conditions[i + 1:], rule.consequent)
+                for i in range(len(conditions))
+            ]
+            best = 0
+            for i, trial in enumerate(trials):
+                if estimate(*trial) > estimate(*trials[best]):
+                    best = i
+            if estimate(*trials[best]) < estimate(*current):
+                break
+            del conditions[best]
+            current = trials[best]
+        if estimate(*current) < baseline:
+            continue
+        matched, hit = current
+        accuracy = hit / matched if matched > 0 else 0.0
+        form = (frozenset(conditions), rule.consequent)
+        kept.setdefault(form, Rule(tuple(conditions), rule.consequent, matched, accuracy))
+    kept = list(kept.values())
+    uncovered = tally(lambda values: not any(r.matches(values) for r in kept))
+    default = classes[uncovered.index(max(uncovered))] if max(uncovered) > 0 else majority
+    return RuleSet(ruleset.schema, ruleset.class_index, tuple(kept), default)
 
 
 def enumeration_min_wcss(rows):

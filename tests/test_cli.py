@@ -760,6 +760,22 @@ def _zero_root_branch_weights(text):
     return json.dumps(doc)
 
 
+def _categorical_threshold(text):
+    doc = json.loads(text)
+    doc["root"]["threshold"] = 0.5
+    return json.dumps(doc)
+
+
+def _pruning(value):
+    def damage(text):
+        doc = json.loads(text)
+        doc["config"]["pruning"] = value
+        return json.dumps(doc)
+
+    damage.__name__ = f"pruning({value!r})"
+    return damage
+
+
 def _unreadable_value(value):
     # replaces Y, so that the all-N answers stay valid
     def damage(text):
@@ -789,6 +805,9 @@ def _unreadable_value(value):
         _zero_leaf_counts,
         _zero_root_branch_weights,
         _root_tests_the_class,
+        _categorical_threshold,
+        _pruning("no"),
+        _pruning(1),
     ],
 )
 def test_checklist_malformed_model_exits_2(model_path, damage, capsys):
@@ -878,6 +897,16 @@ def test_csv_header_name_with_a_line_break_exits_2(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "ldscreen: error: line 1: invalid attribute name: 'a\\nb'\n"
+
+
+def test_csv_unclosed_quote_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text('a,c\nx,p\ny,"q\nx,p\ny,q\n')
+    code = main(["train", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "ldscreen: error: line 3: unexpected end of data\n"
 
 
 # --- malformed corpus ----------------------------------------------------------

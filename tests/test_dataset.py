@@ -267,6 +267,17 @@ def test_parse_csv_wraps_csv_module_errors():
         parse_csv("a,c\n" + "x" * 200_000 + ",P\ny,Q\n")
 
 
+def test_parse_csv_refuses_an_unclosed_quote_at_the_line_it_opens():
+    # the quote would otherwise swallow every row after it into one cell
+    with pytest.raises(ParseError, match=r"^line 3: unexpected end of data$"):
+        parse_csv('a,c\nx,p\ny,"q\nx,p\ny,q\n')
+
+
+def test_parse_csv_refuses_text_after_a_closing_quote():
+    with pytest.raises(ParseError, match=r"^line 3: "):
+        parse_csv('a,c\nx,p\n"x"y,p\n')
+
+
 # --- CSV parsing ------------------------------------------------------------
 
 

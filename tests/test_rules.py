@@ -12,11 +12,20 @@ from oracles import (
     best_rule_oracle,
     binary_dataset,
     random_binary_dataset,
+    simplify_rules_oracle,
     weighted_mixed_datasets,
 )
 
 from ldscreen.columns import Columns
-from ldscreen.dataset import AttributeSpec, Dataset, Instance, first_max, synthetic_checklist, total
+from ldscreen.dataset import (
+    AttributeSpec,
+    Dataset,
+    Instance,
+    first_max,
+    stratified_folds,
+    synthetic_checklist,
+    total,
+)
 from ldscreen.rules import (
     Condition,
     Rule,
@@ -234,6 +243,19 @@ def test_simplified_statistics_are_row_order_sums(d):
             uncovered[d.class_values.index(label)] += inst.weight
     tally = uncovered if sum(uncovered) > 0 else overall
     assert simplified.default_class == d.class_values[first_max(tally)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_mixed_datasets(), st.sampled_from([0.5, 1.0, 2.0]), st.booleans(), st.integers(0, 99))
+def test_simplified_rules_equal_the_oracle(d, min_leaf_weight, pruning, seed):
+    # a train fold reads its parent's view, whose rows out of the fold are
+    # out of play: they count neither as covered nor as uncovered
+    folds = stratified_folds(d, min(3, len(d)), seed)
+    for data in [d] + [train for train, _ in folds]:
+        rs = extract_rules(build_tree(data, TreeConfig(min_leaf_weight, pruning=pruning)))
+        assert ruleset_to_json(simplify_rules(rs, data)) == ruleset_to_json(
+            simplify_rules_oracle(rs, data)
+        )
 
 
 @settings(max_examples=150, deadline=None)

@@ -43,6 +43,7 @@ from ldscreen.dataset import (
     AttributeSpec,
     Dataset,
     Instance,
+    ParseError,
     class_tally,
     first_max,
     impute_missing,
@@ -1694,6 +1695,21 @@ def test_model_json_round_trip():
     assert back.root == m.root
     for inst in d.instances:
         assert classify(back, inst) == classify(m, inst)
+
+
+def test_model_reader_refuses_a_threshold_on_a_categorical_test():
+    d = binary_dataset([["0", "Y"], ["1", "N"]], 1, ("Y", "N"))
+    doc = json.loads(model_to_json(build_tree(d, TreeConfig(min_leaf_weight=0.5))))
+    assert doc["root"]["type"] == "decision"
+    doc["root"]["threshold"] = 0.5
+    with pytest.raises(ParseError, match="categorical test on a0 takes no threshold"):
+        model_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("pruning", ["no", 1, 0, None, 1.0])
+def test_tree_config_pruning_must_be_a_bool(pruning):
+    with pytest.raises(ValueError, match=f"pruning must be True or False, got {pruning!r}"):
+        TreeConfig(pruning=pruning)
 
 
 def test_model_json_requires_version():

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import chain
-from operator import add
+from operator import add, contains
 
 BINARY = "binary"
 NOMINAL = "nominal"
@@ -314,17 +314,39 @@ class Dataset:
         return dataset
 
 
-def _check_instance(schema, instance, row=None):
+def _cell_sets(schema):
+    """One frozenset per column of ``schema``, its declared symbols and ``None``.
+
+    None when an attribute is numeric: its cells are checked by the loop
+    of ``_check_instance`` alone.
+    """
+    if not all(spec.is_categorical for spec in schema):
+        return None
+    return tuple(frozenset(spec.values + (None,)) for spec in schema)
+
+
+def _check_instance(schema, instance, row=None, cells=None):
     """The values of ``instance`` (an Instance or a plain sequence), checked.
 
     Each value must be ``None`` (missing), a declared symbol in a categorical
     column, or a finite non-bool number in a numeric one; else ValueError,
-    prefixed ``instance <row>:`` when ``row`` is given.
+    prefixed ``instance <row>:`` when ``row`` is given.  ``cells``, the
+    schema's ``_cell_sets`` (None for a schema with a numeric attribute),
+    lets a row whose every value is in its column's set pass at once.  A
+    row that misses a set, or whose cell cannot be hashed, goes on to the
+    per-column loop, which alone words a refusal: a row the sets accept
+    passes the loop too, so the sets accept only what the loop accepts.
     """
     values = instance.values if isinstance(instance, Instance) else tuple(instance)
     where = "" if row is None else f"instance {row}: "
     if len(values) != len(schema):
         raise ValueError(f"{where}expected {len(schema)} values, got {len(values)}")
+    if cells is not None:
+        try:
+            if all(map(contains, cells, values)):
+                return values
+        except Exception:  # such as an unhashable cell: the loop decides
+            pass
     for spec, v in zip(schema, values):
         if v is None or v in spec.values:  # a numeric spec declares no values
             continue

@@ -37,7 +37,11 @@ No pass over a tree recurses: growth, pruning and the model file build a
 tree from its deepest level up (``_bottom_up``), and the other walks loop.
 
 A built model is immutable; concurrent classification is safe (a leaf's
-memo, ``Leaf._memo``, is the same whichever call fills it first).
+memo, ``Leaf._memo``, is the same whichever call fills it first).  The
+other values classification reads that are not fields, a model's cell
+sets (``DecisionTreeModel._cells``), a leaf's weight total
+(``Leaf._total``) and a decision's positive branches (``Decision._routes``),
+are set when the model or node is built and never change.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from .dataset import (
     LE,
     AttributeSpec,
     Dataset,
+    _cell_sets,
     _check_instance,
     dump_document,
     first_max,
@@ -156,12 +161,16 @@ class Leaf:
 
     ``_memo`` is how ``classify`` answers a row that reaches this leaf
     without meeting a blank: computed on first use and kept on the leaf.
-    It is not a field, so ``==``, ``hash``, ``repr`` and the model file
-    never see it.
+    ``_total``, the ``total`` of ``class_counts`` that the fractional walk
+    divides by, is set when the leaf is built.  Neither is a field, so
+    ``==``, ``hash``, ``repr`` and the model file never see them.
     """
 
     class_counts: tuple
     weight: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "_total", total(self.class_counts))
 
     @property
     def predicted_index(self):
@@ -189,6 +198,12 @@ class Decision:
     ``branch_weights`` is the training weight that descended each branch
     and drives fractional routing of missing values.  ``class_counts`` is
     retained for pruning and for patching empty branches.
+
+    ``_routes``, set when the node is built, is what the fractional walk
+    reads here: ``(total(branch_weights), branches)``, ``branches`` the
+    ``(child, weight)`` of each branch of positive weight, last first.
+    It is not a field, so ``==``, ``hash``, ``repr`` and the model file
+    never see it.
     """
 
     attribute_index: int
@@ -196,6 +211,11 @@ class Decision:
     children: tuple
     branch_weights: tuple
     class_counts: tuple
+
+    def __post_init__(self):
+        branches = zip(self.children, self.branch_weights)
+        routes = total(self.branch_weights), tuple((c, bw) for c, bw in branches if bw > 0)[::-1]
+        object.__setattr__(self, "_routes", routes)
 
     # The dataclass's own ==, hash and repr recurse once per tree level; these loop.
 
@@ -238,10 +258,21 @@ def _repr(node, below):
 
 @dataclass(frozen=True)
 class DecisionTreeModel:
+    """A tree over ``schema`` predicting the attribute at ``class_index``.
+
+    ``_cells``, the schema's ``_cell_sets`` with which ``classify`` checks
+    a row, is set when the model is built.  It is not a field, so ``==``,
+    ``hash``, ``repr`` and the model file never see it, and a copy made
+    with ``dataclasses.replace`` sets its own.
+    """
+
     schema: tuple
     class_index: int
     root: object
     config: TreeConfig
+
+    def __post_init__(self):
+        object.__setattr__(self, "_cells", _cell_sets(self.schema))
 
     @property
     def class_values(self):
@@ -927,7 +958,7 @@ def classify(model, instance):
         from its leaf's memo (``Leaf._memo``), whose floats are the ones
         the fractional walk would add up for it.
     """
-    index, dist = _answer(model, _check_instance(model.schema, instance))
+    index, dist = _answer(model, _check_instance(model.schema, instance, None, model._cells))
     class_values = model.class_values
     return class_values[index], dict(zip(class_values, dist))
 
@@ -980,16 +1011,13 @@ def _spread(schema, values, start, share_first=False):
         node, weight = later.pop()
         node = _descend(schema, values, node)
         if isinstance(node, Decision):  # its tested value is missing
-            total_bw = total(node.branch_weights)
-            branches = zip(node.children, node.branch_weights)
-            shares = [
+            total_bw, branches = node._routes
+            later += [
                 (child, weight * (bw / total_bw) if share_first else weight * bw / total_bw)
                 for child, bw in branches
-                if bw > 0
             ]
-            later += reversed(shares)
             continue
-        leaf_total = total(node.class_counts)
+        leaf_total = node._total
         for i, c in enumerate(node.class_counts):
             merged[i] += weight * (c / leaf_total) if share_first else weight * c / leaf_total
     merged_total = total(merged)

@@ -324,18 +324,23 @@ def test_dataset_refuses_non_finite_numbers(value):
 
 #: bad cells for a numeric column (10**400 is beyond float range, no float
 #: holds 2**53 + 1, and "A" is a symbol other columns declare) and for a
-#: categorical one ("Z" is never declared)
+#: categorical one ("Z" is never declared, and a list cannot be hashed)
 BAD_NUMBERS = (
     "abc", "1.5", "A", float("nan"), float("inf"), -float("inf"), 10**400, 2**53 + 1,
     True, False,
 )
-BAD_SYMBOLS = ("Z", 1.0, True)
+BAD_SYMBOLS = ("Z", 1.0, True, [], float("nan"))
 
 
 @st.composite
 def schema_model_and_row(draw):
-    """A random mixed schema, a tree grown on it, and one row with at most one defect."""
-    kinds = draw(st.lists(st.sampled_from(["numeric", 1, 2, 3]), min_size=1, max_size=4))
+    """A random schema, a tree grown on it, and one row with at most one defect.
+
+    About half the schemas have no numeric attribute: only those check a
+    row against cell sets before the per-column loop.
+    """
+    kinds = ([1, 2, 3], ["numeric", 1, 2, 3])[draw(st.booleans())]
+    kinds = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4))
     schema = tuple(
         AttributeSpec.numeric(f"x{i}")
         if kind == "numeric"
@@ -391,6 +396,21 @@ def test_dataset_classify_and_best_rule_share_one_row_check(case):
             messages.append(str(raised.value))
     if not valid:  # one message for each defect; a Dataset names the row
         assert messages == ["instance 0: " + messages[1]] + [messages[1]] * 2
+
+
+@pytest.mark.parametrize("bad", BAD_SYMBOLS, ids=repr)
+def test_checklist_model_refuses_each_bad_symbol_as_a_dataset_does(bad):
+    # every column categorical: classify checks rows against cell sets first
+    d = synthetic_checklist(30, 10, seed=3, missing_rate=0.2)
+    model = build_tree(d)
+    row = list(d.instances[0].values)
+    row[model.root.attribute_index] = bad
+    with pytest.raises(ValueError) as refused:
+        Dataset(d.schema, d.class_index, (Instance(row),))
+    for check in (lambda: classify(model, row), lambda: best_rule(extract_rules(model), row)):
+        with pytest.raises(ValueError) as raised:
+            check()
+        assert "instance 0: " + str(raised.value) == str(refused.value)
 
 
 @st.composite
@@ -742,6 +762,9 @@ def test_rows_are_checked_once_when_read(monkeypatch):
 
     monkeypatch.setattr(dataset_module, "_check_instance", counted)
     d = parse_arff(text)
+    assert len(calls) == 30
+    calls.clear()
+    parse_csv(serialize_csv(d))
     assert len(calls) == 30
     calls.clear()
     stratified_folds(d, 3, seed=1)

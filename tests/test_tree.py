@@ -1577,11 +1577,28 @@ def test_classified_model_is_unchanged_and_a_replaced_leaf_answers_from_its_coun
     model = model_from_json(text)
     for inst in d.instances:
         classify(model, inst)
+    nodes = [node for _, node in tree_module._paths(model.root, model.schema)]
+    assert "_cells" in vars(model)
+    assert all(("_routes" if isinstance(n, Decision) else "_total") in vars(n) for n in nodes)
+    # nor are the model's cell sets and the nodes' sums: a model without them is equal
     fresh = model_from_json(text)
+    vars(fresh).pop("_cells", None)
+    for _, node in tree_module._paths(fresh.root, fresh.schema):
+        vars(node).pop("_routes" if isinstance(node, Decision) else "_total", None)
     assert model == fresh and hash(model) == hash(fresh) and repr(model) == repr(fresh)
     assert model_to_json(model) == text
     again = pickle.loads(pickle.dumps(model))
     assert again == fresh and model_to_json(again) == text
+    # a copy over another schema checks rows against that schema
+    spec = model.schema[0]
+    renamed = AttributeSpec.categorical(spec.name, ("y",) + spec.values[1:])
+    copy = replace(model, schema=(renamed,) + model.schema[1:])
+    row = list(d.instances[0].values)
+    row[0] = spec.values[0]
+    with pytest.raises(ValueError) as refused:
+        classify(copy, row)
+    assert str(refused.value) == f"{spec.values[0]!r} not declared for attribute {spec.name}"
+    assert classify(copy, ["y"] + row[1:]) == classify(model, row)
     leaf = next(
         node
         for _, node in tree_module._paths(model.root, model.schema)

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import chain
-from operator import add, contains
+from operator import add, contains, getitem
 
 BINARY = "binary"
 NOMINAL = "nominal"
@@ -325,6 +325,21 @@ def _cell_sets(schema):
     return tuple(frozenset(spec.values + (None,)) for spec in schema)
 
 
+def _row_tables(schema):
+    """``(tables, cells)`` with which ``_parse_row`` reads rows of ``schema``.
+
+    ``tables`` holds one dict per column, mapping each declared symbol to
+    itself and ``'?'`` and ``''`` to None, and ``cells`` is the schema's
+    ``_cell_sets``.  No two keys of a column clash, as a symbol is never
+    ``'?'`` or ``''``.  None when an attribute is numeric: its tokens are
+    read by the loop of ``_parse_row`` alone.
+    """
+    cells = _cell_sets(schema)
+    if cells is None:
+        return None
+    return tuple({"?": None, "": None, **{v: v for v in spec.values}} for spec in schema), cells
+
+
 def _check_instance(schema, instance, row=None, cells=None):
     """The values of ``instance`` (an Instance or a plain sequence), checked.
 
@@ -473,10 +488,11 @@ def parse_arff(text, class_name=None):
                 if not specs:
                     raise ParseError("@data before any @attribute", lineno)
                 in_data = True
+                tables = _row_tables(specs)
             else:
                 raise ParseError(f"unrecognized declaration: {line}", lineno)
         else:
-            instances.append(_parse_row(line.split(","), specs, lineno))
+            instances.append(_parse_row(line.split(","), specs, lineno, tables))
     if not in_data:
         raise ParseError("missing @data section", len(text.splitlines()) or 1)
     return _parsed_dataset(specs, class_name, instances, relation)
@@ -501,25 +517,41 @@ def _parse_attribute_line(line):
     return AttributeSpec.numeric(parts[0])
 
 
-def _parse_row(tokens, specs, lineno):
+def _parse_row(tokens, specs, lineno, tables=None):
     """The Instance of one data row's ``tokens``, checked by _check_instance.
 
-    A numeric token that is not a finite number stays text, and so does a
-    token beyond the schema's width, for the check to refuse.
+    ``tables``, the schema's ``_row_tables`` (None for a schema with a
+    numeric attribute), reads a row of the schema's width whose every
+    token is a declared symbol, ``'?'`` or empty with one ``map``; each
+    key maps to what the loop below makes of it.  Any other row, such as
+    one with a padded or undeclared token, goes to that loop: it strips
+    each token, and a numeric token that is not a finite number stays
+    text, as does a token beyond the schema's width, for the check to
+    refuse.  Either way the row is checked once, and only the check words
+    a refusal.
     """
-    values = []
-    for spec, token in zip(specs, tokens):
-        token = token.strip()
-        if token == "?" or token == "":
-            values.append(None)
-        elif spec.is_categorical:
-            values.append(token)
-        else:
-            value = finite_float(token)
-            values.append(token if value is None else value)
-    values += tokens[len(specs):]
+    values, cells = None, None
+    if tables is not None:
+        maps, cells = tables
+        if len(tokens) == len(maps):
+            try:
+                values = tuple(map(getitem, maps, tokens))
+            except KeyError:
+                pass
+    if values is None:
+        values = []
+        for spec, token in zip(specs, tokens):
+            token = token.strip()
+            if token == "?" or token == "":
+                values.append(None)
+            elif spec.is_categorical:
+                values.append(token)
+            else:
+                value = finite_float(token)
+                values.append(token if value is None else value)
+        values += tokens[len(specs):]
     try:
-        values = _check_instance(specs, values)
+        values = _check_instance(specs, values, None, cells)
     except ValueError as exc:
         raise ParseError(str(exc), lineno) from None
     return Instance(values)
@@ -618,7 +650,8 @@ def parse_csv(text, schema=None, class_name=None):
     if schema is None:
         names = [h.strip() for h in header]
         schema = _infer_schema(names, [cells for _, cells in records], header_line)
-    instances = [_parse_row(cells, schema, lineno) for lineno, cells in records]
+    tables = _row_tables(schema)
+    instances = [_parse_row(cells, schema, lineno, tables) for lineno, cells in records]
     return _parsed_dataset(schema, class_name, instances)
 
 

@@ -15,9 +15,9 @@ value simply fails the condition, so no fractional routing happens here
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from operator import itemgetter
 
-from .dataset import EQ, Dataset, _check_instance, dump_document, first_max, total
+from .dataset import EQ, Dataset, _cell_sets, _check_instance, dump_document, first_max, total
 from .tree import Condition, DecisionTreeModel, Leaf, _check_apart, _decide, _paths
 
 RULES_FORMAT = "ldscreen-rules"
@@ -37,19 +37,45 @@ class Rule:
 
 @dataclass(frozen=True)
 class RuleSet:
+    """Rules over ``schema`` for the attribute at ``class_index``.
+
+    ``default_class`` labels a row that no rule matches.  ``rules`` keeps
+    the declared order.  ``best_rule`` reads two values set when the set
+    is built: ``_cells``, the schema's ``_cell_sets`` with which it checks
+    a row, and ``_ranked``, one ``_lookup`` per rule in precedence order:
+    accuracy, then coverage, both descending, in a stable sort, so a full
+    tie keeps the earlier position.  Neither is a field, so ``==``,
+    ``hash``, ``repr`` and the rules file never see them, and a copy made
+    with ``dataclasses.replace`` sets its own.
+    """
+
     schema: tuple
     class_index: int
     rules: tuple
     default_class: str
 
-    @cached_property
-    def precedence(self):
-        """The rules by accuracy, then coverage, both descending.
+    def __post_init__(self):
+        ranked = sorted(self.rules, key=lambda r: (-r.accuracy, -r.coverage))
+        object.__setattr__(self, "_cells", _cell_sets(self.schema))
+        object.__setattr__(self, "_ranked", tuple(map(_lookup, ranked)))
 
-        The sort is stable, so a full tie keeps the earlier position.
-        Ranked once per rule set; ``rules`` keeps the declared order.
-        """
-        return tuple(sorted(self.rules, key=lambda r: (-r.accuracy, -r.coverage)))
+
+def _lookup(rule):
+    """``(key, want, rule)``, where ``key(values) == want`` exactly when ``rule`` matches.
+
+    For a rule of ``=`` tests of values other than None, ``key`` is an
+    ``itemgetter`` of the tested attributes and ``want`` the tested values,
+    a bare value for one test.  A checked row holds no NaN, so the
+    identity shortcut of tuple ``==`` changes no answer.  Any other rule,
+    one with no condition included, has ``key`` None and is tested by
+    ``Rule.matches``.
+    """
+    conditions = rule.antecedent
+    if not conditions or any(c.relation != EQ or c.value is None for c in conditions):
+        return None, None, rule
+    key = itemgetter(*(c.attribute_index for c in conditions))
+    want = tuple(c.value for c in conditions)
+    return key, want[0] if len(want) == 1 else want, rule
 
 
 def extract_rules(model: DecisionTreeModel) -> RuleSet:
@@ -187,11 +213,16 @@ def best_rule(ruleset: RuleSet, instance) -> Rule | None:
     """The first matching rule in precedence order, or None when none matches.
 
     Precedence is higher accuracy, then higher coverage, then earlier
-    position in the set (see RuleSet.precedence).  Raises ValueError if
-    the instance does not fit the schema (see Dataset).
+    position in the set (see RuleSet).  Raises ValueError if the instance
+    does not fit the schema (see Dataset); a row of an all-categorical
+    schema is checked against the set's cell sets first, as ``classify``
+    checks it.
     """
-    values = _check_instance(ruleset.schema, instance)
-    return next((r for r in ruleset.precedence if r.matches(values)), None)
+    values = _check_instance(ruleset.schema, instance, None, ruleset._cells)
+    for key, want, rule in ruleset._ranked:
+        if rule.matches(values) if key is None else key(values) == want:
+            return rule
+    return None
 
 
 def rules_classify(ruleset: RuleSet, instance) -> str:

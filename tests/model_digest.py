@@ -8,14 +8,17 @@ prunes it and simplifies the pruned tree's rules, as ``ldscreen rules
 --simplify`` does.  It prints the sha256 of the model and rule files, in
 order.  Run it on both sides of a change and compare the two lines:
 
-    PYTHONPATH=src python tests/model_digest.py [--datasets 300] [--seed 0] [--predictions | --folds]
+    PYTHONPATH=src python tests/model_digest.py [--datasets 300] [--seed 0] \
+        [--predictions | --rule-predictions | --folds]
 
 A change that only makes classification faster must leave every
 prediction the same, to the last bit.  With ``--predictions`` the script
 hashes instead what the unpruned and the pruned tree of each dataset
 predict: ``repr(classify(model, row))`` for every row of the dataset,
 its cells blanked at 30 % by an rng of their own, and each tree's
-``training_accuracy`` on the dataset.
+``training_accuracy`` on the dataset.  With ``--rule-predictions`` it
+hashes ``repr(best_rule(rules, row))`` for the same blanked rows, ``rules``
+the pruned tree's rules simplified on the dataset.
 
 A train fold is read through its parent's encoded view with only the
 fold's rows in play.  With ``--folds`` the script learns the same files
@@ -28,7 +31,7 @@ import hashlib
 import random
 
 from ldscreen.dataset import AttributeSpec, Dataset, Instance, stratified_folds
-from ldscreen.rules import extract_rules, ruleset_to_json, simplify_rules
+from ldscreen.rules import best_rule, extract_rules, ruleset_to_json, simplify_rules
 from ldscreen.tree import (
     TreeConfig,
     build_tree,
@@ -69,11 +72,12 @@ def random_dataset(rng):
     return Dataset(schema, len(schema) - 1, rows)
 
 
-def digest(datasets=300, seed=0, predictions=False, folds=False):
+def digest(datasets=300, seed=0, predictions=False, folds=False, rule_predictions=False):
     """The hex sha256 of every file learned from ``datasets`` random datasets.
 
     With ``predictions``, of every prediction of the learned trees instead;
-    with ``folds``, of every file learned from their train folds.
+    with ``rule_predictions``, of every rule the simplified rules pick; with
+    ``folds``, of every file learned from their train folds.
     """
     rng = random.Random(seed)
     blanks = random.Random(f"blank cells {seed}")  # leaves ``rng``'s draws as they are
@@ -87,6 +91,8 @@ def digest(datasets=300, seed=0, predictions=False, folds=False):
         )
         if predictions:
             texts = predicted(d, trees(d, config), blanks)
+        elif rule_predictions:
+            texts = picked(d, simplify_rules(extract_rules(trees(d, config)[1]), d), blanks)
         elif folds:
             texts = [
                 text
@@ -122,6 +128,13 @@ def predicted(d, models, blanks):
         yield repr(training_accuracy(model, d))
 
 
+def picked(d, rules, blanks):
+    """The repr of the rule ``rules`` pick for each of ``d``'s rows, blanked by ``blanks``."""
+    for inst in d.instances:
+        row = tuple(None if blanks.random() < 0.3 else v for v in inst.values)
+        yield repr(best_rule(rules, row))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--datasets", type=int, default=300, help="datasets to learn from (default 300)")
@@ -131,10 +144,15 @@ def main():
         "--predictions", action="store_true", help="hash the trees' predictions, not the files"
     )
     mode.add_argument(
+        "--rule-predictions",
+        action="store_true",
+        help="hash the rules the simplified rules pick, not the files",
+    )
+    mode.add_argument(
         "--folds", action="store_true", help="hash the files learned from each dataset's train folds"
     )
     args = parser.parse_args()
-    print(digest(args.datasets, args.seed, args.predictions, args.folds))
+    print(digest(args.datasets, args.seed, args.predictions, args.folds, args.rule_predictions))
 
 
 if __name__ == "__main__":

@@ -250,6 +250,42 @@ def best_rule_oracle(ruleset, values):
     return best
 
 
+def first_rule_oracle(ruleset, values):
+    """The first rule of ``ruleset`` that ``Rule.matches`` ``values``, in ranked order.
+
+    The rules are sorted by descending accuracy, then descending coverage;
+    the sort is stable.  None when no rule matches.
+    """
+    ranked = sorted(ruleset.rules, key=lambda r: (-r.accuracy, -r.coverage))
+    return next((rule for rule in ranked if rule.matches(values)), None)
+
+
+def read_rows_oracle(schema, rows):
+    """What a reader makes of the token ``rows`` of an all-categorical ``schema``.
+
+    One token at a time: a row must have one token per attribute; each
+    token is stripped, ``'?'`` and empty are missing (None), and any other
+    token must be a symbol its attribute declares.  Returns ``(values,
+    None)``, the values of every row, or ``(None, (i, message))`` for the
+    first row ``i`` refused, ``message`` the reader's without its line.
+    """
+    read = []
+    for i, tokens in enumerate(rows):
+        if len(tokens) != len(schema):
+            return None, (i, f"expected {len(schema)} values, got {len(tokens)}")
+        values = []
+        for spec, token in zip(schema, tokens):
+            token = token.strip()
+            if token in ("?", ""):
+                values.append(None)
+            elif token in spec.values:
+                values.append(token)
+            else:
+                return None, (i, f"{token!r} not declared for attribute {spec.name}")
+        read.append(tuple(values))
+    return read, None
+
+
 def simplify_rules_oracle(ruleset, dataset):
     """C4.5rules simplification of ``ruleset`` on ``dataset``, one trial at a time.
 

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import read_rows_oracle
 
 import ldscreen.dataset as dataset_module
 from ldscreen.dataset import (
@@ -25,7 +26,7 @@ from ldscreen.dataset import (
     stratified_folds,
     synthetic_checklist,
 )
-from ldscreen.rules import best_rule, extract_rules
+from ldscreen.rules import best_rule, extract_rules, simplify_rules
 from ldscreen.tree import TreeConfig, build_tree, classify
 
 ARFF_SMALL = """\
@@ -413,6 +414,21 @@ def test_checklist_model_refuses_each_bad_symbol_as_a_dataset_does(bad):
         assert "instance 0: " + str(raised.value) == str(refused.value)
 
 
+@pytest.mark.parametrize("bad", BAD_SYMBOLS, ids=repr)
+def test_simplified_rules_refuse_each_bad_symbol_as_a_dataset_does(bad):
+    # a rule set checks a row of an all-categorical schema against cell sets first
+    d = synthetic_checklist(30, 10, seed=3, missing_rate=0.2)
+    ruleset = simplify_rules(extract_rules(build_tree(d)), d)
+    for column in range(len(d.schema)):
+        row = list(d.instances[0].values)
+        row[column] = bad
+        with pytest.raises(ValueError) as refused:
+            Dataset(d.schema, d.class_index, (Instance(row),))
+        with pytest.raises(ValueError) as raised:
+            best_rule(ruleset, row)
+        assert "instance 0: " + str(raised.value) == str(refused.value)
+
+
 @st.composite
 def schema_and_token_rows(draw):
     """A random mixed schema and 1-4 token rows, at most one of them with one defect.
@@ -479,6 +495,73 @@ def test_readers_accept_exactly_what_dataset_accepts(case):
         assert bad_row is None
         for read, _ in readers:
             assert [i.values for i in read().instances] == [i.values for i in expected.instances]
+
+
+@st.composite
+def categorical_token_rows(draw):
+    """An all-categorical schema and 1-5 rows of text tokens.
+
+    A token is a declared symbol, that symbol padded with whitespace,
+    ``'?'``, empty, blank, or a symbol its column does not declare
+    (another column's, or ``Z``), maybe padded; a row may be short or long.
+    Each row holds a token that is not blank, as both readers skip a
+    blank line or record.
+    """
+    pools = (("N", "Y"), ("a", "b", "c"), ("lo", "mid", "hi"), ("A",))
+    schema = tuple(
+        AttributeSpec.categorical(f"s{i}", draw(st.sampled_from(pools)))
+        for i in range(draw(st.integers(1, 3)))
+    ) + (AttributeSpec.categorical("cls", ("P", "Q")),)
+    symbols = sorted({v for spec in schema for v in spec.values} | {"Z"})
+
+    def token(spec):
+        kind = draw(st.sampled_from(("symbol",) * 4 + ("padded", "?", "", "blank", "other")))
+        if kind in ("?", ""):
+            return kind
+        if kind == "blank":
+            return draw(st.sampled_from((" ", "\t", "  ")))
+        v = draw(st.sampled_from(spec.values))
+        if kind == "other":
+            v = draw(st.sampled_from([s for s in symbols if s not in spec.values]))
+        if kind != "symbol" and draw(st.booleans()):
+            v = draw(st.sampled_from((" {}", "{} ", "\t{} "))).format(v)
+        return v
+
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        width = max(1, len(schema) + draw(st.sampled_from((0,) * 6 + (-2, -1, 1, 2))))
+        row = [token(schema[min(i, len(schema) - 1)]) for i in range(width)]
+        if not any(t.strip() for t in row):
+            row[0] = "?"
+        rows.append(row)
+    return schema, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(categorical_token_rows())
+def test_readers_read_categorical_rows_as_a_token_loop_does(case):
+    # the readers map the tokens of an all-categorical row through one
+    # table per column, and fall back to the per-token loop on any miss
+    schema, rows = case
+    head = serialize_arff(Dataset(schema, len(schema) - 1, (), "r")).splitlines()
+    lines = [",".join(tokens) for tokens in rows]
+    arff_text = "\n".join(head + lines) + "\n"
+    csv_text = "\n".join([",".join(a.name for a in schema)] + lines) + "\n"
+    readers = (
+        (lambda: parse_arff(arff_text, class_name="cls"), len(head) + 1),
+        (lambda: parse_csv(csv_text, schema=schema, class_name="cls"), 2),
+    )
+    values, refusal = read_rows_oracle(schema, rows)
+    for read, first_line in readers:
+        if refusal is None:
+            d = read()
+            assert d == Dataset(schema, len(schema) - 1, [Instance(v) for v in values], d.name)
+        else:
+            row, message = refusal
+            with pytest.raises(ParseError) as err:
+                read()
+            assert err.value.line == first_line + row
+            assert str(err.value) == f"line {first_line + row}: {message}"
 
 
 @pytest.mark.parametrize(

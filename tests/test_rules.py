@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import pickle
 import random
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import (
     best_rule_oracle,
     binary_dataset,
+    first_rule_oracle,
     random_binary_dataset,
     simplify_rules_oracle,
     weighted_mixed_datasets,
@@ -415,6 +417,85 @@ _gappy_rows = st.tuples(
 def test_best_rule_is_the_max_over_every_match(ruleset, rows):
     for row in rows:
         assert best_rule(ruleset, row) is best_rule_oracle(ruleset, row)
+
+
+_CATEGORICAL_SCHEMA = (
+    AttributeSpec.categorical("a", ("x", "y", "z")),
+    AttributeSpec.categorical("b", ("x", "y")),
+    AttributeSpec.categorical("cls", ("N", "Y")),
+)
+
+
+@st.composite
+def rule_sets_and_rows(draw):
+    """A rule set over a mixed or an all-categorical schema, and gappy rows of it.
+
+    A rule holds 0-3 conditions on any attributes, so two ``=`` tests of
+    one attribute are common: ``=`` a declared value, an undeclared one or
+    None on a categorical attribute, ``<=`` or ``>`` on the numeric one of
+    the mixed schema.  Accuracies and coverages come from a small pool, so
+    ties are common, and equal copies of some rules are appended.
+    """
+    schema = draw(st.sampled_from((_RANKED_SCHEMA, _CATEGORICAL_SCHEMA)))
+
+    def condition():
+        i = draw(st.integers(0, len(schema) - 1))
+        if schema[i].is_categorical:
+            return Condition(i, "=", draw(st.sampled_from(schema[i].values + ("w", None))))
+        return Condition(i, draw(st.sampled_from(("<=", ">"))), draw(st.sampled_from((-1.0, 0.5, 2.0))))
+
+    rules = [
+        Rule(
+            tuple(condition() for _ in range(draw(st.integers(0, 3)))),
+            draw(st.sampled_from("NY")),
+            draw(st.sampled_from((0.0, 1.0, 2.5, 4.0))),
+            draw(st.sampled_from((0.0, 0.25, 0.5, 1.0))),
+        )
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    if rules:
+        copies = draw(st.lists(st.sampled_from(rules), max_size=3))
+        rules += [dataclasses.replace(r) for r in copies]  # equal, not identical
+    cells = [
+        st.none() | st.sampled_from(spec.values if spec.is_categorical else (-2.0, 0, 0.5, 2.0, 3))
+        for spec in schema
+    ]
+    rows = draw(st.lists(st.tuples(*cells), min_size=1, max_size=10))
+    return RuleSet(schema, len(schema) - 1, tuple(rules), "N"), rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule_sets_and_rows())
+def test_best_rule_is_the_first_match_in_ranked_order(case):
+    # a rule of = tests is matched by one itemgetter, any other by Rule.matches
+    ruleset, rows = case
+    for row in rows:
+        assert best_rule(ruleset, row) is first_rule_oracle(ruleset, row)
+
+
+def test_best_rule_tables_are_not_fields():
+    d = synthetic_checklist(30, 10, seed=3, missing_rate=0.2)
+    rs = simplify_rules(extract_rules(build_tree(d)), d)
+    rows = [inst.values for inst in d.instances]
+    assert len(rs.rules) >= 2
+    assert [f.name for f in dataclasses.fields(rs)] == [
+        "schema", "class_index", "rules", "default_class"
+    ]
+    bare = RuleSet(rs.schema, rs.class_index, rs.rules, rs.default_class)
+    object.__setattr__(bare, "_ranked", ())
+    object.__setattr__(bare, "_cells", None)
+    assert bare == rs and hash(bare) == hash(rs) and repr(bare) == repr(rs)
+    assert ruleset_to_json(bare) == ruleset_to_json(rs)
+    assert "_ranked" not in repr(rs) and "_cells" not in repr(rs)
+    copy = pickle.loads(pickle.dumps(rs))
+    assert copy == rs and hash(copy) == hash(rs) and repr(copy) == repr(rs)
+    assert all(any(rule is r for r in copy.rules) for _, _, rule in copy._ranked)
+    assert [best_rule(copy, row) for row in rows] == [best_rule(rs, row) for row in rows]
+    # a copy made with replace ranks its own rules
+    fewer = dataclasses.replace(rs, rules=rs.rules[::-2])
+    assert sorted(map(id, (rule for _, _, rule in fewer._ranked))) == sorted(map(id, fewer.rules))
+    for row in rows:
+        assert best_rule(fewer, row) is first_rule_oracle(fewer, row)
 
 
 @settings(max_examples=100, deadline=None)

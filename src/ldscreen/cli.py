@@ -3,6 +3,13 @@
 Exit codes: 0 on success, 1 when a valid request fails at runtime, 2 for
 usage errors including unreadable or malformed input.  Diagnostics go to
 stderr; stdout carries only the requested output.
+
+``main`` sets ``OPENBLAS_NUM_THREADS`` to 1 unless it is already set,
+before any subcommand loads numpy.  ldscreen calls no BLAS routine, yet
+OpenBLAS starts a pool of threads when numpy loads: starting it slows
+``import numpy``, and its threads contend with the workers that
+``evaluate`` forks.  A value the user set wins.  Importing the library
+sets nothing, as a library caller's numpy is the caller's.
 """
 
 from __future__ import annotations
@@ -312,6 +319,7 @@ def cmd_checklist(args):
 
 
 def main(argv=None):
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,4 +1,4 @@
-"""The encoded view of a Dataset: one array per column, built at most once per call.
+"""The encoded view of a Dataset: one array per column, built once per dataset or deal.
 
 This module is the only place that knows the encoding:
 
@@ -66,14 +66,18 @@ def _encode(spec, cells):
 def view_of(dataset):
     """The encoded view that growth and rule statistics read for ``dataset``.
 
-    A plain dataset is encoded on its own.  A train fold of
+    A plain dataset is encoded on its own, on first use, and the view is
+    kept in the dataset's one-element ``_view`` list for later calls (see
+    ``Dataset._with_checked``).  A train fold of
     ``dataset.stratified_folds`` or ``random_folds`` reads its parent's
     view with only the fold's rows in play.  The view is built on first
     use and kept in the list the folds of one deal share, in place of
-    the parent (see ``dataset._deal_folds``).
+    the parent (see ``dataset._deal_folds``).  No caller writes to a view.
     """
     if dataset._fold is None:
-        return Columns(dataset)
+        if dataset._view[0] is None:
+            dataset._view[0] = Columns(dataset)
+        return dataset._view[0]
     deal, rows = dataset._fold
     if not isinstance(deal[0], Columns):
         deal[0] = Columns(deal[0])

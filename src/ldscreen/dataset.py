@@ -264,6 +264,7 @@ class Dataset:
     def __post_init__(self):
         object.__setattr__(self, "schema", tuple(self.schema))
         object.__setattr__(self, "instances", tuple(self.instances))
+        object.__setattr__(self, "_view", [None])  # see _with_checked
         names = [a.name for a in self.schema]
         if len(set(names)) != len(names):
             raise ValueError("duplicate attribute names in schema")
@@ -307,10 +308,16 @@ class Dataset:
         that every train fold of one deal shares (see ``_deal_folds``), and
         ``rows`` are the ascending positions of ``instances`` in the Dataset
         the deal started from.  The copy does not take this dataset's link.
+
+        ``_view`` is a one-element list, not a field, that every Dataset
+        gets when it is made: ``columns.view_of`` keeps a plain dataset's
+        encoded view there, so that growth and rule simplification on one
+        dataset encode it once.  The copy gets its own.
         """
         dataset = copy.copy(self)
         object.__setattr__(dataset, "instances", tuple(instances))
         object.__setattr__(dataset, "_fold", fold)
+        object.__setattr__(dataset, "_view", [None])
         return dataset
 
 

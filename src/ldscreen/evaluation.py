@@ -354,9 +354,11 @@ def _receive(pipe):
 
 def _fork():
     # Python 3.12 and later warn when a process with other threads forks,
-    # since a lock one of them held stays locked in the child.  After
-    # numpy loads, its BLAS keeps such a pool of threads; a worker calls
-    # no BLAS routine, so it takes none of their locks.
+    # since a lock one of them held stays locked in the child.  The CLI
+    # forks a process of one thread, as cli.main keeps OpenBLAS to one;
+    # a library caller's numpy may keep a BLAS pool of threads, and the
+    # filter stays for it: a worker calls no BLAS routine, so it takes
+    # none of their locks.
     with warnings.catch_warnings():
         warnings.filterwarnings(
             "ignore",

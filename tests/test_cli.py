@@ -1083,6 +1083,59 @@ def test_pruning_and_simplification_leave_scipy_unloaded_on_one_cpu(arff_125):
     ]
 
 
+#: run in a fresh interpreter: `train` through the CLI, or with "library"
+#: a tree built without it, then scipy.special; the exit code, the thread
+#: count and OPENBLAS_NUM_THREADS after
+THREAD_PROBE = """
+import contextlib, io, json, os, sys
+
+arff, how = sys.argv[1:]
+code = None
+if how == "cli":
+    import ldscreen.cli
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = ldscreen.cli.main(["train", "--input", arff])
+else:
+    import ldscreen
+    with open(arff) as f:
+        ldscreen.build_tree(ldscreen.parse_arff(f.read()))
+import scipy.special
+with open("/proc/self/status") as f:
+    threads = next(int(line.split()[1]) for line in f if line.startswith("Threads:"))
+print(json.dumps([code, threads, os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status here")
+@pytest.mark.parametrize(
+    "how, preset, code, threads, value",
+    [
+        # the CLI keeps OpenBLAS to one thread, so numpy and scipy start none
+        ("cli", None, 0, 1, "1"),
+        ("cli", "3", 0, None, "3"),  # a value the user set wins
+        ("library", None, None, None, None),  # a library caller's numpy is its own
+    ],
+)
+def test_cli_runs_numpy_on_one_thread(arff_125, how, preset, code, threads, value):
+    src = str(Path(ldscreen.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    done = subprocess.run(
+        [sys.executable, "-c", THREAD_PROBE, arff_125, how],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+        timeout=120,
+    )
+    seen_code, seen_threads, seen_value = json.loads(done.stdout)
+    assert (seen_code, seen_value) == (code, value)
+    if threads is not None:
+        assert seen_threads == threads
+
+
 # --- closed stdout -------------------------------------------------------------
 
 

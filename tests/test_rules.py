@@ -289,6 +289,25 @@ def test_view_weight_is_the_row_order_sum(d, unit, data):
         assert view.weight(np.array(mask, bool)).hex() == expected.hex()
 
 
+def test_simplifying_a_tree_s_rules_encodes_the_dataset_once(monkeypatch):
+    # growth and simplification read one view of the dataset, kept with it
+    built = []
+
+    def count_view(view, dataset):
+        built.append(dataset)
+        real_init(view, dataset)
+
+    real_init = Columns.__init__
+    monkeypatch.setattr(Columns, "__init__", count_view)
+    d = synthetic_checklist(60, 30, seed=2, missing_rate=0.1)
+    simplify_rules(extract_rules(build_tree(d)), d)
+    assert built == [d]
+    # the kept view is no field: a dataset never encoded compares, hashes
+    # and prints the same
+    fresh = Dataset(d.schema, d.class_index, d.instances, d.name)
+    assert (d, hash(d), repr(d)) == (fresh, hash(fresh), repr(fresh))
+
+
 def test_view_weight_with_one_fractional_weight_is_the_ordered_sum():
     d = random_binary_dataset(random.Random(4), 20, 2)
     d = Dataset(d.schema, d.class_index, [Instance(d.instances[0].values, 0.5)] + list(d.instances[1:]))

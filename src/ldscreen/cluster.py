@@ -30,7 +30,7 @@ import numpy as np
 
 from .columns import Columns
 from .dataset import BINARY, EQ, NUMERIC, Dataset, align_columns, dump_document
-from .dataset import first_max, gap_fills, load_document
+from .dataset import check_count, first_max, gap_fills, load_document
 
 CLUSTER_FORMAT = "ldscreen-cluster"
 CLUSTER_VERSION = 1
@@ -201,8 +201,7 @@ def fit_imputed(dataset: Dataset, k=2, seed=0, max_iter=100):
 
 def _check_fit(n, k, max_iter):
     for name, value in (("k", k), ("max_iter", max_iter)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+        check_count(name, value, 1, f"{name} must be at least 1, got {value}")
     if n == 0:
         raise ValueError("cannot cluster an empty dataset")
 

@@ -1,4 +1,4 @@
-"""The encoded view of a Dataset: one array per column, built once per dataset or deal.
+"""The encoded view of a Dataset: one array per column, built once per dataset.
 
 This module is the only place that knows the encoding:
 
@@ -16,10 +16,9 @@ count, which is the same number: a sum of ones below 2**53 is exact.
 The view holds floats, which is why ``Dataset`` refuses an int that a
 float cannot hold exactly.
 
-A cross-validation fold is read through its parent's view (``view_of``):
-the parent is encoded once per deal of folds, on a fold's first call, and
-the view is kept with that deal's folds, not on the parent.  The fold's
-view is the parent's with only the fold's rows in play (``all_rows``).
+A cross-validation train fold reads the view of its parent, the Dataset
+its folds were dealt from (``view_of``), with only the fold's rows in
+play (``all_rows``).  The parent is encoded once and keeps the view.
 The fold's rows keep their order in the parent, so every sum adds the
 same weights in the same order as a view of the fold alone would.
 
@@ -66,22 +65,18 @@ def _encode(spec, cells):
 def view_of(dataset):
     """The encoded view that growth and rule statistics read for ``dataset``.
 
-    A plain dataset is encoded on its own, on first use, and the view is
-    kept in the dataset's one-element ``_view`` list for later calls (see
-    ``Dataset._with_checked``).  A train fold of
+    A dataset is encoded on first use and keeps the view in its ``_view``
+    list (see ``Dataset._with_checked``).  A train fold of
     ``dataset.stratified_folds`` or ``random_folds`` reads its parent's
-    view with only the fold's rows in play.  The view is built on first
-    use and kept in the list the folds of one deal share, in place of
-    the parent (see ``dataset._deal_folds``).  No caller writes to a view.
+    view with only the fold's rows in play (see ``dataset._deal_folds``).
+    No caller writes to a view.
     """
-    if dataset._fold is None:
-        if dataset._view[0] is None:
-            dataset._view[0] = Columns(dataset)
-        return dataset._view[0]
-    deal, rows = dataset._fold
-    if not isinstance(deal[0], Columns):
-        deal[0] = Columns(deal[0])
-    view = copy.copy(deal[0])
+    parent, rows = dataset._fold or (dataset, None)
+    if parent._view[0] is None:
+        parent._view[0] = Columns(parent)
+    if rows is None:
+        return parent._view[0]
+    view = copy.copy(parent._view[0])
     view.all_rows = np.zeros(len(view.weights), bool)
     view.all_rows[rows] = True
     return view

@@ -3,9 +3,11 @@
 A dataset is a fixed schema (list of attribute specs) plus a list of
 instances whose values are aligned to the schema order.  Missing values are
 represented in memory by ``None``; the on-disk token is ``'?'`` (ARFF and
-CSV) or an empty CSV cell.  Datasets are immutable after construction and
-every operation here is a pure function of its inputs (plus a seed), so
-they are safe to share across threads.
+CSV) or an empty CSV cell.  A dataset's fields never change after
+construction and every operation here is a pure function of its inputs
+(plus a seed), so datasets are safe to share across threads.  Only the
+encoded view (``columns.view_of``) is cached on first use, for as long
+as the dataset lives: two threads may each build it, but both are equal.
 """
 
 from __future__ import annotations
@@ -82,6 +84,14 @@ def is_finite_number(value):
 def is_weight(value):
     """True for a finite number >= 0, as is_finite_number counts numbers."""
     return is_finite_number(value) and value >= 0
+
+
+def check_count(name, value, minimum, below=None):
+    """ValueError unless ``value`` is an int, not a bool, >= ``minimum``; ``below`` if less."""
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    if not (is_int and value >= minimum):
+        message = f"{name} must be an int of at least {minimum}, got {value!r}"
+        raise ValueError(below if is_int and below else message)
 
 
 def _breaks_line(text):
@@ -259,7 +269,7 @@ class Dataset:
     class_index: int
     instances: tuple = ()
     name: str = "dataset"
-    _fold = None  # (deal, rows) of a train fold, not a field: see _with_checked
+    _fold = None  # (parent, rows) of a train fold, not a field: see _with_checked
 
     def __post_init__(self):
         object.__setattr__(self, "schema", tuple(self.schema))
@@ -304,15 +314,12 @@ class Dataset:
     def _with_checked(self, instances, fold=None):
         """This dataset over ``instances`` that were checked against its schema.
 
-        ``fold`` is ``(deal, rows)`` for a train fold: ``deal`` is the list
-        that every train fold of one deal shares (see ``_deal_folds``), and
-        ``rows`` are the ascending positions of ``instances`` in the Dataset
-        the deal started from.  The copy does not take this dataset's link.
-
-        ``_view`` is a one-element list, not a field, that every Dataset
-        gets when it is made: ``columns.view_of`` keeps a plain dataset's
-        encoded view there, so that growth and rule simplification on one
-        dataset encode it once.  The copy gets its own.
+        ``fold`` is ``(parent, rows)`` for a train fold: the Dataset its
+        folds were dealt from (see ``_deal_folds``) and the ascending
+        positions of ``instances`` there.  The copy does not take this
+        dataset's link.  Like every Dataset made, it gets its own ``_view``:
+        a one-element list, not a field, where ``columns.view_of`` keeps
+        the dataset's encoded view.
         """
         dataset = copy.copy(self)
         object.__setattr__(dataset, "instances", tuple(instances))
@@ -782,8 +789,7 @@ def random_folds(dataset, k, seed=0):
 
 
 def _check_fold_args(dataset, k):
-    if k < 2:
-        raise ValueError(f"need at least 2 folds, got {k}")
+    check_count("k", k, 2, f"need at least 2 folds, got {k}")
     if k > len(dataset):
         raise ValueError(f"cannot make {k} folds from {len(dataset)} instances")
     class_tally(dataset.rows, dataset.schema, dataset.class_index)
@@ -793,10 +799,9 @@ def _deal_folds(dataset, k, seed, groups):
     """Shuffle each group of row indices in turn, then deal them round-robin.
 
     The deal runs on across groups, so no fold is starved when k is near n.
-    Each train fold links to one list, ``[parent]``, with its row positions
-    in ``parent``: the Dataset dealt from, or the one its own deal started
-    from if it is a train fold itself, whose list its folds then share.
-    ``columns.view_of`` puts the parent's view in its place there.
+    Each train fold links to its parent with its row positions there: the
+    parent is the Dataset dealt from, or that Dataset's own parent if it
+    is a train fold itself, so ``columns.view_of`` reads one view for all.
     """
     rng = random.Random(seed)
     for indices in groups:
@@ -805,11 +810,11 @@ def _deal_folds(dataset, k, seed, groups):
     for cursor, idx in enumerate(chain.from_iterable(groups)):
         fold_of[idx] = cursor % k
     # one list, so that the folds' row lists share its int objects
-    deal, rows = dataset._fold or ([dataset], list(range(len(dataset))))
+    parent, rows = dataset._fold or (dataset, list(range(len(dataset))))
     folds = []
     for f in range(k):
         test = [inst for inst, g in zip(dataset.instances, fold_of) if g == f]
         train = [inst for inst, g in zip(dataset.instances, fold_of) if g != f]
         train_rows = [row for row, g in zip(rows, fold_of) if g != f]
-        folds.append((dataset._with_checked(train, (deal, train_rows)), dataset._with_checked(test)))
+        folds.append((dataset._with_checked(train, (parent, train_rows)), dataset._with_checked(test)))
     return folds

@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass, replace
 from .dataset import (
     Dataset,
     align_columns,
+    check_count,
     class_tally,
     dump_document,
     first_max,
@@ -240,8 +241,7 @@ def cross_validate(
     every fold runs in this process, and where a pipe or a fork is
     refused, the folds of the workers not forked do.
     """
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise ValueError(f"workers must be an int of at least 1, got {workers!r}")
+    check_count("workers", workers, 1)
     folds = (
         stratified_folds(dataset, k, seed)
         if stratify
@@ -299,7 +299,7 @@ def _fold_predictions(folds, learner, class_index, workers):
 
         from .columns import view_of
 
-        view_of(folds[0][0])  # kept with the deal's folds, for every worker
+        view_of(folds[0][0])  # kept on the dataset dealt from, for every worker
     pipes, pids = [], []  # pipes[w - 1] is the read end from worker w
     try:
         for w in range(1, p):

@@ -11,7 +11,7 @@ screen of scipy's exact quantile; scipy is loaded only for a comparison
 the screen cannot settle (``_decide``).
 
 Growth reads the encoded view of ``columns`` (``columns.view_of``),
-built at most once per call: a cross-validation fold reads its parent's.
+built at most once per dataset: a cross-validation fold reads its parent's.
 The tree grows level by level from the root's (``columns.Columns.root``):
 each level is one ``columns.Level``, the row positions and weights of
 its nodes in one array, and the nodes of a level that split are

@@ -14,8 +14,8 @@ from oracles import random_mixed_dataset, roc_pairwise_oracle
 
 import ldscreen.columns as columns_module
 import ldscreen.evaluation as evaluation_module
-from ldscreen.cluster import encode_dataset
-from ldscreen.columns import view_of
+from ldscreen.cluster import encode_dataset, fit_imputed, kmeans_fit
+from ldscreen.columns import Columns, view_of
 from ldscreen.dataset import (
     AttributeSpec,
     Dataset,
@@ -330,13 +330,53 @@ def test_cross_validation_encodes_once(monkeypatch, k):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_cross_validation_leaves_its_dataset_as_it_found_it(workers):
-    # a view kept on the dataset the folds were dealt from would fail this
+    # the folds' view is kept in the dataset's own _view list, and nothing else changes
     d = _gappy(3, 200, False)
     before = dict(vars(d))
     cross_validate(d, 5, 0, tree_learner(), workers=workers)
-    assert vars(d) == before
     build_tree(stratified_folds(d, 5, 0)[0][0])
-    assert vars(d) == before
+    assert vars(d).keys() == before.keys()
+    assert all(vars(d)[name] is value for name, value in before.items())
+    fresh = _fresh(d)
+    assert (d, hash(d), repr(d)) == (fresh, hash(fresh), repr(fresh))
+    view = d._view[0]
+    assert isinstance(view, Columns) and view_of(d) is view
+    assert len(view.weights) == len(d) and view.all_rows.all()
+
+
+def test_a_dataset_is_encoded_once_for_its_tree_and_every_cross_validation(monkeypatch):
+    # growth and the folds of every deal read the one view kept with the dataset
+    built = []
+
+    def count_view(view, dataset):
+        built.append(dataset)
+        real_init(view, dataset)
+
+    real_init = columns_module.Columns.__init__
+    monkeypatch.setattr(columns_module.Columns, "__init__", count_view)
+    d = _gappy(6, 150, True)
+    build_tree(d)
+    cross_validate(d, 5, 0, tree_learner())
+    cross_validate(d, 3, 1, rules_learner())
+    cross_validate(d, 4, 2, rules_learner(), workers=2)
+    assert len(built) == 1 and built[0] is d
+
+
+@pytest.mark.parametrize("value", [2.0, 2.5, True])
+def test_counts_that_are_not_ints_are_refused(value):
+    d = _gappy(2, 40, False)
+    calls = [
+        lambda: stratified_folds(d, value),
+        lambda: random_folds(d, value),
+        lambda: cross_validate(d, value, 0, majority_learner()),
+        lambda: cross_validate(d, 2, 0, majority_learner(), workers=value),
+        lambda: kmeans_fit(d, k=value),
+        lambda: kmeans_fit(d, k=2, max_iter=value),
+        lambda: fit_imputed(d, k=value),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"must be an int of at least [12], got {value!r}"):
+            call()
 
 
 def test_copies_of_folds_see_only_their_own_rows(monkeypatch):

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .dataset import EQ, Dataset, _cell_sets, _check_instance, dump_document, first_max, total
-from .tree import Condition, DecisionTreeModel, Leaf, _check_apart, _decide, _paths
+from . import tree
+from .tree import Condition, DecisionTreeModel, Leaf, _close, _paths, _screened
 
 RULES_FORMAT = "ldscreen-rules"
 RULES_VERSION = 1
@@ -117,7 +118,8 @@ def simplify_rules(ruleset: RuleSet, dataset: Dataset) -> RuleSet:
     instances no surviving rule covers (global majority when none).
     ``dataset`` must have the rule set's own schema and class; else
     ValueError.  Every decision is ucb_error_rate's, most of them taken
-    with the screen of ``tree._decide``.
+    with the screen: a group of estimates too close for it to rank is
+    ranked again exactly (``best``).
     """
     from .columns import view_of
 
@@ -140,62 +142,57 @@ def simplify_rules(ruleset: RuleSet, dataset: Dataset) -> RuleSet:
         """``(matched, hit)``: weight of the rows matched, and of those labelled right."""
         return view.weight(matched), view.weight(matched & labelled_right)
 
-    def simplified(bound):
-        """The rules kept, each simplified, deciding with ``bound``, and the rows they cover."""
-        estimates = {}  # (matched, hit) -> pessimistic accuracy
+    estimates = {}  # (matched, hit) -> screened pessimistic accuracy
 
-        def estimate(stats):
-            if stats not in estimates:
-                estimates[stats] = _pessimistic_accuracy(stats, bound)
-            return estimates[stats]
+    def best(group):
+        """``first_max`` of the pessimistic accuracies of the ``(matched, hit)`` in ``group``.
 
-        def apart(stats, than):
-            # every bound gives the same estimate to the same counts, and 0
-            # to a rule that hits nothing
-            if stats != than and (stats[1] > 0 or than[1] > 0):
-                _check_apart(bound, estimate(stats), estimate(than))
+        All are taken again on ucb_error_rate if one is ``_close`` to the top.
+        """
+        for s in group:
+            if s not in estimates:
+                estimates[s] = _pessimistic_accuracy(s, _screened)
+        i = first_max([estimates[s] for s in group])
+        top = group[i]
+        at_top = estimates[top]
+        # every bound gives the same estimate to the same counts, and 0 to
+        # a rule that hits nothing
+        if any(s != top and max(s[1], top[1]) > 0 and _close(estimates[s], at_top) for s in group):
+            return first_max([_pessimistic_accuracy(s, tree.ucb_error_rate) for s in group])
+        return i
 
-        def below(stats, than):
-            """Whether the estimate of ``stats`` is below that of ``than``."""
-            apart(stats, than)
-            return estimate(stats) < estimate(than)
-
-        baseline = rule_stats(view.all_rows, labelled(global_majority))
-        kept, covered = [], ~view.all_rows  # rows out of play never count as uncovered
-        for rule in ruleset.rules:
-            conditions = list(rule.antecedent)
-            held = [holding(c) for c in conditions]
-            rows = view.all_rows
-            for mask in held:
-                rows = rows & mask
-            right = labelled(rule.consequent)
-            stats = rule_stats(rows, right)
-            while conditions:
-                # trial i drops condition i: the AND of the masks before it
-                # and of those after it, one AND a trial
-                before, after = [view.all_rows], [view.all_rows]
-                for mask in held[:-1]:
-                    before.append(before[-1] & mask)
-                for mask in held[:0:-1]:
-                    after.append(after[-1] & mask)
-                trial_rows = [b & a for b, a in zip(before, reversed(after))]
-                trials = [rule_stats(m, right) for m in trial_rows]
-                best_i = first_max([estimate(t) for t in trials])
-                for t in trials:  # no other trial may tie or beat the best exactly
-                    apart(t, trials[best_i])
-                if below(trials[best_i], stats):
-                    break
-                del conditions[best_i], held[best_i]
-                rows, stats = trial_rows[best_i], trials[best_i]
-            if below(stats, baseline):
-                continue
-            matched, hit = stats
-            acc = hit / matched if matched > 0 else 0.0
-            kept.append(Rule(tuple(conditions), rule.consequent, matched, acc))
-            covered = covered | rows
-        return kept, covered
-
-    kept, covered = _decide(simplified)
+    baseline = rule_stats(view.all_rows, labelled(global_majority))
+    kept, covered = [], ~view.all_rows  # rows out of play never count as uncovered
+    for rule in ruleset.rules:
+        conditions = list(rule.antecedent)
+        held = [holding(c) for c in conditions]
+        rows = view.all_rows
+        for mask in held:
+            rows = rows & mask
+        right = labelled(rule.consequent)
+        stats = rule_stats(rows, right)
+        while conditions:
+            # trial i drops condition i: the AND of the masks before it and
+            # of those after it, one AND a trial
+            before, after = [view.all_rows], [view.all_rows]
+            for mask in held[:-1]:
+                before.append(before[-1] & mask)
+            for mask in held[:0:-1]:
+                after.append(after[-1] & mask)
+            trial_rows = [b & a for b, a in zip(before, reversed(after))]
+            trials = [rule_stats(m, right) for m in trial_rows]
+            # keeping wins only above every trial; a tie drops the earlier trial's condition
+            i = best(trials + [stats])
+            if i == len(trials):
+                break
+            del conditions[i], held[i]
+            rows, stats = trial_rows[i], trials[i]
+        if best([stats, baseline]) == 1:
+            continue
+        matched, hit = stats
+        acc = hit / matched if matched > 0 else 0.0
+        kept.append(Rule(tuple(conditions), rule.consequent, matched, acc))
+        covered = covered | rows
 
     # dedupe: simplification can collapse sibling rules into the same form,
     # which match the same rows

@@ -7,8 +7,8 @@ threshold.  Instances whose tested value is missing descend every branch
 with fractionally scaled weight, both while growing and while classifying.
 Pruning replaces subtrees by leaves whenever an upper-confidence-bound
 error estimate favors the collapse.  Its bounds come from a pure-Python
-screen of scipy's exact quantile; scipy is loaded only for a comparison
-the screen cannot settle (``_decide``).
+screen of scipy's exact quantile; scipy is loaded only for a bound or a
+comparison the screen cannot settle (``_screened``, ``_close``).
 
 Growth reads the encoded view of ``columns`` (``columns.view_of``),
 built at most once per dataset: a cross-validation fold reads its parent's.
@@ -659,8 +659,8 @@ def _check_bound_args(errors, total, confidence_factor):
 
 
 # The screen: ucb_error_rate's quantile from ``math`` alone.  Pruning and
-# rule simplification decide with it, and load scipy only to settle a
-# comparison it cannot (``_decide``).
+# rule simplification decide with it, and load scipy only for a bound it
+# declines (``_screened``) or to settle a comparison it cannot (``_close``).
 
 #: Where the screen answers, it is within _UCB_TAU * min(U, 1 - U) + 2**-52 U
 #: of ucb_error_rate's U.
@@ -862,46 +862,24 @@ def _beta_root(a, b, p, q, x, log_beta):
     return None
 
 
-class _CloseCall(Exception):
-    """The screen cannot settle a decision; ``_decide`` takes it again exactly."""
-
-
-def _screened_bound(errors, total, confidence_factor):
+def _screened(errors, total, confidence_factor):
+    """The screen's bound, or ucb_error_rate's where the screen declines."""
     rate = _screen_ucb(errors, total, confidence_factor)
-    if rate is None:
-        raise _CloseCall
-    return rate
+    return ucb_error_rate(errors, total, confidence_factor) if rate is None else rate
 
 
-def _decide(decision):
-    """``decision(bound)`` with the screen as ``bound``, else with ucb_error_rate.
-
-    ``decision`` computes every estimate with ``bound`` and checks each
-    comparison of two of them with ``_check_apart`` before making it.  If
-    the screen declines or two estimates are too close, the whole
-    decision runs again on ucb_error_rate, so the screen decides only
-    what ucb_error_rate would decide the same way.
-    """
-    try:
-        return decision(_screened_bound)
-    except _CloseCall:
-        return decision(ucb_error_rate)
-
-
-def _check_apart(bound, a, b):
-    """Raise _CloseCall if screened estimates ``a`` and ``b`` may order differently exactly.
+def _close(a, b):
+    """Whether estimates ``a`` and ``b`` may order otherwise with exact bounds.
 
     Each estimate is a sum of non-negative weights times bounds U
-    (pruning) or one minus a bound (simplification), so a screened one
+    (pruning) or one minus a bound (simplification).  A screened bound
     is within about _UCB_TAU of the exact one, relative, plus 2**-52
-    absolute for 1 - U near 0.  Estimates further apart than _UCB_MARGIN,
-    relative, plus 2**-50 therefore order as the exact ones do.  An
-    estimate compared with another made from the same counts needs no
-    check: both bounds give the two the same value.
+    absolute for 1 - U near 0, and an exact one has no error, so a sum
+    of either kind, or of both, is too.  Estimates further apart than
+    _UCB_MARGIN, relative, plus 2**-50 therefore order as the exact ones
+    do.  NaN (margin inf, a = b = 0) is close.
     """
-    apart = abs(a - b) > _UCB_MARGIN * max(abs(a), abs(b)) + 2.0**-50
-    if bound is _screened_bound and not apart:  # NaN (margin inf, a = b = 0) is close
-        raise _CloseCall
+    return not abs(a - b) > _UCB_MARGIN * max(abs(a), abs(b)) + 2.0**-50
 
 
 def _leaf_ucb_errors(counts, weight, cf, bound):
@@ -918,25 +896,45 @@ def prune_tree(model):
     estimate of that leaf is no worse than the summed estimates of its
     (already pruned) children.  Node sets only shrink: every path of the
     pruned tree is a prefix of an original path.  Idempotent.  Every
-    decision is ucb_error_rate's, most of them taken with the screen.
+    decision is ucb_error_rate's, most of them taken with the screen (``_prune``).
     """
     levels, cf = _levels(model.root, _children), model.config.confidence_factor
-    root, _ = _decide(lambda bound: _bottom_up(levels, partial(_prune, cf, bound)))
+    root, _ = _bottom_up(levels, partial(_prune, cf))
     return replace(model, root=root)
 
 
-def _prune(cf, bound, node, below):
-    """The pruned ``node`` and its summed UCB error estimate; ``below`` gives its children's."""
+def _prune(cf, node, below):
+    """The pruned ``node`` and its summed UCB error estimate; ``below`` gives its children's.
+
+    A ``_close`` comparison is taken again on ucb_error_rate, the subtree's
+    side from its pruned children (``_estimate``).  Every comparison below
+    was apart or settled, so they are what an all-exact pass leaves, and
+    their estimates add the same floats in the same order.
+    """
     if isinstance(node, Leaf):
-        return node, _leaf_ucb_errors(node.class_counts, node.weight, cf, bound)
+        return node, _leaf_ucb_errors(node.class_counts, node.weight, cf, _screened)
     pruned = [next(below) for _ in node.children]
+    children = tuple(c for c, _ in pruned)
     weight = total(node.class_counts)
-    leaf_est = _leaf_ucb_errors(node.class_counts, weight, cf, bound)
+    leaf_est = _leaf_ucb_errors(node.class_counts, weight, cf, _screened)
     subtree_est = total(est for _, est in pruned)
-    _check_apart(bound, leaf_est, subtree_est)
+    if _close(leaf_est, subtree_est):
+        leaf_est = _leaf_ucb_errors(node.class_counts, weight, cf, ucb_error_rate)
+        subtree_est = total(_estimate(cf, c) for c in children)
     if leaf_est <= subtree_est:
         return Leaf(node.class_counts, weight), leaf_est
-    return replace(node, children=tuple(c for c, _ in pruned)), subtree_est
+    return replace(node, children=children), subtree_est
+
+
+def _estimate(cf, node):
+    """The summed UCB error estimate of the pruned ``node``, every bound ucb_error_rate's."""
+
+    def make(node, below):
+        if isinstance(node, Leaf):
+            return _leaf_ucb_errors(node.class_counts, node.weight, cf, ucb_error_rate)
+        return total(next(below) for _ in node.children)
+
+    return _bottom_up(_levels(node, _children), make)
 
 
 # ---------------------------------------------------------------------------

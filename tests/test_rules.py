@@ -170,6 +170,30 @@ def test_rules_that_hit_nothing_need_no_exact_bound(monkeypatch):
     assert calls == []
 
 
+def test_close_call_in_simplification_takes_exact_bounds_for_its_group_only(monkeypatch):
+    calls = []
+    exact = tree_module.ucb_error_rate
+    monkeypatch.setattr(tree_module, "ucb_error_rate", lambda *a: calls.append(a) or exact(*a))
+    d = binary_dataset(
+        [["1", "1", "0", "Y"]] * 8
+        + [["1", "1", "0", "N"]] * 2  # a0=1 AND a1=1 matches (10, 8)
+        + [["1", "0", "0", "N"]] * 6
+        + [["0", "0", "1", "N"]] * 9
+        + [["0", "0", "1", "Y"]],  # a2=1 => N matches (10, 9)
+        3,
+    )
+    # dropping a0=1 adds one right row of weight 1e-10: the trial's counts
+    # differ from the rule's, their screened estimates are within _UCB_MARGIN
+    d = Dataset(d.schema, 3, d.instances + (Instance(("0", "1", "0", "Y"), 1e-10),))
+    pair = (Condition(0, "=", "1"), Condition(1, "=", "1"))
+    rules = (Rule(pair, "Y", 10.0, 0.8), Rule((Condition(2, "=", "1"),), "N", 10.0, 0.9))
+    simplified = simplify_rules(RuleSet(d.schema, 3, rules, "N"), d)
+    assert [r.antecedent for r in simplified.rules] == [pair[1:], rules[1].antecedent]
+    # the first rule's group of three: the rule and its two trials
+    assert (2.0, 10.0, 0.25) in calls and len(calls) == 3
+    assert (1.0, 10.0, 0.25) not in calls  # the other rule's counts stay screened
+
+
 def test_simplified_set_preserves_noise_free_predictions():
     rng = random.Random(6)
     for _ in range(5):

@@ -1291,6 +1291,43 @@ def test_exact_tie_collapses_through_ucb_error_rate(monkeypatch):
     assert (3.0, 10.0, 0.25) in calls
 
 
+def test_close_call_in_pruning_takes_only_its_own_subtree_again(monkeypatch):
+    calls = []
+    exact = tree_module.ucb_error_rate
+    monkeypatch.setattr(tree_module, "ucb_error_rate", lambda *a: calls.append(a) or exact(*a))
+    schema = (
+        AttributeSpec.categorical("a", ("0", "1")),
+        AttributeSpec.categorical("b", ("0", "1")),
+        AttributeSpec.categorical("cls", ("N", "Y")),
+    )
+    counts = (7.0, 3.0)
+    tie = Decision(0, None, (Leaf(counts, 10.0), Leaf(counts, 0.0)), (10.0, 0.0), counts)
+    pure = Decision(
+        1, None, (Leaf((10.0, 0.0), 10.0), Leaf((0.0, 10.0), 10.0)), (10.0, 10.0), (10.0, 10.0)
+    )
+    # the root's leaf, 30 U(13, 30), is far above 10 U(3, 10) + 20 U(0, 10)
+    root = Decision(0, None, (tie, pure), (10.0, 20.0), (17.0, 13.0))
+    pruned = prune_tree(DecisionTreeModel(schema, 2, root, TreeConfig())).root
+    assert pruned == replace(root, children=(Leaf(counts, 10.0), pure))
+    assert set(calls) == {(3.0, 10.0, 0.25)}  # the sibling's counts stay screened
+
+
+def test_declined_bound_costs_one_exact_bound(monkeypatch):
+    calls = []
+    exact = tree_module.ucb_error_rate
+    monkeypatch.setattr(tree_module, "ucb_error_rate", lambda *a: calls.append(a) or exact(*a))
+    schema = (AttributeSpec.categorical("a", ("0", "1")), AttributeSpec.categorical("cls", ("N", "Y")))
+    assert _screen_ucb(2e12, 5e12, 0.25) is None
+    assert exact(2e12, 5e12, 0.25) == 0.4000001477734132
+    heavy, light = Leaf((3e12, 2e12), 5e12), Leaf((1.0, 0.0), 1.0)
+    # the root's counts are set apart from its children's, so that its own
+    # bound is screened and its comparison apart: the root over the heavy
+    # leaf would decline as well, and be close
+    root = Decision(0, None, (heavy, light), (5e12, 1.0), (1.0, 0.0))
+    prune_tree(DecisionTreeModel(schema, 1, root, TreeConfig()))
+    assert calls == [(2e12, 5e12, 0.25)]
+
+
 def test_training_accuracy_checks_no_row_again(monkeypatch, tmp_path):
     path = tmp_path / "gappy.arff"
     path.write_text(serialize_arff(synthetic_checklist(3000, 1000, seed=1, missing_rate=0.1)))

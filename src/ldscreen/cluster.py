@@ -11,7 +11,8 @@ Fitting runs Lloyd iterations from k randomly chosen distinct instances
 until assignments stop changing.  ``encode_dataset`` refuses missing
 values, so callers of ``kmeans_fit`` and ``cluster_profile`` impute gaps
 first.  The ``cluster`` command does not: ``fit_imputed`` reads the parsed
-dataset, gaps included, into one encoded view and builds the matrix
+dataset, gaps included, through its encoded view (``columns.view_of``,
+the one growth reads, or a train fold's parent's) and builds the matrix
 once, each gap filled in the matrix, not in the view, with the value
 ``impute_missing`` would fill (``gap_fills``); the fit and the profile
 that both reports print read that matrix, and no imputed Dataset is
@@ -28,7 +29,7 @@ from functools import wraps
 
 import numpy as np
 
-from .columns import Columns
+from .columns import view_of
 from .dataset import BINARY, EQ, NUMERIC, Dataset, align_columns, dump_document
 from .dataset import check_count, first_max, gap_fills, load_document
 
@@ -79,8 +80,10 @@ def encode_imputed(dataset: Dataset):
 
 
 def _encode(dataset, fills):
-    view = Columns(dataset)
-    missing = {i: view.missing(i) for i in dataset.feature_indices}
+    # the dataset's own view, or its parent's with the fold's rows in play
+    view = view_of(dataset)
+    in_play = np.flatnonzero(view.all_rows)
+    missing = {i: view.missing(i)[in_play] for i in dataset.feature_indices}
     gaps = [(int(m.argmax()), i) for i, m in missing.items() if fills[i] is None and m.any()]
     if gaps:
         r, i = min(gaps)  # the first gap in row order
@@ -90,7 +93,7 @@ def _encode(dataset, fills):
         )
 
     def indicator(i, v):  # every test fails at a gap; its fill's indicator is set
-        holds = view.holds(i, EQ, v)
+        holds = view.holds(i, EQ, v)[in_play]
         return holds | missing[i] if v == fills[i] else holds
 
     columns = []
@@ -99,7 +102,7 @@ def _encode(dataset, fills):
         spec = dataset.schema[i]
         if spec.kind == NUMERIC:
             labels.append(spec.name)
-            column = view.columns[i]
+            column = view.columns[i][in_play]
             columns.append(column if fills[i] is None else np.where(missing[i], fills[i], column))
         elif spec.kind == BINARY:
             labels.append(spec.name)

@@ -63,7 +63,7 @@ def _encode(spec, cells):
 
 
 def view_of(dataset):
-    """The encoded view that growth and rule statistics read for ``dataset``.
+    """The encoded view that growth, rule statistics and K-means read for ``dataset``.
 
     A dataset is encoded on first use and keeps the view in its ``_view``
     list (see ``Dataset._with_checked``).  A train fold of

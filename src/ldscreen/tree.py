@@ -35,6 +35,10 @@ files are the same on every supported Python.
 
 No pass over a tree recurses: growth, pruning and the model file build a
 tree from its deepest level up (``_bottom_up``), and the other walks loop.
+``classify``, ``training_accuracy`` and a leaf's memo route a row in one
+loop (``_walk``): it follows known values, answers from the leaf's memo
+when the row met no blank, and from the first blank on spreads the row's
+weight over every branch, depth first.
 
 A built model is immutable; concurrent classification is safe (a leaf's
 memo, ``Leaf._memo``, is the same whichever call fills it first).  The
@@ -182,11 +186,11 @@ class Leaf:
 
         A row that meets no blank gets exactly its leaf's class
         distribution (C4.5), and it reaches the leaf at weight 1.0.  The
-        shares are ``_spread``'s from this leaf at that weight, underflow
+        shares are ``_walk``'s from this leaf at that weight, underflow
         retry included, so they are the floats a walk from the root adds up.
         """
-        dist = tuple(_spread((), (), self))
-        return first_max(dist), dist
+        index, dist = _walk((), (), self, False)
+        return index, tuple(dist)
 
 
 @dataclass(frozen=True)
@@ -952,76 +956,66 @@ def classify(model, instance):
         sums to 1.  A missing tested value descends every branch, the
         resulting leaf distributions merged in proportion to the training
         branch weights.  Ties in the distribution resolve to the earlier
-        declared class.  A row that meets no blank on its path answers
-        from its leaf's memo (``Leaf._memo``), whose floats are the ones
-        the fractional walk would add up for it.
+        declared class.  The row takes one walk (``_walk``): a row that
+        meets no blank on its path answers from its leaf's memo
+        (``Leaf._memo``), whose floats are the ones the walk would add up
+        for it.
     """
-    index, dist = _answer(model, _check_instance(model.schema, instance, None, model._cells))
+    schema = model.schema
+    index, dist = _walk(schema, _check_instance(schema, instance, None, model._cells), model.root)
     class_values = model.class_values
     return class_values[index], dict(zip(class_values, dist))
 
 
-def _answer(model, values):
-    """``(first_max(dist), dist)`` for the checked row ``values``, ``dist`` in class order.
+def _walk(schema, values, node, memo=True, share_first=False):
+    """``(first_max(dist), dist)`` for the checked row ``values`` sent down from ``node``.
 
-    A row whose known values take it to a leaf gets the leaf's memo.  At
-    its first blank the fractional walk (``_spread``) takes it on from that
-    node at weight 1.0, the weight it has there, so the leaves add in the
-    order and with the floats of a walk from the root.
+    ``dist`` is the row's class distribution, in declared class order.
+    The row arrives at ``node`` with weight 1.0 and follows its known
+    values.  If it reaches a leaf without meeting a blank, it takes the
+    leaf's memo when ``memo`` is true.  From its first blank on, a missing
+    value sends ``weight * bw / total_bw`` down each branch of positive
+    weight, and a leaf adds ``weight * count / leaf_total`` to each class,
+    depth first in branch order.  Along known values the weight stays 1.0,
+    so the floats are those of a walk from the root.  If every leaf's part
+    underflows to 0, as weights of an extreme ratio can make it, the walk
+    is taken again with each share divided out first.
     """
-    node = _descend(model.schema, values, model.root)
-    if isinstance(node, Leaf):
-        return node._memo
-    dist = _spread(model.schema, values, node)
-    return first_max(dist), dist
-
-
-def _descend(schema, values, node):
-    """The leaf the row ``values`` reaches from ``node``, or the first node that tests a blank."""
-    while isinstance(node, Decision):
-        v, spec = values[node.attribute_index], schema[node.attribute_index]
-        if v is None:
-            return node
-        if spec.is_categorical:
-            node = node.children[spec.values.index(v)]
+    start, weight, merged, later = node, 1.0, None, []
+    while True:
+        if isinstance(node, Decision):
+            i, t = node.attribute_index, node.threshold
+            v = values[i]
+            if v is not None:  # a nominal test has no threshold; a value equal to one takes <=
+                node = node.children[schema[i].values.index(v) if t is None else v > t]
+                continue
+            memo = False
+            total_bw, branches = node._routes  # last first: popped in branch order
+            for child, bw in branches:
+                share = weight * (bw / total_bw) if share_first else weight * bw / total_bw
+                later.append((child, share))
+        elif memo:  # no blank on the way
+            return node._memo
         else:
-            node = node.children[0 if v <= node.threshold else 1]
-    return node
+            if merged is None:
+                merged = [0.0] * len(node.class_counts)
+            leaf_total = node._total
+            for k, c in enumerate(node.class_counts):
+                merged[k] += weight * (c / leaf_total) if share_first else weight * c / leaf_total
+        if not later:
+            break
+        node, weight = later.pop()
+    merged_total = total(merged)
+    if merged_total == 0 and not share_first:
+        return _walk(schema, values, start, False, True)
+    for k, c in enumerate(merged):
+        merged[k] = c / merged_total
+    return first_max(merged), merged
 
 
 def _distribution(model, values):
     """The class distribution of the checked row ``values``, in declared class order."""
-    return _spread(model.schema, values, model.root)
-
-
-def _spread(schema, values, start, share_first=False):
-    """The class distribution of the checked row ``values`` sent down from ``start``.
-
-    The row arrives at ``start`` with weight 1.0.  A missing value sends
-    ``weight * bw / total_bw`` down each branch, and a leaf adds ``weight
-    * count / leaf_total`` to each class.  If every leaf's part underflows
-    to 0, as weights of an extreme ratio can make it, the walk is taken
-    again with each share divided out first.
-    """
-    merged = [0.0] * len(start.class_counts)
-    later = [(start, 1.0)]  # a missing value's branches: leaves add depth first
-    while later:
-        node, weight = later.pop()
-        node = _descend(schema, values, node)
-        if isinstance(node, Decision):  # its tested value is missing
-            total_bw, branches = node._routes
-            later += [
-                (child, weight * (bw / total_bw) if share_first else weight * bw / total_bw)
-                for child, bw in branches
-            ]
-            continue
-        leaf_total = node._total
-        for i, c in enumerate(node.class_counts):
-            merged[i] += weight * (c / leaf_total) if share_first else weight * c / leaf_total
-    merged_total = total(merged)
-    if merged_total == 0 and not share_first:
-        return _spread(schema, values, start, True)
-    return [c / merged_total for c in merged]
+    return _walk(model.schema, values, model.root, False)[1]
 
 
 def training_accuracy(model, dataset):
@@ -1030,15 +1024,16 @@ def training_accuracy(model, dataset):
     ``dataset`` must have the model's schema and class, else ValueError;
     its rows were checked against that schema when it was built, so they
     are classified without checking them again.  Each row takes
-    ``classify``'s label, from its leaf's memo when it meets no blank on
-    its path: the label its distribution's floats give.
+    ``classify``'s label from the same walk (``_walk``), from its leaf's
+    memo when it meets no blank on its path: the label its distribution's
+    floats give.
     """
     if (tuple(model.schema), model.class_index) != (dataset.schema, dataset.class_index):
         raise ValueError("the dataset's schema or class differs from the model's")
-    class_values = model.class_values
+    schema, root, class_values = model.schema, model.root, model.class_values
     correct = 0
     for inst in dataset.instances:  # classify's label, without its check
-        label = class_values[_answer(model, inst.values)[0]]
+        label = class_values[_walk(schema, inst.values, root)[0]]
         correct += label == inst.values[model.class_index]
     return correct / len(dataset)
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import enumeration_min_wcss
 
+import ldscreen.columns as columns_module
 from ldscreen.cluster import (
     ClusterModel,
     cluster_model_from_json,
@@ -32,8 +33,10 @@ from ldscreen.dataset import (
     Instance,
     impute_missing,
     parse_csv,
+    stratified_folds,
     synthetic_checklist,
 )
+from ldscreen.tree import build_tree
 
 
 def binvec_dataset(vectors, labels=None):
@@ -95,6 +98,35 @@ def test_missing_value_refused():
     d = synthetic_checklist(10, 5, seed=1, missing_rate=0.5)
     with pytest.raises(ValueError, match="impute"):
         encode_dataset(d)
+
+
+def test_clustering_reads_the_dataset_view_and_a_train_fold_its_parents(monkeypatch):
+    # growth and both fits share one encode, and so do the folds dealt from it
+    views = []
+
+    def count_view(view, dataset):
+        views.append(dataset)
+        real_init(view, dataset)
+
+    real_init = columns_module.Columns.__init__
+    monkeypatch.setattr(columns_module.Columns, "__init__", count_view)
+    gappy = synthetic_checklist(60, 30, seed=2, missing_rate=0.1)
+    d = impute_missing(gappy)
+    build_tree(d)
+    kmeans_fit(d, k=2)
+    kmeans_fit(d, k=3)
+    assert len(views) == 1 and views[0] is d
+    # a fold's matrix is that of a fresh Dataset of its rows, gaps filled from the fold's
+    for data, encode in ((d, encode_dataset), (gappy, encode_imputed)):
+        train, _ = stratified_folds(data, 3, seed=0)[1]
+        before = len(views)
+        rows, labels = encode(train)
+        encoded = views[before:]  # none for d; the gappy parent, once
+        assert len(encoded) == (data is gappy) and all(v is data for v in encoded)
+        want, want_labels = encode(Dataset(train.schema, train.class_index, train.instances))
+        assert labels == want_labels
+        assert (rows.shape, rows.dtype) == (want.shape, want.dtype)
+        assert rows.tobytes() == want.tobytes()
 
 
 # --- the imputed matrix of one encoded view -----------------------------------

@@ -1565,6 +1565,9 @@ def edge_rows():
     A blank at a node with one branch of positive weight, a row that
     reaches that node's empty branch, a row whose every leaf part
     underflows (the walk's retry) and a row beside it that reaches one leaf.
+    Below a known-valued test at the root: a row whose first blank is
+    there, and a row whose every leaf part underflows, so that the retry
+    takes the known branch again.
     """
     nominal = (AttributeSpec.categorical("s", "AB"), AttributeSpec.categorical("c", "PQ"))
     counts = (3.0, 1.0)
@@ -1575,11 +1578,17 @@ def edge_rows():
     leaves = (Leaf((tiny, 0.0), tiny), Leaf((0.0, tiny), tiny))
     underflow = Decision(0, 0.25, leaves, (tiny, tiny), (tiny, tiny))
     underflow = DecisionTreeModel(numeric, 1, underflow, TreeConfig())
+    spread = Decision(1, 0.25, (Leaf(counts, 4.0), Leaf((1.0, 2.0), 3.0)), (4.0, 3.0), (4.0, 3.0))
+    tiny_below = Decision(1, 0.25, leaves, (tiny, tiny), (tiny, tiny))
+    below = Decision(0, None, (spread, tiny_below), (7.0, tiny), (4.0, 3.0))
+    below = DecisionTreeModel(nominal[:1] + numeric, 2, below, TreeConfig())
     return [
         (one_branch, (None, None)),
         (one_branch, ("B", "Q")),
         (underflow, (None, None)),
         (underflow, (0.0, None)),
+        (below, ("A", None, None)),
+        (below, ("B", None, None)),
     ]
 
 
@@ -1605,6 +1614,39 @@ def test_distribution_equals_recursive_oracle(pruning, extremes, data):
     labels = [model.class_values[first_max(recursive_distribution(model, i.values))] for i in d.instances]
     right = sum(label == i.values[d.class_index] for label, i in zip(labels, d.instances))
     assert training_accuracy(model, d) == right / len(d)
+
+
+@pytest.mark.parametrize("blank", [False, True], ids=["known", "blank"])
+def test_a_value_equal_to_a_threshold_takes_the_le_branch(blank):
+    # training values lie strictly either side of each midpoint, so the
+    # oracle test above never routes a value onto a threshold
+    d = random_mixed_dataset(random.Random(23), 80, 3, 1)
+    model = build_tree(d, TreeConfig(min_leaf_weight=1.0, pruning=False))
+    tests = [node for _, node in tree_module._paths(model.root, model.schema) if isinstance(node, Decision)]
+    tested = [node.attribute_index for node in tests]
+    rows = []
+    for node in tests:
+        if node.threshold is None:
+            continue
+        i, t = node.attribute_index, node.threshold
+        other = next(j for j in tested if j != i)  # a blank on another tested attribute
+        for inst in d.instances:
+            for v in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)):
+                row = list(inst.values)
+                row[i] = v
+                if blank:
+                    row[other] = None
+                rows.append(tuple(row))
+    assert len(rows) > len(d)
+    class_values, right = model.class_values, 0
+    for values in rows:
+        o = recursive_distribution(model, values)
+        assert tree_module._distribution(model, values) == o
+        label = class_values[first_max(o)]
+        assert classify(model, values) == (label, dict(zip(class_values, o)))
+        right += label == values[d.class_index]
+    rerouted = Dataset(d.schema, d.class_index, [Instance(values) for values in rows])
+    assert training_accuracy(model, rerouted) == right / len(rows)
 
 
 def test_classified_model_is_unchanged_and_a_replaced_leaf_answers_from_its_counts():

@@ -7,9 +7,10 @@ stderr; stdout carries only the requested output.
 ``main`` sets ``OPENBLAS_NUM_THREADS`` to 1 unless it is already set,
 before any subcommand loads numpy.  ldscreen calls no BLAS routine, yet
 OpenBLAS starts a pool of threads when numpy loads: starting it slows
-``import numpy``, and its threads contend with the workers that
-``evaluate`` forks.  A value the user set wins.  Importing the library
-sets nothing, as a library caller's numpy is the caller's.
+``import numpy``, and its threads contend with the processes that
+``evaluate`` runs, one per usable CPU, each pinned to a CPU of its own.
+A value the user set wins.  Importing the library sets nothing, as a
+library caller's numpy is the caller's.
 """
 
 from __future__ import annotations

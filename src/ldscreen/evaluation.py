@@ -234,10 +234,12 @@ def cross_validate(
 
     ``workers`` (an int, at least 1) is the number of processes that fit
     and predict the folds: this one and up to ``workers - 1`` forked from
-    it, at most one per fold (see ``_fold_predictions``).  The report is
-    the same whatever the count.  What ``learner`` or its predict function
-    changes in a forked worker, such as a list it appends to, stays in
-    that worker, so the default is 1.  Where ``os.fork`` does not exist,
+    it, at most one per fold, each on a CPU of its own where the calling
+    thread may run on enough (see ``_fold_predictions``).  That thread may
+    run on the same CPUs after as before, and the report is the same
+    whatever the count.  What ``learner`` or its predict function changes
+    in a forked worker, such as a list it appends to, stays in that
+    worker, so the default is 1.  Where ``os.fork`` does not exist,
     every fold runs in this process, and where a pipe or a fork is
     refused, the folds of the workers not forked do.
     """
@@ -288,20 +290,33 @@ def _fold_predictions(folds, learner, class_index, workers):
     worker sent no more.  So the exception raised is the lowest failing
     fold's, as with one worker, and the folds of a worker that died, or
     was never forked because a pipe or a fork was refused, are fitted here.
+
+    When the calling thread may run on at least p CPUs, each process runs
+    on one of them alone: this thread on the lowest, worker w on the w-th
+    from the fork on, and this thread gets its CPUs back once the workers
+    are reaped.  Left to the scheduler, a worker can stay on its parent's
+    CPU for a whole run, and the two take turns on it.  Where
+    ``os.sched_setaffinity`` is missing or refused, or there are fewer
+    CPUs than processes, no process is pinned.
     """
 
     def run(f):
         return _predict_fold(folds[f], learner, class_index)
 
     p = min(workers, len(folds)) if hasattr(os, "fork") else 1
+    allowed = []  # the CPUs this thread may run on, sorted; kept only once it is pinned
     if p > 1:
         import signal  # here, not at module level: most commands never fork
 
         from .columns import view_of
 
         view_of(folds[0][0])  # kept on the dataset dealt from, for every worker
+        if hasattr(os, "sched_setaffinity"):
+            allowed = sorted(os.sched_getaffinity(0))
     pipes, pids = [], []  # pipes[w - 1] is the read end from worker w
     try:
+        if len(allowed) < p or not _pin(allowed[:1]):
+            allowed = []  # too few CPUs, or a refused pin: nothing is pinned
         for w in range(1, p):
             try:
                 read_fd, write_fd = os.pipe()
@@ -309,7 +324,7 @@ def _fold_predictions(folds, learner, class_index, workers):
                 with open(write_fd, "wb") as out:
                     pid = _fork()
                     if pid == 0:
-                        _work(out, run, range(w, len(folds), p))
+                        _work(out, run, range(w, len(folds), p), allowed[w : w + 1])
             except OSError:
                 break  # a refused pipe or fork: the rest are fitted here
             pids.append(pid)
@@ -324,10 +339,24 @@ def _fold_predictions(folds, learner, class_index, workers):
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        if allowed:
+            os.sched_setaffinity(0, allowed)
 
 
-def _work(out, run, folds):
+def _pin(cpus):
+    """Run the calling thread on ``cpus`` alone; False where that is refused."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        return False
+    return True
+
+
+def _work(out, run, folds, cpus):
     """A forked worker: send the list of each of ``folds`` up to the first that fails.
+
+    The worker first runs itself on ``cpus`` alone, if any are given; where
+    that is refused, it runs on the CPUs it inherited.
 
     Each list goes out as one ``marshal.dump`` of its ``marshal`` bytes:
     marshal keeps every float exact and marks where the bytes end, and
@@ -337,6 +366,8 @@ def _work(out, run, folds):
     the caller nor flushes the output buffers it inherited.
     """
     try:
+        if cpus:
+            _pin(cpus)
         for f in folds:
             marshal.dump(marshal.dumps(run(f)), out)
             out.flush()

@@ -548,6 +548,106 @@ def test_workers_must_be_an_int_of_at_least_one(workers):
         cross_validate(_gappy(1, 30, False), 2, 0, majority_learner(), workers=workers)
 
 
+def _refused(*args):
+    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+_pins = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no os.sched_setaffinity")
+
+
+@_pins
+@pytest.mark.parametrize("ending", ["fitted", "fold_fails", "pipe_refused", "fork_refused"])
+def test_cross_validation_gives_the_calling_thread_its_cpus_back(monkeypatch, ending):
+    d = _gappy(12, 60, False)
+    before = os.sched_getaffinity(0)
+    if ending == "pipe_refused":
+        monkeypatch.setattr(os, "pipe", _refused)
+    if ending == "fork_refused":
+        monkeypatch.setattr(evaluation_module, "_fork", _refused)
+    if ending == "fold_fails":
+        # fold 2 is this process's: it raises while this thread is pinned
+        with pytest.raises(ValueError, match="fold 2 fails"):
+            cross_validate(d, 5, 0, _failing_learner(d, 5, {2}), workers=2)
+    else:
+        cross_validate(d, 5, 0, tree_learner(), workers=2)
+    assert os.sched_getaffinity(0) == before
+    _no_child_left()
+
+
+def _fitted_on_learner():
+    """``tree_learner()`` whose scores carry the pid and CPUs of the process that fitted."""
+    fit = tree_learner()
+
+    def learner(train):
+        fitted_on = (os.getpid(), tuple(sorted(os.sched_getaffinity(0))))
+        predict = fit(train)
+
+        def recorded(instance):
+            label, dist = predict(instance)
+            return label, {**dist, "fitted on": fitted_on}
+
+        return recorded
+
+    return learner
+
+
+def _fitted_on(pooled):
+    """The (pid, CPUs) that fitted each fold of a ``_fold_predictions`` list."""
+    return [{dist["fitted on"] for _, _, dist in fold} for fold in pooled]
+
+
+@_pins
+def test_each_process_that_fits_folds_runs_on_a_cpu_of_its_own():
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        pytest.skip("this thread may run on one CPU only")
+    d = _gappy(13, 60, False)
+    p = min(len(cpus), 4)
+    seen = _fitted_on(_fold_predictions(stratified_folds(d, 5, 0), _fitted_on_learner(), d.class_index, p))
+    pids = [next(iter(s))[0] for s in seen[:p]]
+    assert pids[0] == os.getpid() and len(set(pids)) == p
+    assert seen == [{(pids[f % p], (cpus[f % p],))} for f in range(5)]
+    assert sorted(os.sched_getaffinity(0)) == cpus
+    _no_child_left()
+
+
+@_pins
+def test_nothing_is_pinned_when_the_workers_outnumber_the_cpus():
+    before = os.sched_getaffinity(0)
+    allowed = tuple(sorted(before)[:2])
+    d = _gappy(14, 60, False)
+    folds = stratified_folds(d, len(allowed) + 1, 0)
+    os.sched_setaffinity(0, allowed)
+    try:
+        pooled = _fold_predictions(folds, _fitted_on_learner(), d.class_index, len(folds))
+        after = os.sched_getaffinity(0)
+    finally:
+        os.sched_setaffinity(0, before)
+    seen = _fitted_on(pooled)
+    assert len({pid for fold in seen for pid, _ in fold}) == len(folds)  # this process and a worker a fold
+    assert {cpus for fold in seen for _, cpus in fold} == {allowed}
+    assert after == set(allowed)
+    _no_child_left()
+
+
+@_pins
+@pytest.mark.parametrize("refused", ["everywhere", "in_workers"])
+def test_a_refused_pin_gives_the_serial_report(monkeypatch, refused):
+    d = _gappy(15, 60, False)
+    serial = report_to_json(cross_validate(d, 5, 0, tree_learner()))
+    before, here, pin = os.sched_getaffinity(0), os.getpid(), os.sched_setaffinity
+
+    def pin_here_only(pid, cpus):
+        if os.getpid() != here:
+            _refused()
+        pin(pid, cpus)
+
+    monkeypatch.setattr(os, "sched_setaffinity", _refused if refused == "everywhere" else pin_here_only)
+    assert report_to_json(cross_validate(d, 5, 0, tree_learner(), workers=2)) == serial
+    assert os.sched_getaffinity(0) == before
+    _no_child_left()
+
+
 def _forks_warned(fork):
     """The warnings that ``fork()`` gives while a second thread runs."""
     release = threading.Event()
